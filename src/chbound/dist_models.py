@@ -9,7 +9,8 @@ Every model here is a finite-support joint law on R^n exposing two views:
 Enumeration is only permitted while the support has at most ``atom_cap``
 atoms; larger models stay usable for sampling but exact operations raise
 ``SupportTooLargeError`` up front instead of grinding forever.  Atoms are
-always visited in a fixed order, so exact results are bit-reproducible.
+always visited in a fixed order and reduced by NumPy sums, never by threaded
+BLAS dot products, so exact results are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .errors import SubsetBudgetError, SupportTooLargeError, ValidationError
 DEFAULT_ATOM_CAP = 10**6
 DEFAULT_SUBSET_BUDGET = 10**6
 DEFAULT_CHUNK = 1 << 16
+CERTIFY_CHUNK = 1 << 12  # keeps certify_moments' stack of prefix vectors small
 
 # Slack for comparing a moment against its certified product, for deciding
 # whether an atom's sum clears the tail threshold, and for range checks.
@@ -64,6 +66,20 @@ __all__ = [
 ]
 
 
+def _check_n(n) -> int:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValidationError(f"n must be a positive integer, got {n!r}")
+    return n
+
+
+def _coin(p) -> tuple[np.ndarray, np.ndarray]:
+    """Values and probabilities of one Bernoulli(p) factor on {0, 1}."""
+    p = float(p)
+    if not 0.0 <= p <= 1.0:
+        raise ValidationError(f"p must lie in [0, 1], got {p}")
+    return np.array([0.0, 1.0]), np.array([1.0 - p, p])
+
+
 def _validate_atoms(atoms, name: str) -> tuple[np.ndarray, np.ndarray]:
     """Check one discrete marginal given as (value, probability) pairs."""
     try:
@@ -90,11 +106,9 @@ class JointModel:
     kind = "abstract"
 
     def __init__(self, n: int, atom_cap: int = DEFAULT_ATOM_CAP):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise ValidationError(f"n must be a positive integer, got {n!r}")
+        self._n = _check_n(n)
         if not isinstance(atom_cap, int) or atom_cap < 1:
             raise ValidationError(f"atom_cap must be a positive integer, got {atom_cap!r}")
-        self._n = n
         self._atom_cap = atom_cap
         self._sum_cache: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -203,20 +217,10 @@ class _FactoredModel(JointModel):
         if len(self._vmap) != n:
             raise ValidationError("vmap must assign a factor to each variable")
         self._sizes = [len(v) for v in self._fvals]
-        # stride[j] = number of atoms spanned by one step of factor j
-        strides = []
-        acc = 1
-        for size in reversed(self._sizes):
-            strides.append(acc)
-            acc *= size
-        self._strides = list(reversed(strides))
-        self._total = acc
+        self._total = math.prod(self._sizes)
 
     def support_size(self) -> int:
         return self._total
-
-    def _digits(self, idx: np.ndarray, j: int) -> np.ndarray:
-        return (idx // self._strides[j]) % self._sizes[j]
 
     def support_chunks(
         self, columns: Sequence[int] | None = None, chunk_size: int = DEFAULT_CHUNK
@@ -225,7 +229,7 @@ class _FactoredModel(JointModel):
         total = self._total
         for start in range(0, total, chunk_size):
             idx = np.arange(start, min(start + chunk_size, total), dtype=np.int64)
-            digits = {j: self._digits(idx, j) for j in range(len(self._fvals))}
+            digits = np.unravel_index(idx, self._sizes)
             probs = np.ones(len(idx), dtype=np.float64)
             for j, fp in enumerate(self._fprobs):
                 probs *= fp[digits[j]]
@@ -285,19 +289,15 @@ class BooleanIIDModel(_FactoredModel):
     kind = "boolean_iid"
 
     def __init__(self, n: int, p: float, atom_cap: int = DEFAULT_ATOM_CAP):
-        p = float(p)
-        if not 0.0 <= p <= 1.0:
-            raise ValidationError(f"p must lie in [0, 1], got {p}")
-        values = np.array([0.0, 1.0])
-        probs = np.array([1.0 - p, p])
+        values, probs = _coin(p)
         super().__init__(n, [values] * n, [probs] * n, vmap=range(n), atom_cap=atom_cap)
-        self.p = p
+        self.p = float(p)
 
     def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return (rng.random((size, self._n)) < self.p).astype(np.float64)
 
 
-class PlantedCliqueModel(JointModel):
+class PlantedCliqueModel(_FactoredModel):
     """Bernoulli(p) variables where a planted index block shares one coin.
 
     Variables inside the block are perfectly correlated (they all copy a
@@ -317,9 +317,8 @@ class PlantedCliqueModel(JointModel):
         indices: Sequence[int] | None = None,
         atom_cap: int = DEFAULT_ATOM_CAP,
     ):
-        p = float(p)
-        if not 0.0 <= p <= 1.0:
-            raise ValidationError(f"p must lie in [0, 1], got {p}")
+        values, probs = _coin(p)
+        n = _check_n(n)
         if indices is None:
             if k is None:
                 raise ValidationError("planted_clique needs k or indices")
@@ -331,31 +330,15 @@ class PlantedCliqueModel(JointModel):
             raise ValidationError(f"indices must be non-empty and distinct, got {indices}")
         if any(i < 0 or i >= n for i in indices):
             raise ValidationError(f"indices must lie in [0, n), got {indices}")
-        super().__init__(n, atom_cap)
-        self.p = p
+        free = tuple(i for i in range(n) if i not in indices)
+        vmap = np.zeros(n, dtype=np.int64)
+        vmap[list(free)] = np.arange(1, len(free) + 1)
+        factors = 1 + len(free)
+        super().__init__(n, [values] * factors, [probs] * factors, vmap, atom_cap)
+        self.p = float(p)
         self.indices = tuple(sorted(indices))
         self.k = len(self.indices)
-        free = tuple(i for i in range(n) if i not in set(self.indices))
-        vmap = np.empty(n, dtype=np.int64)
-        vmap[list(self.indices)] = 0
-        for pos, i in enumerate(free):
-            vmap[i] = pos + 1
-        values = np.array([0.0, 1.0])
-        probs = np.array([1.0 - p, p])
         self._free = free
-        self._inner = _FactoredModel(
-            n, [values] * (1 + len(free)), [probs] * (1 + len(free)), vmap, atom_cap
-        )
-
-    def support_size(self) -> int:
-        return self._inner.support_size()
-
-    def support_chunks(self, columns=None, chunk_size=DEFAULT_CHUNK):
-        self._check_columns(columns)
-        return self._inner.support_chunks(columns, chunk_size)
-
-    def _build_sum_support(self):
-        return self._inner._build_sum_support()
 
     def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
         shared = (rng.random(size) < self.p).astype(np.float64)
@@ -367,9 +350,11 @@ class PlantedCliqueModel(JointModel):
         return out
 
 
-class ExchangeableMixtureModel(JointModel):
+class ExchangeableMixtureModel(_FactoredModel):
     """Mixture: with probability rho all variables copy one draw from the
-    marginal, otherwise all n are drawn independently from that marginal."""
+    marginal, otherwise all n are drawn independently from that marginal.
+    The factors describe the independent part, enumerated after the shared atoms.
+    """
 
     kind = "exchangeable_mixture"
 
@@ -378,40 +363,29 @@ class ExchangeableMixtureModel(JointModel):
         if not 0.0 <= rho <= 1.0:
             raise ValidationError(f"rho must lie in [0, 1], got {rho}")
         values, probs = _validate_atoms(atoms, "atoms")
-        super().__init__(n, atom_cap)
+        n = _check_n(n)
+        super().__init__(n, [values] * n, [probs] * n, vmap=range(n), atom_cap=atom_cap)
         self.rho = rho
         self._values = values
         self._probs = probs
-        self._inner = IndependentModel(
-            [list(zip(values, probs))] * n, atom_cap=max(atom_cap, len(values) ** n)
-        )
 
     @classmethod
     def bernoulli(
         cls, n: int, rho: float, p: float, atom_cap: int = DEFAULT_ATOM_CAP
     ) -> "ExchangeableMixtureModel":
-        p = float(p)
-        if not 0.0 <= p <= 1.0:
-            raise ValidationError(f"p must lie in [0, 1], got {p}")
-        return cls(n, rho, [(0.0, 1.0 - p), (1.0, p)], atom_cap=atom_cap)
+        return cls(n, rho, list(zip(*_coin(p))), atom_cap=atom_cap)
 
     def support_size(self) -> int:
-        m = len(self._values)
-        return m + m**self._n
+        return len(self._values) + self._total
 
     def support_chunks(self, columns=None, chunk_size=DEFAULT_CHUNK):
         cols = self._check_columns(columns)
-
-        def _chunks():
-            shared = np.repeat(self._values[:, None], len(cols), axis=1)
-            yield shared, self.rho * self._probs
-            for values, probs in self._inner.support_chunks(cols, chunk_size):
-                yield values, (1.0 - self.rho) * probs
-
-        return _chunks()
+        yield np.repeat(self._values[:, None], len(cols), axis=1), self.rho * self._probs
+        for values, probs in super().support_chunks(cols, chunk_size):
+            yield values, (1.0 - self.rho) * probs
 
     def _build_sum_support(self):
-        ind_sums, ind_probs = self._inner._build_sum_support()
+        ind_sums, ind_probs = super()._build_sum_support()
         sums = np.concatenate([self._n * self._values, ind_sums])
         probs = np.concatenate([self.rho * self._probs, (1.0 - self.rho) * ind_probs])
         return sums, probs
@@ -511,7 +485,7 @@ def exact_moment(model: JointModel, subset: Iterable[int]) -> float:
     model._require_enumerable("exact_moment")
     total = 0.0
     for values, probs in model.support_chunks(columns=cols):
-        total += float(probs @ np.prod(values, axis=1))
+        total += float(np.sum(probs * np.prod(values, axis=1)))
     return total
 
 
@@ -542,8 +516,8 @@ def certify_moments(
     Covers every subset of size up to ``max_subset_size`` (all n when
     omitted) in deterministic order: by size, lexicographic within a size.
     Raises ``SubsetBudgetError`` before doing any work if that would exceed
-    ``subset_budget`` subsets.  Cost grows as (#subsets x #atoms); intended
-    for small n.
+    ``subset_budget`` subsets.  One support pass, O(#subsets x #atoms): each
+    subset's weighted product is its prefix's times one column.  For small n.
     """
     if params.n != model.n:
         raise ValidationError(f"params.n={params.n} does not match model n={model.n}")
@@ -557,13 +531,30 @@ def certify_moments(
             f"subsets, exceeding subset_budget={subset_budget}"
         )
     model._require_enumerable("certify_moments")
-    out = []
-    for size in range(max_size + 1):
-        for subset in itertools.combinations(range(model.n), size):
-            moment = exact_moment(model, subset)
-            product = float(np.prod([params.c[i] for i in subset])) if subset else 1.0
-            out.append(MomentCertificate(subset=subset, exact_moment=moment, bound_product=product))
-    return out
+    n = model.n
+    subsets = [s for size in range(max_size + 1) for s in itertools.combinations(range(n), size)]
+    moments = dict.fromkeys(subsets, 0.0)
+
+    def walk(columns: np.ndarray, prefix: tuple[int, ...], weights: np.ndarray) -> None:
+        # weights = probs * prefix columns; each lexicographic child adds one.
+        for j in range(prefix[-1] + 1 if prefix else 0, n):
+            subset = prefix + (j,)
+            child = weights * columns[j]
+            moments[subset] += float(child.sum())
+            if len(subset) < max_size:
+                walk(columns, subset, child)
+
+    if max_size:
+        for values, probs in model.support_chunks(chunk_size=CERTIFY_CHUNK):
+            walk(values.T.copy(), (), probs)
+    return [
+        MomentCertificate(
+            subset=subset,
+            exact_moment=moments[subset] if subset else 1.0,
+            bound_product=float(np.prod([params.c[i] for i in subset])) if subset else 1.0,
+        )
+        for subset in subsets
+    ]
 
 
 def check_support_range(model: JointModel, params: BoundParams) -> None:
@@ -624,9 +615,7 @@ def model_from_spec(doc: dict, atom_cap: int | None = None) -> JointModel:
                 atoms.append(tuple(entry))
         model = ExplicitTableModel(atoms, atom_cap=cap)
     else:
-        n = _require(doc, "n", kind)
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise ValidationError(f"model spec 'n' must be a positive integer, got {n!r}")
+        n = _check_n(_require(doc, "n", kind))
         if kind == "independent":
             model = IndependentModel(_require(params, "marginals", kind), atom_cap=cap)
             if model.n != n:

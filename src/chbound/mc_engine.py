@@ -19,6 +19,7 @@ count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -64,8 +65,14 @@ def block_rng(seed: int, tag: int, block: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(tag, block)))
 
 
+def _pool_size(workers: int, n_blocks: int) -> int:
+    """Threads worth starting: no more than requested, CPUs, or blocks."""
+    return max(1, min(workers, os.cpu_count() or 1, n_blocks))
+
+
 def _map_blocks(fn: Callable[[int], object], n_blocks: Sequence[int], workers: int) -> list:
     """Apply fn to block indices, in order, optionally on a thread pool."""
+    workers = _pool_size(workers, len(n_blocks))
     if workers <= 1:
         return [fn(b) for b in n_blocks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -270,7 +277,7 @@ def exact_product_expectation(
     total = 0.0
     for values, probs in model.support_chunks():
         xt = _normalize_block(values, identity)
-        total += float(probs @ np.prod(lam * xt + 1.0 - lam, axis=1))
+        total += float(np.sum(probs * np.prod(lam * xt + 1.0 - lam, axis=1)))
     return total
 
 
@@ -367,8 +374,8 @@ def verify_chain(
         xt = _normalize_block(values, params)
         row = np.prod(lam * xt + 1.0 - lam, axis=1)
         tails = values.sum(axis=1) >= cutoff
-        expected_product += float(probs @ row)
-        expected_on_tail += float(probs @ (row * tails))
+        expected_product += float(np.sum(probs * row))
+        expected_on_tail += float(np.sum(probs * (row * tails)))
         tail_probability += float(probs[tails].sum())
 
     mean_side = (lam * norm.ctilde + 1.0 - lam) ** params.n

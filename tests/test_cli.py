@@ -3,9 +3,15 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import chbound
 from chbound.cli import main
 from chbound.entropy_core import BoundParams, chernoff_bound, kl_div
 
@@ -172,6 +178,29 @@ class TestVerify:
         assert code == 0
         assert doc["result"]["all_passed"]
         assert doc["result"]["bound"] == pytest.approx(BOUND_N20, rel=1e-13)
+
+    def test_report_independent_of_blas_threads(self, tmp_path):
+        # OpenBLAS splits dot products of 16384+ elements across threads,
+        # which would change the rounding of every exact sum with the count.
+        rng = np.random.default_rng(7)
+        values, weights = rng.random((16384, 4)), rng.random(16384)
+        support = [{"x": x, "p": p} for x, p in zip(values.tolist(), weights / weights.sum())]
+        spec = tmp_path / "table.json"
+        spec.write_text(json.dumps({"kind": "explicit_table", "params": {"support": support}}))
+        src = str(Path(chbound.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run(
+                [sys.executable, "-m", "chbound.cli", "verify", "--spec", str(spec),
+                 "--c", "0.3", "--t", "0.2"],
+                env=env, capture_output=True, timeout=300, check=False,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert json.loads(outputs[0])["result"]["certificates_failing"]
+        assert outputs[0] == outputs[1]
 
     def test_spec_on_stdin(self, specs, capsys, monkeypatch):
         doc = {"kind": "boolean_iid", "n": 4, "params": {"p": 0.5}}

@@ -1,5 +1,6 @@
 """Exact enumeration, moments, tails, certificates, and spec parsing."""
 
+import itertools
 import math
 
 import numpy as np
@@ -213,6 +214,58 @@ class TestCertify:
     def test_param_model_shape_mismatch(self):
         with pytest.raises(cb.ValidationError):
             cb.certify_moments(cb.BooleanIIDModel(3, 0.5), cb.BoundParams.boolean(4, 0.5, 0.1))
+
+    @staticmethod
+    def _assert_matches_per_subset_reference(model, caps):
+        """Combinations order, and moments within 1e-14 of exact_moment."""
+        n = model.n
+        params = cb.BoundParams(n=n, a=(-1.0,) * n, b=2.0, c=(0.5,) * n, t=0.0)
+        for cap in caps:
+            certs = cb.certify_moments(model, params, max_subset_size=cap)
+            expected = [s for size in range(cap + 1) for s in itertools.combinations(range(n), size)]
+            assert [c.subset for c in certs] == expected
+            for cert in certs:
+                reference = cb.exact_moment(model, cert.subset)
+                assert cert.exact_moment == pytest.approx(reference, rel=0.0, abs=1e-14)
+
+    @given(
+        st.integers(min_value=1, max_value=5).flatmap(
+            lambda n: st.lists(
+                st.tuples(
+                    st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=n, max_size=n),
+                    st.integers(min_value=0, max_value=5),
+                ),
+                min_size=1,
+                max_size=12,
+            )
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_table_moments_match_brute_force(self, rows):
+        weights = np.array([w for _, w in rows], dtype=np.float64)
+        if not weights.any():
+            weights[0] = 1.0
+        probs = weights / weights.sum()
+        model = cb.ExplicitTableModel([(x, p) for (x, _), p in zip(rows, probs)])
+        self._assert_matches_per_subset_reference(model, range(model.n + 1))
+
+    @pytest.mark.parametrize(
+        "model,caps",
+        [
+            (cb.PlantedCliqueModel(5, 0.3, indices=(1, 3, 4)), range(6)),
+            (cb.ExchangeableMixtureModel(4, 0.35, [(-0.5, 0.2), (0.25, 0.5), (1.0, 0.3)]), range(5)),
+            (
+                cb.IndependentModel(
+                    [[(-0.5, 0.25), (0.5, 0.75)], [(0.1, 0.5), (0.3, 0.25), (0.9, 0.25)], [(0.7, 1.0)]]
+                ),
+                range(4),
+            ),
+            (cb.BooleanIIDModel(13, 0.3), [2]),  # 8192 atoms: two certification chunks
+        ],
+        ids=["planted", "mixture", "independent", "boolean_two_chunks"],
+    )
+    def test_model_moments_match_brute_force(self, model, caps):
+        self._assert_matches_per_subset_reference(model, caps)
 
 
 class TestEnumerabilityCap:

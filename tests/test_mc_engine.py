@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import chbound as cb
+from chbound import mc_engine
 from chbound.entropy_core import normalize
 from chbound.mc_engine import CHAIN_TOL, ChainLink
 from conftest import make_violating_pair, make_zoo
@@ -105,6 +106,15 @@ class TestEstimateProduct:
             for w in (1, 2, 8)
         ]
         assert runs[0] == runs[1] == runs[2]
+
+    def test_pool_size_is_capped_by_cpus_and_blocks(self, monkeypatch):
+        monkeypatch.setattr(mc_engine.os, "cpu_count", lambda: 4)
+        assert mc_engine._pool_size(1200, 1200) == 4
+        assert mc_engine._pool_size(1200, 3) == 3
+        assert mc_engine._pool_size(2, 1200) == 2
+        assert mc_engine._pool_size(8, 0) == 1
+        monkeypatch.setattr(mc_engine.os, "cpu_count", lambda: None)
+        assert mc_engine._pool_size(8, 8) == 1
 
     def test_seed_changes_result(self):
         model = cb.BooleanIIDModel(5, 0.4)
