@@ -94,10 +94,10 @@ def _load_model(args) -> JointModel:
     return model
 
 
-def _build_params(args, n: int) -> BoundParams:
+def _build_params(args, n: int, t: float | None = None) -> BoundParams:
     a = _parse_vector(args.a, n, "a")
     c = _parse_vector(args.c, n, "c")
-    return BoundParams(n=n, a=a, b=args.b, c=c, t=args.t)
+    return BoundParams(n=n, a=a, b=args.b, c=c, t=args.t if t is None else t)
 
 
 def _resolve_lambda(args, params: BoundParams) -> float:
@@ -256,15 +256,12 @@ def cmd_simulate(args) -> tuple[dict, int]:
 def cmd_detect(args) -> tuple[dict, int]:
     model = _load_model(args)
     wp = default_budgets(model.n, args.c_scalar, args.t, args.alpha)
-    overrides = {}
-    if args.lam is not None:
-        overrides["lam"] = args.lam
-    if args.m_search is not None:
-        overrides["m_search"] = args.m_search
-    if args.m_confirm is not None:
-        overrides["m_confirm"] = args.m_confirm
-    if args.margin is not None:
-        overrides["margin_threshold"] = args.margin
+    overrides = {
+        name: value
+        for name, value in (("lam", args.lam), ("m_search", args.m_search),
+                            ("m_confirm", args.m_confirm), ("margin_threshold", args.margin))
+        if value is not None
+    }
     if overrides:
         wp = replace(wp, **overrides)
     report = find_dependent_set(
@@ -311,20 +308,14 @@ def cmd_sweep(args) -> tuple[dict, int]:
 
 
 def _sweep_t(args, model: JointModel | None) -> tuple[list[dict], dict]:
-    base = BoundParams(
-        n=args.n,
-        a=_parse_vector(args.a, args.n, "a"),
-        b=args.b,
-        c=_parse_vector(args.c, args.n, "c"),
-        t=0.0,
-    )
+    base = _build_params(args, args.n, t=0.0)
     t_max = args.t_max if args.t_max is not None else base.t_max
     t_min = args.t_min
     if not 0.0 <= t_min <= t_max:
         raise ValidationError(f"need 0 <= t_min <= t_max, got [{t_min}, {t_max}]")
     rows = []
     for t in np.linspace(t_min, t_max, args.points):
-        params = BoundParams(n=base.n, a=base.a, b=base.b, c=base.c, t=float(t))
+        params = replace(base, t=float(t))
         norm = normalize(params)
         case = proof_case(norm)
         row = {
@@ -351,13 +342,7 @@ def _sweep_t(args, model: JointModel | None) -> tuple[list[dict], dict]:
 def _sweep_lambda(args) -> tuple[list[dict], dict]:
     if args.t is None:
         raise ValidationError("sweep --over lambda needs --t")
-    params = BoundParams(
-        n=args.n,
-        a=_parse_vector(args.a, args.n, "a"),
-        b=args.b,
-        c=_parse_vector(args.c, args.n, "c"),
-        t=args.t,
-    )
+    params = _build_params(args, args.n)
     norm = normalize(params)
     if proof_case(norm) != "interior":
         raise ValidationError(
@@ -475,12 +460,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report, code = args.handler(args)
-    except ValidationError as exc:
+    except (ValidationError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        return EXIT_BUDGET if isinstance(exc, BudgetError) else EXIT_INVALID
     text = _render(report, args.format)
     if args.out:
         Path(args.out).write_text(text)

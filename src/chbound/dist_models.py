@@ -135,13 +135,11 @@ class JointModel:
         return self.sample_many(rng, 1)[0]
 
     def support_chunks(
-        self, columns: Sequence[int] | None = None, chunk_size: int = DEFAULT_CHUNK
+        self, chunk_size: int = DEFAULT_CHUNK
     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Yield (values, probs) over the whole support in a fixed order.
 
-        ``values`` has one column per entry of ``columns`` (all n variables
-        when omitted).  Probabilities are always the full atom probabilities
-        regardless of the column selection.
+        ``values`` holds full (m, n) atom rows and ``probs`` their probabilities.
         """
         raise NotImplementedError
 
@@ -183,9 +181,7 @@ class JointModel:
             pos += m
         return sums, probs
 
-    def _check_columns(self, columns: Sequence[int] | None) -> tuple[int, ...]:
-        if columns is None:
-            return tuple(range(self._n))
+    def _check_columns(self, columns: Iterable[int]) -> tuple[int, ...]:
         cols = tuple(int(i) for i in columns)
         if any(i < 0 or i >= self._n for i in cols):
             raise ValidationError(f"column indices must lie in [0, {self._n}), got {cols}")
@@ -223,9 +219,8 @@ class _FactoredModel(JointModel):
         return self._total
 
     def support_chunks(
-        self, columns: Sequence[int] | None = None, chunk_size: int = DEFAULT_CHUNK
+        self, chunk_size: int = DEFAULT_CHUNK
     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        cols = self._check_columns(columns)
         total = self._total
         for start in range(0, total, chunk_size):
             idx = np.arange(start, min(start + chunk_size, total), dtype=np.int64)
@@ -233,10 +228,9 @@ class _FactoredModel(JointModel):
             probs = np.ones(len(idx), dtype=np.float64)
             for j, fp in enumerate(self._fprobs):
                 probs *= fp[digits[j]]
-            values = np.empty((len(idx), len(cols)), dtype=np.float64)
-            for k, i in enumerate(cols):
-                j = int(self._vmap[i])
-                values[:, k] = self._fvals[j][digits[j]]
+            values = np.empty((len(idx), self._n), dtype=np.float64)
+            for i, j in enumerate(self._vmap):
+                values[:, i] = self._fvals[j][digits[j]]
             yield values, probs
 
     def _build_sum_support(self) -> tuple[np.ndarray, np.ndarray]:
@@ -378,10 +372,9 @@ class ExchangeableMixtureModel(_FactoredModel):
     def support_size(self) -> int:
         return len(self._values) + self._total
 
-    def support_chunks(self, columns=None, chunk_size=DEFAULT_CHUNK):
-        cols = self._check_columns(columns)
-        yield np.repeat(self._values[:, None], len(cols), axis=1), self.rho * self._probs
-        for values, probs in super().support_chunks(cols, chunk_size):
+    def support_chunks(self, chunk_size=DEFAULT_CHUNK):
+        yield np.repeat(self._values[:, None], self._n, axis=1), self.rho * self._probs
+        for values, probs in super().support_chunks(chunk_size):
             yield values, (1.0 - self.rho) * probs
 
     def _build_sum_support(self):
@@ -440,15 +433,10 @@ class ExplicitTableModel(JointModel):
     def support_size(self) -> int:
         return len(self._p)
 
-    def support_chunks(self, columns=None, chunk_size=DEFAULT_CHUNK):
-        cols = list(self._check_columns(columns))
-
-        def _chunks():
-            for start in range(0, len(self._p), chunk_size):
-                stop = min(start + chunk_size, len(self._p))
-                yield self._X[start:stop, cols], self._p[start:stop]
-
-        return _chunks()
+    def support_chunks(self, chunk_size=DEFAULT_CHUNK):
+        for start in range(0, len(self._p), chunk_size):
+            stop = min(start + chunk_size, len(self._p))
+            yield self._X[start:stop].copy(), self._p[start:stop]
 
     def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
         idx = rng.choice(len(self._p), size=size, p=self._p)
@@ -479,13 +467,13 @@ def sample(model: JointModel, rng: np.random.Generator, size: int | None = None)
 
 def exact_moment(model: JointModel, subset: Iterable[int]) -> float:
     """Exact E[prod_{i in subset} X_i] by enumeration; empty subset gives 1."""
-    cols = tuple(sorted(model._check_columns(tuple(subset))))
+    cols = sorted(model._check_columns(subset))
     if not cols:
         return 1.0
     model._require_enumerable("exact_moment")
     total = 0.0
-    for values, probs in model.support_chunks(columns=cols):
-        total += float(np.sum(probs * np.prod(values, axis=1)))
+    for values, probs in model.support_chunks():
+        total += float(np.sum(probs * np.prod(values[:, cols], axis=1)))
     return total
 
 

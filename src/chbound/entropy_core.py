@@ -37,6 +37,13 @@ __all__ = [
 ]
 
 
+def _log1pmx(u: float) -> float:
+    """ln(1 + u) - u; a Taylor series where the difference would cancel."""
+    if abs(u) > 0.1:
+        return math.log1p(u) - u
+    return -u * u * math.fsum((-u) ** k / (k + 2) for k in range(20))
+
+
 def kl_div(p: float, q: float) -> float:
     """Binary relative entropy D(p || q) in nats.
 
@@ -44,6 +51,10 @@ def kl_div(p: float, q: float) -> float:
     0 ln 0 = 0 and ln(x/0) = +inf for x > 0.  Both arguments must lie in
     [0, 1].  The result is >= 0, equals 0 iff p == q, and is +inf exactly
     when q == 0 < p or q == 1 > p.
+
+    For p near q the two logarithms nearly cancel, so with d = p - q it is
+    evaluated as p L(d/q) + (1-p) L(-d/(1-q)) + d^2/(q(1-q)), where
+    L(u) = ln(1 + u) - u; that form keeps full relative precision.
     """
     for name, value in (("p", p), ("q", q)):
         value = float(value)
@@ -55,10 +66,13 @@ def kl_div(p: float, q: float) -> float:
         return 0.0
     if (q == 0.0 and p > 0.0) or (q == 1.0 and p < 1.0):
         return math.inf
+    d = p - q
+    if abs(d) < min(q, 1.0 - q):
+        u = d / q
+        return p * _log1pmx(u) + (1.0 - p) * _log1pmx(-d / (1.0 - q)) + d * u / (1.0 - q)
     first = 0.0 if p == 0.0 else p * (math.log(p) - math.log(q))
     second = 0.0 if p == 1.0 else (1.0 - p) * (math.log1p(-p) - math.log1p(-q))
-    # Rounding can produce a tiny negative value when p is very close to q.
-    return max(0.0, first + second)
+    return first + second
 
 
 def _as_float_tuple(values, name: str, n: int) -> tuple[float, ...]:

@@ -8,21 +8,24 @@ the tail threshold.  Averaging that product links the certified moments to
 the tail probability through a four-step inequality chain; ``verify_chain``
 evaluates every step exactly on an enumerable model.
 
-Reproducibility contract: estimators are seeded by an integer, rounds are
-partitioned into fixed-size blocks, and block b uses the generator derived
-from ``SeedSequence(entropy=seed, spawn_key=(tag, b))``.  Workers only decide
-who computes a block, never what the block contains, and per-block results
-are merged in block order, so results are byte-identical for any worker
-count.
+Reproducibility contract: every sampler (``draw_round``, ``estimate_product``
+and both witness phases) draws rounds through the one round kernel
+``_rounds`` and schedules them through the one block scheduler
+``_run_blocks``.  Estimators are seeded by an integer, rounds are partitioned
+into fixed-size blocks, and block b uses the generator derived from
+``SeedSequence(entropy=seed, spawn_key=(tag, b))``.  Workers only decide who
+computes a block, never what the block contains, and per-block results are
+consumed in block order, so results are byte-identical for any worker count.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -65,18 +68,57 @@ def block_rng(seed: int, tag: int, block: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(tag, block)))
 
 
+def _check_count(name: str, value: object) -> None:
+    if not isinstance(value, int) or value < 1:
+        raise ValidationError(f"{name} must be a positive integer, got {value!r}")
+
+
+def _check_round_args(model: JointModel, params: BoundParams, lam: float) -> float:
+    lam = float(lam)
+    if not 0.0 <= lam <= 1.0:
+        raise ValidationError(f"lam must lie in [0, 1], got {lam}")
+    if params.n != model.n:
+        raise ValidationError(f"params.n={params.n} does not match model n={model.n}")
+    return lam
+
+
 def _pool_size(workers: int, n_blocks: int) -> int:
     """Threads worth starting: no more than requested, CPUs, or blocks."""
     return max(1, min(workers, os.cpu_count() or 1, n_blocks))
 
 
-def _map_blocks(fn: Callable[[int], object], n_blocks: Sequence[int], workers: int) -> list:
-    """Apply fn to block indices, in order, optionally on a thread pool."""
-    workers = _pool_size(workers, len(n_blocks))
-    if workers <= 1:
-        return [fn(b) for b in n_blocks]
+def _run_blocks(
+    seed: int, tag: int, total: int, block_size: int, workers: int,
+    fn: Callable[[np.random.Generator, int], object],
+) -> Iterator:
+    """The block scheduler: yield fn(rng, rounds) per block of ``total`` rounds.
+
+    Blocks hold ``block_size`` rounds (the last one the remainder), block b
+    draws from ``block_rng(seed, tag, b)``, and results come in block order.
+    One thread pool at most per call, with two blocks per thread in flight;
+    if the consumer stops early, blocks not yet started are cancelled.
+    """
+    n_blocks = -(-total // block_size)
+
+    def run(b: int) -> object:
+        return fn(block_rng(seed, tag, b), min(block_size, total - b * block_size))
+
+    workers = _pool_size(workers, n_blocks)
+    if workers == 1:
+        yield from map(run, range(n_blocks))
+        return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, n_blocks))
+        pending: deque = deque()
+        try:
+            for b in range(n_blocks):
+                pending.append(pool.submit(run, b))
+                if len(pending) == 2 * workers:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 def _tail_cutoff(threshold: float) -> float:
@@ -95,6 +137,38 @@ def _normalize_block(x: np.ndarray, params: BoundParams) -> np.ndarray:
             f"sampled values leave [a_i, a_i + b]: normalized range [{lo}, {hi}]"
         )
     return np.clip(xt, 0.0, 1.0)
+
+
+class _Rounds(NamedTuple):
+    """m rounds of the coupled process, one row per round."""
+
+    x: np.ndarray
+    xtilde: np.ndarray
+    y: np.ndarray
+    member: np.ndarray | None
+    product: np.ndarray
+
+
+def _rounds(
+    model: JointModel, params: BoundParams, rng: np.random.Generator, m: int,
+    lam: float | None = None, cols: np.ndarray | None = None,
+) -> _Rounds:
+    """The round kernel: m rounds from one generator.
+
+    Draws m model vectors, then a uniform per round and column for the
+    Bernoulli layer, then, given ``lam``, a uniform per round and variable
+    for the index set.  Without ``lam`` the index set is fixed to ``cols``
+    (default all), only those Bernoulli columns are drawn, and ``member`` is None.
+    """
+    x = model.sample_many(rng, m)
+    xt = _normalize_block(x, params)
+    if cols is not None:
+        xt = xt[:, cols]
+    y = rng.random(xt.shape) < xt
+    if lam is None:
+        return _Rounds(x, xt, y, None, np.all(y, axis=1))
+    member = rng.random((m, model.n)) < lam
+    return _Rounds(x, xt, y, member, np.all(y | ~member, axis=1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,34 +209,17 @@ def draw_round(
     lam may be anything in [0, 1]; lam = 1 selects every index, lam = 0 none
     (the empty product is 1).
     """
-    lam = float(lam)
-    if not 0.0 <= lam <= 1.0:
-        raise ValidationError(f"lam must lie in [0, 1], got {lam}")
-    if params.n != model.n:
-        raise ValidationError(f"params.n={params.n} does not match model n={model.n}")
-    x = model.sample(rng).astype(np.float64)
-    xt = _normalize_block(x[None, :], params)[0]
-    y = (rng.random(model.n) < xt).astype(np.int8)
-    member = rng.random(model.n) < lam
-    subset = tuple(int(i) for i in np.nonzero(member)[0])
-    product = int(np.all(y[member] == 1))
-    sum_exceeds = bool(x.sum() >= _tail_cutoff(params.threshold))
+    lam = _check_round_args(model, params, lam)
+    r = _rounds(model, params, rng, 1, lam)
+    x = r.x[0]
     return SamplingRound(
-        x=x, xtilde=xt, y=y, subset=subset, product=product, sum_exceeds=sum_exceeds
+        x=x,
+        xtilde=r.xtilde[0],
+        y=r.y[0].astype(np.int8),
+        subset=tuple(int(i) for i in np.flatnonzero(r.member[0])),
+        product=int(r.product[0]),
+        sum_exceeds=bool(x.sum() >= _tail_cutoff(params.threshold)),
     )
-
-
-def _round_block(
-    model: JointModel, params: BoundParams, lam: float, rng: np.random.Generator, m: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized block of m rounds: (product bools, tail bools)."""
-    x = model.sample_many(rng, m)
-    xt = _normalize_block(x, params)
-    y = rng.random((m, model.n)) < xt
-    member = rng.random((m, model.n)) < lam
-    product = np.all(y | ~member, axis=1)
-    tails = x.sum(axis=1) >= _tail_cutoff(params.threshold)
-    return product, tails
 
 
 def _bernoulli_se(hits: int, count: int) -> float:
@@ -193,68 +250,38 @@ def estimate_product(
     first it raises ``RejectionBudgetError``.  Results depend only on
     (seed, block_size, n_samples), never on ``workers``.
     """
-    lam = float(lam)
-    if not 0.0 <= lam <= 1.0:
-        raise ValidationError(f"lam must lie in [0, 1], got {lam}")
-    if params.n != model.n:
-        raise ValidationError(f"params.n={params.n} does not match model n={model.n}")
-    if not isinstance(n_samples, int) or n_samples < 1:
-        raise ValidationError(f"n_samples must be a positive integer, got {n_samples!r}")
-    if not isinstance(workers, int) or workers < 1:
-        raise ValidationError(f"workers must be a positive integer, got {workers!r}")
-    if not isinstance(block_size, int) or block_size < 1:
-        raise ValidationError(f"block_size must be a positive integer, got {block_size!r}")
+    lam = _check_round_args(model, params, lam)
+    for name, value in (("n_samples", n_samples), ("workers", workers), ("block_size", block_size)):
+        _check_count(name, value)
+    total = n_samples
+    if conditional:
+        _check_count("max_proposals", max_proposals)
+        total = max(1, math.ceil(max_proposals / block_size)) * block_size
+    cutoff = _tail_cutoff(params.threshold)
 
-    if not conditional:
-        sizes = [block_size] * (n_samples // block_size)
-        if n_samples % block_size:
-            sizes.append(n_samples % block_size)
+    def block(rng: np.random.Generator, m: int) -> np.ndarray:
+        r = _rounds(model, params, rng, m, lam)
+        return r.product[r.x.sum(axis=1) >= cutoff] if conditional else r.product
 
-        def unconditional_block(b: int) -> int:
-            rng = block_rng(seed, PRODUCT_STREAM_TAG, b)
-            product, _ = _round_block(model, params, lam, rng, sizes[b])
-            return int(product.sum())
-
-        hits = sum(_map_blocks(unconditional_block, range(len(sizes)), workers))
-        return Estimate(
-            mean=hits / n_samples,
-            std_error=_bernoulli_se(hits, n_samples),
-            n_samples=n_samples,
-            conditional_on_tail=False,
-        )
-
-    if not isinstance(max_proposals, int) or max_proposals < 1:
-        raise ValidationError(f"max_proposals must be a positive integer, got {max_proposals!r}")
-    max_blocks = max(1, math.ceil(max_proposals / block_size))
-
-    def conditional_block(b: int) -> np.ndarray:
-        rng = block_rng(seed, PRODUCT_STREAM_TAG, b)
-        product, tails = _round_block(model, params, lam, rng, block_size)
-        return product[tails].astype(np.uint8)
-
-    collected: list[np.ndarray] = []
-    accepted = 0
-    next_block = 0
-    while accepted < n_samples and next_block < max_blocks:
-        wave = range(next_block, min(next_block + workers, max_blocks))
-        for bits in _map_blocks(conditional_block, wave, workers):
-            collected.append(bits)
-            accepted += len(bits)
-        next_block = wave.stop
-    if accepted < n_samples:
+    hits = accepted = 0
+    for product in _run_blocks(seed, PRODUCT_STREAM_TAG, total, block_size, workers, block):
+        kept = product[: n_samples - accepted]
+        hits += int(kept.sum())
+        accepted += len(kept)
+        if accepted == n_samples:
+            break
+    else:
         raise RejectionBudgetError(
             f"conditional estimate got {accepted} acceptances from "
-            f"{max_blocks * block_size} proposals; needed {n_samples}. "
+            f"{total} proposals; needed {n_samples}. "
             f"The tail event is too rare for this budget; raise max_proposals "
             f"or lower n_samples."
         )
-    bits = np.concatenate(collected)[:n_samples]
-    hits = int(bits.sum())
     return Estimate(
         mean=hits / n_samples,
         std_error=_bernoulli_se(hits, n_samples),
         n_samples=n_samples,
-        conditional_on_tail=True,
+        conditional_on_tail=bool(conditional),
     )
 
 
@@ -267,16 +294,12 @@ def exact_product_expectation(
     a plain expectation over X, evaluated here by enumeration.  With params
     omitted the model values must already live in [0, 1].
     """
-    lam = float(lam)
-    if not 0.0 <= lam <= 1.0:
-        raise ValidationError(f"lam must lie in [0, 1], got {lam}")
-    if params is not None and params.n != model.n:
-        raise ValidationError(f"params.n={params.n} does not match model n={model.n}")
+    params = BoundParams.boolean(model.n, 1.0, 0.0) if params is None else params
+    lam = _check_round_args(model, params, lam)
     model._require_enumerable("exact_product_expectation")
-    identity = BoundParams.boolean(model.n, 1.0, 0.0) if params is None else params
     total = 0.0
     for values, probs in model.support_chunks():
-        xt = _normalize_block(values, identity)
+        xt = _normalize_block(values, params)
         total += float(np.sum(probs * np.prod(lam * xt + 1.0 - lam, axis=1)))
     return total
 

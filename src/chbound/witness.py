@@ -33,9 +33,9 @@ from .mc_engine import (
     WITNESS_CONFIRM_TAG,
     WITNESS_SEARCH_TAG,
     _bernoulli_se,
-    _map_blocks,
-    _normalize_block,
-    block_rng,
+    _check_count,
+    _rounds,
+    _run_blocks,
 )
 
 # Hard ceilings for the closed-form budgets.  The formulas grow like
@@ -91,9 +91,8 @@ class WitnessParams:
             raise ValidationError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not 0.0 < self.lam < 1.0:
             raise ValidationError(f"lam must lie in (0, 1), got {self.lam}")
-        for name, value in (("m_search", self.m_search), ("m_confirm", self.m_confirm)):
-            if not isinstance(value, int) or value < 1:
-                raise ValidationError(f"{name} must be a positive integer, got {value!r}")
+        _check_count("m_search", self.m_search)
+        _check_count("m_confirm", self.m_confirm)
         if not self.margin_threshold > 0.0:
             raise ValidationError(
                 f"margin_threshold must be positive, got {self.margin_threshold}"
@@ -208,22 +207,37 @@ class WitnessReport:
             raise ValidationError("a not_found verdict must not name a subset")
 
 
-def _search_block(
-    model: JointModel, wp: WitnessParams, identity: BoundParams,
-    seed: int, block: int, size: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    rng = block_rng(seed, WITNESS_SEARCH_TAG, block)
-    x = _normalize_block(model.sample_many(rng, size), identity)
-    y = rng.random((size, model.n)) < x
-    member = rng.random((size, model.n)) < wp.lam
-    product = np.all(y | ~member, axis=1)
-    subsets, inverse = np.unique(member, axis=0, return_inverse=True)
+def _tally(rows: np.ndarray, counts: np.ndarray, hits: np.ndarray) -> tuple:
+    """Merge equal rows of a boolean matrix, summing their counts and hits."""
+    keys, inverse = np.unique(rows, axis=0, return_inverse=True)
     inverse = inverse.ravel()
-    counts = np.bincount(inverse, minlength=len(subsets))
-    hits = np.rint(
-        np.bincount(inverse, weights=product.astype(np.float64), minlength=len(subsets))
-    ).astype(np.int64)
-    return subsets, counts, hits
+    n = len(keys)
+    return (keys, np.bincount(inverse, weights=counts, minlength=n),
+            np.bincount(inverse, weights=hits, minlength=n))
+
+
+def _best_candidate(
+    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]], c: float, min_rounds: int
+) -> tuple[int, float, tuple[int, ...]]:
+    """Tally per-block (index-set rows, counts, hits); pick the search winner.
+
+    Candidates are the non-empty sets drawn at least ``min_rounds`` times.
+    Returns (candidate count, winner's excess hit/count - c^|S|, winner), or
+    (0, 0.0, ()).  Ties break toward smaller, lexicographically earlier sets.
+    """
+    rows, counts, hits = _tally(*(np.concatenate(part) for part in zip(*blocks)))
+    sizes = rows.sum(axis=1)
+    eligible = np.flatnonzero((sizes > 0) & (counts >= min_rounds))
+    if not len(eligible):
+        return 0, 0.0, ()
+    powers = np.array([c**k for k in range(rows.shape[1] + 1)])
+    scores = hits[eligible] / counts[eligible] - powers[sizes[eligible]]
+    top = scores.max()
+    tied = eligible[scores == top]
+    tied = tied[sizes[tied] == sizes[tied].min()]
+    # Among equal sizes, the earliest index tuple is the largest boolean row.
+    best = tied[np.lexsort(rows[tied].T[::-1])[-1]]
+    return len(eligible), float(top), tuple(int(i) for i in np.flatnonzero(rows[best]))
 
 
 def find_dependent_set(
@@ -250,39 +264,19 @@ def find_dependent_set(
     """
     if model.n != wp.n:
         raise ValidationError(f"wp.n={wp.n} does not match model n={model.n}")
-    if not isinstance(workers, int) or workers < 1:
-        raise ValidationError(f"workers must be a positive integer, got {workers!r}")
-    if not isinstance(block_size, int) or block_size < 1:
-        raise ValidationError(f"block_size must be a positive integer, got {block_size!r}")
-    if not isinstance(min_rounds_per_subset, int) or min_rounds_per_subset < 1:
-        raise ValidationError(
-            f"min_rounds_per_subset must be a positive integer, got {min_rounds_per_subset!r}"
-        )
+    _check_count("workers", workers)
+    _check_count("block_size", block_size)
+    _check_count("min_rounds_per_subset", min_rounds_per_subset)
     identity = BoundParams.boolean(model.n, 1.0, 0.0)
 
-    sizes = [block_size] * (wp.m_search // block_size)
-    if wp.m_search % block_size:
-        sizes.append(wp.m_search % block_size)
-    results = _map_blocks(
-        lambda b: _search_block(model, wp, identity, seed, b, sizes[b]),
-        range(len(sizes)),
-        workers,
-    )
-    tally: dict[bytes, list[int]] = {}
-    for subsets, counts, hits in results:
-        for row, cnt, hit in zip(subsets, counts, hits):
-            entry = tally.setdefault(row.tobytes(), [0, 0])
-            entry[0] += int(cnt)
-            entry[1] += int(hit)
+    def search_tally(rng: np.random.Generator, m: int) -> tuple:
+        r = _rounds(model, identity, rng, m, wp.lam)
+        return _tally(r.member, np.ones(m), r.product)
 
-    candidates = []
-    for key, (count, hit) in tally.items():
-        mask = np.frombuffer(key, dtype=np.bool_)
-        subset = tuple(int(i) for i in np.nonzero(mask)[0])
-        if not subset or count < min_rounds_per_subset:
-            continue
-        score = hit / count - wp.c ** len(subset)
-        candidates.append((score, subset, count, hit))
+    blocks = list(
+        _run_blocks(seed, WITNESS_SEARCH_TAG, wp.m_search, block_size, workers, search_tally)
+    )
+    candidates, score, best = _best_candidate(blocks, wp.c, min_rounds_per_subset)
     if not candidates:
         return WitnessReport(
             verdict="not_found",
@@ -297,20 +291,15 @@ def find_dependent_set(
                 f"times in {wp.m_search} search rounds"
             ),
         )
-    score, best, _, _ = min(candidates, key=lambda item: (-item[0], len(item[1]), item[1]))
 
     cols = np.array(best, dtype=np.int64)
-    csizes = [block_size] * (wp.m_confirm // block_size)
-    if wp.m_confirm % block_size:
-        csizes.append(wp.m_confirm % block_size)
 
-    def confirm_block(b: int) -> int:
-        rng = block_rng(seed, WITNESS_CONFIRM_TAG, b)
-        x = _normalize_block(model.sample_many(rng, csizes[b]), identity)
-        bits = np.all(rng.random((csizes[b], len(cols))) < x[:, cols], axis=1)
-        return int(bits.sum())
+    def confirm_hits(rng: np.random.Generator, m: int) -> int:
+        return int(_rounds(model, identity, rng, m, cols=cols).product.sum())
 
-    hits = sum(_map_blocks(confirm_block, range(len(csizes)), workers))
+    hits = sum(
+        _run_blocks(seed, WITNESS_CONFIRM_TAG, wp.m_confirm, block_size, workers, confirm_hits)
+    )
     estimate = hits / wp.m_confirm
     std_error = _bernoulli_se(hits, wp.m_confirm)
     threshold = wp.c ** len(best) + wp.margin_threshold
@@ -323,7 +312,7 @@ def find_dependent_set(
             threshold=threshold,
             confirm_std_error=std_error,
             samples_used=samples_used,
-            candidates=len(candidates),
+            candidates=candidates,
         )
     return WitnessReport(
         verdict="not_found",
@@ -332,7 +321,7 @@ def find_dependent_set(
         threshold=threshold,
         confirm_std_error=std_error,
         samples_used=samples_used,
-        candidates=len(candidates),
+        candidates=candidates,
         note=(
             f"best candidate {list(best)} (search excess {score:.6g}) did not "
             f"clear c^|S| + margin = {threshold:.6g} on fresh samples"

@@ -35,14 +35,6 @@ def test_sum_support_matches_chunked_enumeration(name, model, params):
     assert pos == len(probs)
 
 
-def test_column_selection_matches_full_rows():
-    model = cb.PlantedCliqueModel(4, 0.3, indices=(1, 3))
-    full = np.concatenate([v for v, _ in model.support_chunks()])
-    picked = np.concatenate([v for v, _ in model.support_chunks(columns=(3, 0))])
-    np.testing.assert_array_equal(picked[:, 0], full[:, 3])
-    np.testing.assert_array_equal(picked[:, 1], full[:, 0])
-
-
 class TestExactMoment:
     def test_independent_is_product_of_means(self):
         model = cb.IndependentModel(

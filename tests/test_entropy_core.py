@@ -4,11 +4,12 @@ High-precision reference values were computed independently with mpmath at
 50 digits and frozen here.
 """
 
+import decimal
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import chbound as cb
@@ -21,6 +22,20 @@ G_AT_HALF_T0 = 1.0606601717798212  # (0.75) / 0.5^0.5
 BOUND_N20_P05_T02 = 0.19288568522336422  # e^{-20 D(0.7 || 0.5)}
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+interior = st.floats(min_value=1e-9, max_value=1.0 - 1e-9)
+
+
+def _kl_reference(p: float, q: float) -> float:
+    """D(p || q) at 60 significant digits from the exact binary values of p, q."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        p_, q_ = decimal.Decimal(p), decimal.Decimal(q)
+        total = decimal.Decimal(0)
+        if p_ > 0:
+            total += p_ * (p_ / q_).ln()
+        if p_ < 1:
+            total += (1 - p_) * ((1 - p_) / (1 - q_)).ln()
+        return float(total)
 
 
 class TestKlDiv:
@@ -59,6 +74,29 @@ class TestKlDiv:
     def test_positive_when_separated(self, p, q):
         assume(abs(p - q) > 1e-6)
         assert cb.kl_div(p, q) > 0.0
+
+    @settings(max_examples=300)
+    @given(unit, interior)
+    def test_matches_decimal_reference(self, p, q):
+        assert cb.kl_div(p, q) == pytest.approx(_kl_reference(p, q), rel=1e-13, abs=0.0)
+
+    @settings(max_examples=300)
+    @example(q=0.3, gap=1e-9)  # the naive formula returned 20.7x the true value
+    @example(q=0.5, gap=1e-8)  # and 11% too little here
+    @example(q=0.7, gap=-1e-12)
+    @given(
+        st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
+        st.builds(
+            lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
+            st.sampled_from([-1.0, 1.0]),
+            st.floats(min_value=1.0, max_value=9.99),
+            st.integers(min_value=-12, max_value=-1),
+        ),
+    )
+    def test_matches_decimal_reference_for_p_near_q(self, q, gap):
+        p = q + gap
+        assume(0.0 <= p <= 1.0)
+        assert cb.kl_div(p, q) == pytest.approx(_kl_reference(p, q), rel=1e-13, abs=0.0)
 
 
 class TestBoundParams:

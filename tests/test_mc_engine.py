@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -22,9 +23,10 @@ def _normalized_exact_moment(model, params, subset):
     if not subset:
         return 1.0
     total = 0.0
-    a = np.array([params.a[i] for i in subset])
-    for values, probs in model.support_chunks(columns=subset):
-        total += float(probs @ np.prod((values - a) / params.b, axis=1))
+    cols = list(subset)
+    a = np.array([params.a[i] for i in cols])
+    for values, probs in model.support_chunks():
+        total += float(probs @ np.prod((values[:, cols] - a) / params.b, axis=1))
     return total
 
 
@@ -275,6 +277,68 @@ class TestVerifyChain:
         assert report.link("restrict_to_tail").name == "restrict_to_tail"
         with pytest.raises(KeyError):
             report.link("nope")
+
+
+class TestStreamPinning:
+    """Exact outputs of the round kernel and block scheduler, frozen from the
+    four separate samplers they replaced; a changed draw order shows here."""
+
+    def test_draw_round_sequence(self):
+        model = cb.IndependentModel([[(-0.2, 0.5), (0.7, 0.5)]] * 4)
+        params = cb.BoundParams(n=4, a=(-0.2,) * 4, b=1.0, c=(0.25,) * 4, t=0.2)
+        hi = 0.8999999999999999
+        expected = [
+            ([-0.2, -0.2, 0.7, -0.2], [0.0, 0.0, hi, 0.0], [0, 0, 1, 0], (2, 3)),
+            ([0.7, -0.2, -0.2, 0.7], [hi, 0.0, 0.0, hi], [1, 0, 0, 1], (1, 2, 3)),
+            ([-0.2, 0.7, -0.2, 0.7], [0.0, hi, 0.0, hi], [0, 1, 0, 1], (0, 2, 3)),
+            ([0.7, -0.2, 0.7, -0.2], [hi, 0.0, hi, 0.0], [1, 0, 1, 0], (2, 3)),
+        ]
+        rng = np.random.default_rng(11)
+        for x, xtilde, y, subset in expected:
+            r = cb.draw_round(model, params, 0.6, rng)
+            assert r.x.tolist() == x and r.xtilde.tolist() == xtilde
+            assert r.y.tolist() == y and r.y.dtype == np.int8
+            assert r.subset == subset and r.product == 0 and r.sum_exceeds is False
+        assert rng.random() == 0.15982369410498098
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unconditional_estimate_with_partial_block(self, workers):
+        model = cb.BooleanIIDModel(5, 0.4)
+        params = cb.BoundParams.boolean(5, 0.4, 0.2)
+        est = cb.estimate_product(
+            model, params, 0.3, 10_000, seed=9, block_size=3000, workers=workers
+        )
+        assert est == cb.Estimate(0.3571, 0.0047916860316075125, 10_000, False)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_conditional_estimate(self, workers):
+        model = cb.BooleanIIDModel(4, 0.5)
+        params = cb.BoundParams.boolean(4, 0.5, 0.25)
+        est = cb.estimate_product(
+            model, params, 0.5, 5_000, conditional=True, seed=5, block_size=700,
+            workers=workers,
+        )
+        assert est == cb.Estimate(0.5954, 0.006941858964367991, 5_000, True)
+
+    def test_conditional_estimate_builds_one_pool(self, monkeypatch):
+        # About 23 blocks of 700 proposals are needed, so two workers take
+        # many rounds of blocks; all of them must share a single pool.
+        built = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(mc_engine, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setattr(mc_engine.os, "cpu_count", lambda: 2)
+        model = cb.BooleanIIDModel(4, 0.5)
+        params = cb.BoundParams.boolean(4, 0.5, 0.25)
+        est = cb.estimate_product(
+            model, params, 0.5, 5_000, conditional=True, seed=5, block_size=700, workers=2
+        )
+        assert built == [2]
+        assert est.mean == 0.5954
 
 
 class TestEstimateType:
