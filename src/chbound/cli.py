@@ -36,12 +36,15 @@ from .dist_models import (
 )
 from .entropy_core import (
     BoundParams,
+    LAMBDA_CAP,
     chernoff_bound,
+    check_positive_int,
     g_objective,
     kl_div,
     normalize,
     optimize_lambda,
     proof_case,
+    slack,
 )
 from .errors import BudgetError, ValidationError
 from .mc_engine import (
@@ -61,8 +64,6 @@ EXIT_INTERNAL = 1
 EXIT_INVALID = 2
 EXIT_NOT_FOUND = 3
 EXIT_BUDGET = 4
-
-_LAMBDA_SWEEP_MAX = 1.0 - 1e-6
 
 
 def _parse_vector(text: str, n: int, name: str) -> tuple[float, ...]:
@@ -208,7 +209,7 @@ def cmd_verify(args) -> tuple[dict, int]:
         "expected_product": report.expected_product,
         "expected_product_on_tail": report.expected_product_on_tail,
         "bound": bound,
-        "tail_le_bound": tail <= bound + 1e-12,
+        "tail_le_bound": tail <= bound + slack(),
     }
     config = {
         "spec": args.spec, "kind": model.kind, "n": model.n,
@@ -291,8 +292,7 @@ def cmd_detect(args) -> tuple[dict, int]:
 
 
 def cmd_sweep(args) -> tuple[dict, int]:
-    if args.points < 1:
-        raise ValidationError(f"--points must be >= 1, got {args.points}")
+    check_positive_int("--points", args.points)
     model = _load_model(args) if args.spec else None
     if args.over == "t":
         rows, grid = _sweep_t(args, model)
@@ -334,7 +334,7 @@ def _sweep_t(args, model: JointModel | None) -> tuple[list[dict], dict]:
         if model is not None and model.enumerable:
             tail = exact_tail(model, params.threshold)
             row["exact_tail"] = tail
-            row["tail_le_bound"] = tail <= row["bound"] + 1e-12
+            row["tail_le_bound"] = tail <= row["bound"] + slack()
         rows.append(row)
     return rows, {"t_min": t_min, "t_max": t_max}
 
@@ -445,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-min", dest="t_min", type=float, default=0.0)
     p.add_argument("--t-max", dest="t_max", type=float, default=None)
     p.add_argument("--lambda-max", dest="lambda_max", type=float,
-                   default=_LAMBDA_SWEEP_MAX)
+                   default=LAMBDA_CAP)
     p.add_argument("--points", type=int, default=21)
     p.add_argument("--spec", default=None,
                    help="optional model spec for exact tails along the sweep")

@@ -22,21 +22,13 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .entropy_core import BoundParams
+from .entropy_core import BoundParams, check_positive_int, check_table, slack
 from .errors import SubsetBudgetError, SupportTooLargeError, ValidationError
 
 DEFAULT_ATOM_CAP = 10**6
 DEFAULT_SUBSET_BUDGET = 10**6
 DEFAULT_CHUNK = 1 << 16
 CERTIFY_CHUNK = 1 << 12  # keeps certify_moments' stack of prefix vectors small
-
-# Slack for comparing a moment against its certified product, for deciding
-# whether an atom's sum clears the tail threshold, and for range checks.
-MOMENT_TOL = 1e-12
-TAIL_TIE_TOL = 1e-12
-BOUND_RANGE_TOL = 1e-12
-
-PROB_SUM_TOL = 1e-9
 
 MODEL_KINDS = (
     "independent",
@@ -66,12 +58,6 @@ __all__ = [
 ]
 
 
-def _check_n(n) -> int:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValidationError(f"n must be a positive integer, got {n!r}")
-    return n
-
-
 def _coin(p) -> tuple[np.ndarray, np.ndarray]:
     """Values and probabilities of one Bernoulli(p) factor on {0, 1}."""
     p = float(p)
@@ -90,13 +76,7 @@ def _validate_atoms(atoms, name: str) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError(f"{name} must contain at least one atom")
     values = np.array([v for v, _ in pairs], dtype=np.float64)
     probs = np.array([p for _, p in pairs], dtype=np.float64)
-    if not np.all(np.isfinite(values)):
-        raise ValidationError(f"{name} has non-finite values")
-    if np.any(probs < 0.0) or not np.all(np.isfinite(probs)):
-        raise ValidationError(f"{name} has negative or non-finite probabilities")
-    total = float(probs.sum())
-    if abs(total - 1.0) > PROB_SUM_TOL:
-        raise ValidationError(f"{name} probabilities sum to {total}, expected 1")
+    check_table(values, probs, name)
     return values, probs
 
 
@@ -106,10 +86,8 @@ class JointModel:
     kind = "abstract"
 
     def __init__(self, n: int, atom_cap: int = DEFAULT_ATOM_CAP):
-        self._n = _check_n(n)
-        if not isinstance(atom_cap, int) or atom_cap < 1:
-            raise ValidationError(f"atom_cap must be a positive integer, got {atom_cap!r}")
-        self._atom_cap = atom_cap
+        self._n = check_positive_int("n", n)
+        self._atom_cap = check_positive_int("atom_cap", atom_cap)
         self._sum_cache: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
@@ -312,7 +290,7 @@ class PlantedCliqueModel(_FactoredModel):
         atom_cap: int = DEFAULT_ATOM_CAP,
     ):
         values, probs = _coin(p)
-        n = _check_n(n)
+        n = check_positive_int("n", n)
         if indices is None:
             if k is None:
                 raise ValidationError("planted_clique needs k or indices")
@@ -357,7 +335,7 @@ class ExchangeableMixtureModel(_FactoredModel):
         if not 0.0 <= rho <= 1.0:
             raise ValidationError(f"rho must lie in [0, 1], got {rho}")
         values, probs = _validate_atoms(atoms, "atoms")
-        n = _check_n(n)
+        n = check_positive_int("n", n)
         super().__init__(n, [values] * n, [probs] * n, vmap=range(n), atom_cap=atom_cap)
         self.rho = rho
         self._values = values
@@ -418,13 +396,7 @@ class ExplicitTableModel(JointModel):
         super().__init__(widths.pop(), atom_cap)
         self._X = np.array(rows, dtype=np.float64)
         self._p = np.array(probs, dtype=np.float64)
-        if not np.all(np.isfinite(self._X)):
-            raise ValidationError("explicit_table has non-finite values")
-        if np.any(self._p < 0.0) or not np.all(np.isfinite(self._p)):
-            raise ValidationError("explicit_table has negative or non-finite probabilities")
-        total = float(self._p.sum())
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValidationError(f"explicit_table probabilities sum to {total}, expected 1")
+        check_table(self._X, self._p, "explicit_table")
         if len(self._p) > atom_cap:
             raise ValidationError(
                 f"explicit_table has {len(self._p)} atoms, exceeding atom_cap={atom_cap}"
@@ -445,7 +417,8 @@ class ExplicitTableModel(JointModel):
 
 @dataclass(frozen=True)
 class MomentCertificate:
-    """Comparison of one subset's exact product moment against prod c_i."""
+    """Comparison of one subset's exact product moment against prod c_i;
+    ``satisfied`` allows the package tolerance ``slack()`` for rounding."""
 
     subset: tuple[int, ...]
     exact_moment: float
@@ -453,16 +426,14 @@ class MomentCertificate:
 
     @property
     def satisfied(self) -> bool:
-        return self.exact_moment <= self.bound_product + MOMENT_TOL
+        return self.exact_moment <= self.bound_product + slack()
 
 
 def sample(model: JointModel, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Draw one vector (size None) or a (size, n) batch from the model."""
     if size is None:
         return model.sample(rng)
-    if not isinstance(size, int) or size < 1:
-        raise ValidationError(f"size must be a positive integer, got {size!r}")
-    return model.sample_many(rng, size)
+    return model.sample_many(rng, check_positive_int("size", size))
 
 
 def exact_moment(model: JointModel, subset: Iterable[int]) -> float:
@@ -477,19 +448,23 @@ def exact_moment(model: JointModel, subset: Iterable[int]) -> float:
     return total
 
 
+def tail_cutoff(threshold: float) -> float:
+    """Smallest atom sum that counts as meeting ``threshold``: threshold - slack(threshold)."""
+    return threshold - slack(threshold)
+
+
 def exact_tail(model: JointModel, threshold: float) -> float:
     """Exact P(sum of coordinates >= threshold) by enumeration.
 
-    Atoms whose sum falls within a relative 1e-12 of the threshold count as
-    meeting it, so thresholds that are exact in real arithmetic are not lost
-    to rounding.
+    Atoms whose sum reaches ``tail_cutoff(threshold)``, i.e. within the
+    package tolerance ``slack(threshold)`` below it, count as meeting it, so
+    thresholds that are exact in real arithmetic are not lost to rounding.
     """
     threshold = float(threshold)
     if not math.isfinite(threshold):
         raise ValidationError(f"threshold must be finite, got {threshold!r}")
     sums, probs = model.sum_support()
-    cutoff = threshold - TAIL_TIE_TOL * max(1.0, abs(threshold))
-    mass = float(probs[sums >= cutoff].sum())
+    mass = float(probs[sums >= tail_cutoff(threshold)].sum())
     return min(1.0, max(0.0, mass))
 
 
@@ -545,25 +520,36 @@ def certify_moments(
     ]
 
 
+def to_unit_cube(
+    values: np.ndarray, params: BoundParams, probs: np.ndarray | None = None
+) -> np.ndarray:
+    """Map (m, n) atoms to [0, 1] by x -> (x - a_i) / b, clipped; the one range check.
+
+    Raises unless every atom (with ``probs``, every atom of positive
+    probability) lies in [a_i, a_i + b] up to ``slack(b)``.
+    """
+    xt = (values - np.asarray(params.a)) / params.b
+    tol = slack(params.b) / params.b
+    if xt.min() < -tol or xt.max() > 1.0 + tol:
+        bad = (xt < -tol) | (xt > 1.0 + tol)
+        if probs is not None:
+            bad &= (probs > 0.0)[:, None]
+        if bad.any():
+            row, col = np.argwhere(bad)[0]
+            raise ValidationError(
+                f"values leave [a_i, a_i + b]: variable {col} takes value "
+                f"{values[row, col]} outside [{params.a[col]}, {params.a[col] + params.b}]"
+            )
+    return np.clip(xt, 0.0, 1.0)
+
+
 def check_support_range(model: JointModel, params: BoundParams) -> None:
     """Raise unless every positive-probability atom lies in [a_i, a_i + b]."""
     if params.n != model.n:
         raise ValidationError(f"params.n={params.n} does not match model n={model.n}")
     model._require_enumerable("check_support_range")
-    lo = np.array(params.a) - BOUND_RANGE_TOL * max(1.0, params.b)
-    hi = np.array(params.a) + params.b + BOUND_RANGE_TOL * max(1.0, params.b)
     for values, probs in model.support_chunks():
-        live = probs > 0.0
-        if not live.any():
-            continue
-        block = values[live]
-        bad = (block < lo) | (block > hi)
-        if bad.any():
-            row, col = np.argwhere(bad)[0]
-            raise ValidationError(
-                f"model support leaves [a_i, a_i+b]: variable {col} takes value "
-                f"{block[row, col]} outside [{params.a[col]}, {params.a[col] + params.b}]"
-            )
+        to_unit_cube(values, params, probs)
 
 
 def _require(doc: dict, key: str, kind: str):
@@ -603,7 +589,7 @@ def model_from_spec(doc: dict, atom_cap: int | None = None) -> JointModel:
                 atoms.append(tuple(entry))
         model = ExplicitTableModel(atoms, atom_cap=cap)
     else:
-        n = _check_n(_require(doc, "n", kind))
+        n = check_positive_int("n", _require(doc, "n", kind))
         if kind == "independent":
             model = IndependentModel(_require(params, "marginals", kind), atom_cap=cap)
             if model.n != n:

@@ -18,12 +18,45 @@ import numpy as np
 
 from .errors import ValidationError
 
-# Absolute slack used when deciding whether parameters sit on a boundary
-# (c = a, or t at its maximum).  Scaled by b where a scale is available.
-BOUNDARY_TOL = 1e-12
+# -- tolerance policy ------------------------------------------------------
+# The only numeric tolerances of the package; every comparison of computed
+# quantities allows ``slack(scale)``.  See "Tolerances" in the README.
+
+TOL = 1e-12
+"""Slack for comparing computed quantities, which are accurate to a few ulps
+(about 1e-16) of their scale: rounding never flips a comparison."""
+
+PROB_SUM_TOL = 1e-9
+"""Input tolerance for the total of a user-given probability table: tables are
+typed as rounded decimals (0.333333333 for 1/3) that miss 1 by far more than TOL."""
+
+LAMBDA_CAP = 1.0 - 1e-6
+"""Largest tilt used where the optimal lambda reaches 1 or a lambda grid ends."""
+
+
+def slack(scale: float = 1.0) -> float:
+    """TOL for a quantity of magnitude ``scale``: TOL * max(1, |scale|)."""
+    return TOL * max(1.0, abs(scale))
+
+
+def check_table(values: np.ndarray, probs: np.ndarray, name: str) -> None:
+    """The check of every user-given probability table: finite values, and
+    finite, non-negative probabilities that sum to 1 within PROB_SUM_TOL."""
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(f"{name} has non-finite values")
+    if np.any(probs < 0.0) or not np.all(np.isfinite(probs)):
+        raise ValidationError(f"{name} has negative or non-finite probabilities")
+    total = float(probs.sum())
+    if abs(total - 1.0) > PROB_SUM_TOL:
+        raise ValidationError(f"{name} probabilities sum to {total}, expected 1")
+
+
+# -- end of tolerance policy -----------------------------------------------
 
 __all__ = [
-    "BOUNDARY_TOL",
+    "TOL",
+    "LAMBDA_CAP",
+    "slack",
     "BoundParams",
     "NormalizedParams",
     "LambdaChoice",
@@ -35,6 +68,13 @@ __all__ = [
     "grid_search_lambda",
     "chernoff_bound",
 ]
+
+
+def check_positive_int(name: str, value) -> int:
+    """Return ``value`` if it is a positive int (bool is not accepted)."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValidationError(f"{name} must be a positive integer, got {value!r}")
+    return value
 
 
 def _log1pmx(u: float) -> float:
@@ -54,7 +94,8 @@ def kl_div(p: float, q: float) -> float:
 
     For p near q the two logarithms nearly cancel, so with d = p - q it is
     evaluated as p L(d/q) + (1-p) L(-d/(1-q)) + d^2/(q(1-q)), where
-    L(u) = ln(1 + u) - u; that form keeps full relative precision.
+    L(u) = ln(1 + u) - u; that form keeps full relative precision.  Far from
+    q, ln(p/q) is taken as the log of the ratio, which does not cancel for tiny q.
     """
     for name, value in (("p", p), ("q", q)):
         value = float(value)
@@ -70,7 +111,12 @@ def kl_div(p: float, q: float) -> float:
     if abs(d) < min(q, 1.0 - q):
         u = d / q
         return p * _log1pmx(u) + (1.0 - p) * _log1pmx(-d / (1.0 - q)) + d * u / (1.0 - q)
-    first = 0.0 if p == 0.0 else p * (math.log(p) - math.log(q))
+    if p == 0.0:
+        first = 0.0
+    elif 2.0 <= p / q < math.inf:
+        first = p * math.log(p / q)
+    else:  # p/q overflows, or lies below 2 where its rounding would cancel
+        first = p * (math.log(p) - math.log(q))
     second = 0.0 if p == 1.0 else (1.0 - p) * (math.log1p(-p) - math.log1p(-q))
     return first + second
 
@@ -104,8 +150,7 @@ class BoundParams:
     t: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise ValidationError(f"n must be a positive integer, got {self.n!r}")
+        check_positive_int("n", self.n)
         object.__setattr__(self, "a", _as_float_tuple(self.a, "a", self.n))
         object.__setattr__(self, "c", _as_float_tuple(self.c, "c", self.n))
         object.__setattr__(self, "b", float(self.b))
@@ -114,7 +159,7 @@ class BoundParams:
             raise ValidationError(f"b must be a positive real, got {self.b!r}")
         if not math.isfinite(self.t):
             raise ValidationError(f"t must be finite, got {self.t!r}")
-        tol = BOUNDARY_TOL * max(1.0, self.b)
+        tol = slack(self.b)
         for i, (ai, ci) in enumerate(zip(self.a, self.c)):
             if ai > 0.0:
                 raise ValidationError(f"a[{i}] must be <= 0, got {ai}")
@@ -179,17 +224,18 @@ class NormalizedParams:
             raise ValidationError("ctilde_i must be non-empty")
         object.__setattr__(self, "ctilde", float(self.ctilde))
         object.__setattr__(self, "ttilde", float(self.ttilde))
+        tol = slack()
         for i, v in enumerate(self.ctilde_i):
-            if v < -BOUNDARY_TOL or v > 1.0 + BOUNDARY_TOL:
+            if v < -tol or v > 1.0 + tol:
                 raise ValidationError(f"ctilde_i[{i}]={v} outside [0, 1]")
         mean = math.fsum(self.ctilde_i) / len(self.ctilde_i)
-        if abs(mean - self.ctilde) > 1e-9:
+        if abs(mean - self.ctilde) > tol:
             raise ValidationError(
                 f"ctilde={self.ctilde} is not the mean of ctilde_i ({mean})"
             )
-        if self.ttilde < -BOUNDARY_TOL:
+        if self.ttilde < -tol:
             raise ValidationError(f"ttilde must be >= 0, got {self.ttilde}")
-        if self.ttilde > 1.0 - self.ctilde + BOUNDARY_TOL:
+        if self.ttilde > 1.0 - self.ctilde + tol:
             raise ValidationError(
                 f"ttilde={self.ttilde} exceeds 1 - ctilde = {1.0 - self.ctilde}"
             )
@@ -230,11 +276,19 @@ def proof_case(norm: NormalizedParams) -> str:
     The degenerate test runs first, so ctilde = 0 with maximal ttilde = 1 is
     reported as degenerate.
     """
-    if norm.ctilde <= BOUNDARY_TOL:
+    if norm.ctilde <= slack():
         return "degenerate"
-    if norm.ttilde >= 1.0 - norm.ctilde - BOUNDARY_TOL:
+    if norm.ttilde >= 1.0 - norm.ctilde - slack():
         return "boundary"
     return "interior"
+
+
+def _interior(norm: NormalizedParams, who: str) -> tuple[float, float]:
+    """(ctilde, ttilde), after checking 0 < ctilde < 1 and ttilde < 1 - ctilde."""
+    ct, tt = norm.ctilde, norm.ttilde
+    if not 0.0 < ct < 1.0 or tt >= 1.0 - ct:
+        raise ValidationError(f"{who} needs interior parameters, got ctilde={ct}, ttilde={tt}")
+    return ct, tt
 
 
 def g_objective(lam: float, norm: NormalizedParams) -> float:
@@ -247,11 +301,7 @@ def g_objective(lam: float, norm: NormalizedParams) -> float:
     lam = float(lam)
     if not 0.0 <= lam < 1.0:
         raise ValidationError(f"lam must lie in [0, 1), got {lam}")
-    ct, tt = norm.ctilde, norm.ttilde
-    if not 0.0 < ct < 1.0:
-        raise ValidationError(f"g_objective needs 0 < ctilde < 1, got {ct}")
-    if tt >= 1.0 - ct:
-        raise ValidationError(f"g_objective needs ttilde < 1 - ctilde, got {tt}")
+    ct, tt = _interior(norm, "g_objective")
     return (lam * ct + 1.0 - lam) * (1.0 - lam) ** (ct + tt - 1.0)
 
 
@@ -261,18 +311,14 @@ def optimize_lambda(norm: NormalizedParams) -> LambdaChoice:
     At the minimizer, g(lambda*) = exp(-D(ctilde+ttilde || ctilde)).  Interior
     parameters required, same as ``g_objective``.
     """
-    ct, tt = norm.ctilde, norm.ttilde
-    if not 0.0 < ct < 1.0 or tt >= 1.0 - ct:
-        raise ValidationError(
-            f"optimize_lambda needs interior parameters, got ctilde={ct}, ttilde={tt}"
-        )
+    ct, tt = _interior(norm, "optimize_lambda")
     lam = max(0.0, tt / ((1.0 - ct) * (ct + tt)))
     g_value = math.exp(-kl_div(min(ct + tt, 1.0), ct))
     return LambdaChoice(lam=lam, g_value=g_value)
 
 
 def grid_search_lambda(
-    norm: NormalizedParams, points: int = 10_001, hi: float = 1.0 - 1e-6
+    norm: NormalizedParams, points: int = 10_001, hi: float = LAMBDA_CAP
 ) -> LambdaChoice:
     """Brute-force minimizer of g over a uniform grid on [0, hi].
 
@@ -283,11 +329,7 @@ def grid_search_lambda(
         raise ValidationError(f"points must be >= 2, got {points}")
     if not 0.0 < hi < 1.0:
         raise ValidationError(f"hi must lie in (0, 1), got {hi}")
-    ct, tt = norm.ctilde, norm.ttilde
-    if not 0.0 < ct < 1.0 or tt >= 1.0 - ct:
-        raise ValidationError(
-            f"grid_search_lambda needs interior parameters, got ctilde={ct}, ttilde={tt}"
-        )
+    ct, tt = _interior(norm, "grid_search_lambda")
     lams = np.linspace(0.0, hi, points)
     values = (lams * ct + 1.0 - lams) * (1.0 - lams) ** (ct + tt - 1.0)
     best = int(np.argmin(values))
@@ -304,7 +346,7 @@ def chernoff_bound(params: BoundParams) -> float:
     norm = normalize(params)
     case = proof_case(norm)
     if case == "degenerate":
-        return 1.0 if norm.ttilde <= BOUNDARY_TOL else 0.0
+        return 1.0 if norm.ttilde <= slack() else 0.0
     if case == "boundary":
         return norm.ctilde**params.n
     return math.exp(-params.n * kl_div(min(norm.ctilde + norm.ttilde, 1.0), norm.ctilde))

@@ -29,15 +29,14 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .dist_models import TAIL_TIE_TOL, JointModel, MomentCertificate, certify_moments
-from .entropy_core import BoundParams, normalize
+from .dist_models import (
+    JointModel, MomentCertificate, certify_moments, tail_cutoff, to_unit_cube,
+)
+from .entropy_core import BoundParams, check_positive_int, normalize, slack
 from .errors import RejectionBudgetError, ValidationError
 
 DEFAULT_BLOCK_SIZE = 8192
 DEFAULT_MAX_PROPOSALS = 10_000_000
-
-# Absolute slack when deciding whether an exactly-evaluated inequality holds.
-CHAIN_TOL = 1e-10
 
 # Stream tags keep the block generators of different estimators disjoint
 # even when they share a seed.
@@ -48,7 +47,6 @@ WITNESS_CONFIRM_TAG = 22
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
     "DEFAULT_MAX_PROPOSALS",
-    "CHAIN_TOL",
     "SamplingRound",
     "Estimate",
     "ChainLink",
@@ -66,11 +64,6 @@ def block_rng(seed: int, tag: int, block: int) -> np.random.Generator:
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(tag, block)))
-
-
-def _check_count(name: str, value: object) -> None:
-    if not isinstance(value, int) or value < 1:
-        raise ValidationError(f"{name} must be a positive integer, got {value!r}")
 
 
 def _check_round_args(model: JointModel, params: BoundParams, lam: float) -> float:
@@ -121,24 +114,6 @@ def _run_blocks(
                 future.cancel()
 
 
-def _tail_cutoff(threshold: float) -> float:
-    return threshold - TAIL_TIE_TOL * max(1.0, abs(threshold))
-
-
-def _normalize_block(x: np.ndarray, params: BoundParams) -> np.ndarray:
-    """Map a (m, n) sample block to [0, 1]; reject values off the cube."""
-    a = np.asarray(params.a)
-    xt = (x - a) / params.b
-    tol = TAIL_TIE_TOL
-    lo = float(xt.min())
-    hi = float(xt.max())
-    if lo < -tol or hi > 1.0 + tol:
-        raise ValidationError(
-            f"sampled values leave [a_i, a_i + b]: normalized range [{lo}, {hi}]"
-        )
-    return np.clip(xt, 0.0, 1.0)
-
-
 class _Rounds(NamedTuple):
     """m rounds of the coupled process, one row per round."""
 
@@ -161,7 +136,7 @@ def _rounds(
     (default all), only those Bernoulli columns are drawn, and ``member`` is None.
     """
     x = model.sample_many(rng, m)
-    xt = _normalize_block(x, params)
+    xt = to_unit_cube(x, params)
     if cols is not None:
         xt = xt[:, cols]
     y = rng.random(xt.shape) < xt
@@ -193,8 +168,7 @@ class Estimate:
     conditional_on_tail: bool
 
     def __post_init__(self) -> None:
-        if self.n_samples < 1:
-            raise ValidationError(f"n_samples must be >= 1, got {self.n_samples}")
+        check_positive_int("n_samples", self.n_samples)
         if not 0.0 <= self.mean <= 1.0 or self.std_error < 0.0:
             raise ValidationError(
                 f"inconsistent estimate: mean={self.mean}, std_error={self.std_error}"
@@ -218,7 +192,7 @@ def draw_round(
         y=r.y[0].astype(np.int8),
         subset=tuple(int(i) for i in np.flatnonzero(r.member[0])),
         product=int(r.product[0]),
-        sum_exceeds=bool(x.sum() >= _tail_cutoff(params.threshold)),
+        sum_exceeds=bool(x.sum() >= tail_cutoff(params.threshold)),
     )
 
 
@@ -252,12 +226,12 @@ def estimate_product(
     """
     lam = _check_round_args(model, params, lam)
     for name, value in (("n_samples", n_samples), ("workers", workers), ("block_size", block_size)):
-        _check_count(name, value)
+        check_positive_int(name, value)
     total = n_samples
     if conditional:
-        _check_count("max_proposals", max_proposals)
+        check_positive_int("max_proposals", max_proposals)
         total = max(1, math.ceil(max_proposals / block_size)) * block_size
-    cutoff = _tail_cutoff(params.threshold)
+    cutoff = tail_cutoff(params.threshold)
 
     def block(rng: np.random.Generator, m: int) -> np.ndarray:
         r = _rounds(model, params, rng, m, lam)
@@ -299,14 +273,15 @@ def exact_product_expectation(
     model._require_enumerable("exact_product_expectation")
     total = 0.0
     for values, probs in model.support_chunks():
-        xt = _normalize_block(values, params)
+        xt = to_unit_cube(values, params, probs)
         total += float(np.sum(probs * np.prod(lam * xt + 1.0 - lam, axis=1)))
     return total
 
 
 @dataclass(frozen=True)
 class ChainLink:
-    """One exactly-evaluated inequality lhs >= rhs."""
+    """One exactly-evaluated inequality lhs >= rhs; ``passed`` allows the
+    package tolerance ``slack()`` (chain quantities lie in [0, 1])."""
 
     name: str
     lhs: float
@@ -314,7 +289,7 @@ class ChainLink:
 
     @property
     def passed(self) -> bool:
-        return self.lhs >= self.rhs - CHAIN_TOL
+        return self.lhs >= self.rhs - slack()
 
 
 @dataclass(frozen=True)
@@ -389,12 +364,12 @@ def verify_chain(
     certificates = tuple(certify_moments(model, params, max_subset_size, **kwargs))
     hypothesis_ok = all(cert.satisfied for cert in certificates)
 
-    cutoff = _tail_cutoff(params.threshold)
+    cutoff = tail_cutoff(params.threshold)
     expected_product = 0.0
     expected_on_tail = 0.0
     tail_probability = 0.0
     for values, probs in model.support_chunks():
-        xt = _normalize_block(values, params)
+        xt = to_unit_cube(values, params, probs)
         row = np.prod(lam * xt + 1.0 - lam, axis=1)
         tails = values.sum(axis=1) >= cutoff
         expected_product += float(np.sum(probs * row))

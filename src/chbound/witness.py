@@ -26,14 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist_models import JointModel
-from .entropy_core import BoundParams, kl_div
+from .entropy_core import LAMBDA_CAP, BoundParams, check_positive_int, kl_div, slack
 from .errors import BudgetOverflowError, ValidationError
 from .mc_engine import (
     DEFAULT_BLOCK_SIZE,
     WITNESS_CONFIRM_TAG,
     WITNESS_SEARCH_TAG,
     _bernoulli_se,
-    _check_count,
     _rounds,
     _run_blocks,
 )
@@ -46,7 +45,6 @@ DEFAULT_SEARCH_CAP = 50_000
 DEFAULT_CONFIRM_CAP = 20_000
 DEFAULT_MIN_ROUNDS = 5
 CONFIRM_Z = 2.0
-LAMBDA_CAP = 1.0 - 1e-6
 
 __all__ = [
     "DEFAULT_SEARCH_CAP",
@@ -58,6 +56,17 @@ __all__ = [
     "default_budgets",
     "find_dependent_set",
 ]
+
+
+def _check_problem(n, c, t, alpha) -> None:
+    """The (n, c, t, alpha) domain shared by WitnessParams and default_budgets."""
+    check_positive_int("n", n)
+    if not 0.0 < c < 1.0:
+        raise ValidationError(f"c must lie in (0, 1), got {c}")
+    if not 0.0 < t <= 1.0 - c:
+        raise ValidationError(f"t must lie in (0, 1 - c], got {t}")
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -81,23 +90,16 @@ class WitnessParams:
     margin_threshold: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise ValidationError(f"n must be a positive integer, got {self.n!r}")
-        if not 0.0 < self.c < 1.0:
-            raise ValidationError(f"c must lie in (0, 1), got {self.c}")
-        if not 0.0 < self.t <= 1.0 - self.c:
-            raise ValidationError(f"t must lie in (0, 1 - c], got {self.t}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValidationError(f"alpha must lie in (0, 1), got {self.alpha}")
+        _check_problem(self.n, self.c, self.t, self.alpha)
         if not 0.0 < self.lam < 1.0:
             raise ValidationError(f"lam must lie in (0, 1), got {self.lam}")
-        _check_count("m_search", self.m_search)
-        _check_count("m_confirm", self.m_confirm)
+        check_positive_int("m_search", self.m_search)
+        check_positive_int("m_confirm", self.m_confirm)
         if not self.margin_threshold > 0.0:
             raise ValidationError(
                 f"margin_threshold must be positive, got {self.margin_threshold}"
             )
-        if self.alpha < self.tail_bound - 1e-15:
+        if self.alpha < self.tail_bound - slack():
             warnings.warn(
                 f"alpha={self.alpha} is below the certified tail bound "
                 f"{self.tail_bound}; a dependent subset is not guaranteed to exist",
@@ -127,15 +129,8 @@ def default_budgets(
     to zero.  (Constructing the WitnessParams warns when alpha is below the
     certified tail bound: detection is not guaranteed there.)
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValidationError(f"n must be a positive integer, got {n!r}")
     c, t, alpha = float(c), float(t), float(alpha)
-    if not 0.0 < c < 1.0:
-        raise ValidationError(f"c must lie in (0, 1), got {c}")
-    if not 0.0 < t <= 1.0 - c:
-        raise ValidationError(f"t must lie in (0, 1 - c], got {t}")
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_problem(n, c, t, alpha)
     exponent = 4.0 / (c * t)
     margin = alpha**exponent / 8.0
     if margin <= 0.0 or not math.isfinite(margin):
@@ -264,9 +259,9 @@ def find_dependent_set(
     """
     if model.n != wp.n:
         raise ValidationError(f"wp.n={wp.n} does not match model n={model.n}")
-    _check_count("workers", workers)
-    _check_count("block_size", block_size)
-    _check_count("min_rounds_per_subset", min_rounds_per_subset)
+    for name, value in (("workers", workers), ("block_size", block_size),
+                        ("min_rounds_per_subset", min_rounds_per_subset)):
+        check_positive_int(name, value)
     identity = BoundParams.boolean(model.n, 1.0, 0.0)
 
     def search_tally(rng: np.random.Generator, m: int) -> tuple:

@@ -1,6 +1,7 @@
 """Exact enumeration, moments, tails, certificates, and spec parsing."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chbound as cb
+from chbound.cli import main
 from conftest import make_violating_pair, make_zoo
 
 ZOO = make_zoo()
@@ -287,9 +289,18 @@ class TestCheckSupportRange:
         with pytest.raises(cb.ValidationError, match="variable"):
             cb.check_support_range(model, squeezed)
 
-    def test_ignores_zero_probability_atoms(self):
-        model = cb.ExplicitTableModel([([0.5, 0.5], 1.0), ([9.0, 9.0], 0.0)])
-        cb.check_support_range(model, cb.BoundParams.boolean(2, 0.5, 0.0))
+    def test_ignores_zero_probability_atoms(self, tmp_path, capsys):
+        atoms = [([0.5, 0.5], 1.0), ([9.0, 9.0], 0.0)]
+        model = cb.ExplicitTableModel(atoms)
+        params = cb.BoundParams.boolean(2, 0.5, 0.0)
+        cb.check_support_range(model, params)
+        # the exact passes enumerate the atom too and must not range-check it
+        assert cb.verify_chain(model, params, 0.5).all_passed
+        assert cb.exact_product_expectation(model, 0.5, params) == 0.75**2
+        spec = tmp_path / "table.json"
+        spec.write_text(json.dumps({"kind": "explicit_table", "params": {"support": atoms}}))
+        assert main(["verify", "--spec", str(spec), "--c", "0.5", "--t", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["all_passed"]
 
 
 class TestModelFromSpec:

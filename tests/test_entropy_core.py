@@ -26,10 +26,14 @@ interior = st.floats(min_value=1e-9, max_value=1.0 - 1e-9)
 
 
 def _kl_reference(p: float, q: float) -> float:
-    """D(p || q) at 60 significant digits from the exact binary values of p, q."""
+    """D(p || q) at 60 significant digits from the exact binary values of p, q.
+
+    The working precision grows with the smaller exponent of p and q, so that
+    (1 - p) / (1 - q) keeps 60 digits of its distance from 1 for tiny p, q.
+    """
     with decimal.localcontext() as ctx:
-        ctx.prec = 60
         p_, q_ = decimal.Decimal(p), decimal.Decimal(q)
+        ctx.prec = 60 - min(0, q_.adjusted(), p_.adjusted() if p_ else 0)
         total = decimal.Decimal(0)
         if p_ > 0:
             total += p_ * (p_ / q_).ln()
@@ -76,6 +80,8 @@ class TestKlDiv:
         assert cb.kl_div(p, q) > 0.0
 
     @settings(max_examples=300)
+    @example(p=9e-225, q=4.5e-225)  # ln p - ln q lost 2.85e-13 relative here
+    @example(p=6e-300, q=3e-300)
     @given(unit, interior)
     def test_matches_decimal_reference(self, p, q):
         assert cb.kl_div(p, q) == pytest.approx(_kl_reference(p, q), rel=1e-13, abs=0.0)
@@ -133,6 +139,27 @@ class TestBoundParams:
     def test_boundary_t_accepted(self):
         params = cb.BoundParams.boolean(5, 0.25, 0.75)
         assert params.t == params.t_max
+
+
+_BOOL_SITES = {
+    "BoundParams.n": lambda v: cb.BoundParams(n=v, a=(0.0,), b=1.0, c=(0.5,), t=0.0),
+    "model n": lambda v: cb.PlantedCliqueModel(v, 0.5, k=1),
+    "atom_cap": lambda v: cb.BooleanIIDModel(1, 0.5, atom_cap=v),
+    "sample size": lambda v: cb.sample(cb.BooleanIIDModel(1, 0.5), np.random.default_rng(0), v),
+    "estimate_product workers": lambda v: cb.estimate_product(
+        cb.BooleanIIDModel(1, 0.5), cb.BoundParams.boolean(1, 0.5, 0.0), 0.5, 1, workers=v
+    ),
+    "default_budgets n": lambda v: cb.default_budgets(v, 0.5, 0.25, 0.9),
+    "WitnessParams.m_search": lambda v: cb.WitnessParams(
+        n=1, c=0.5, t=0.25, alpha=0.9, lam=0.5, m_search=v, m_confirm=1, margin_threshold=0.1
+    ),
+}
+
+
+@pytest.mark.parametrize("site", _BOOL_SITES)
+def test_positive_integer_sites_reject_bool(site):
+    with pytest.raises(cb.ValidationError, match="must be a positive integer, got True"):
+        _BOOL_SITES[site](True)
 
 
 class TestNormalize:

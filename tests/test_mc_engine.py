@@ -9,8 +9,8 @@ import pytest
 
 import chbound as cb
 from chbound import mc_engine
-from chbound.entropy_core import normalize
-from chbound.mc_engine import CHAIN_TOL, ChainLink
+from chbound.entropy_core import TOL, normalize
+from chbound.mc_engine import ChainLink
 from conftest import make_violating_pair, make_zoo
 
 ZOO = make_zoo()
@@ -269,9 +269,9 @@ class TestVerifyChain:
             cb.verify_chain(model, params, 1.0)
 
     def test_link_lookup_and_tolerance(self):
-        link = ChainLink("x", 1.0, 1.0 + CHAIN_TOL / 2)
+        link = ChainLink("x", 1.0, 1.0 + TOL / 2)
         assert link.passed
-        assert not ChainLink("x", 1.0, 1.0 + 10 * CHAIN_TOL).passed
+        assert not ChainLink("x", 1.0, 1.0 + 10 * TOL).passed
         model = cb.BooleanIIDModel(2, 0.5)
         report = cb.verify_chain(model, cb.BoundParams.boolean(2, 0.5, 0.25), 0.5)
         assert report.link("restrict_to_tail").name == "restrict_to_tail"
