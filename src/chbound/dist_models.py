@@ -526,11 +526,15 @@ def to_unit_cube(
     """Map (m, n) atoms to [0, 1] by x -> (x - a_i) / b, clipped; the one range check.
 
     Raises unless every atom (with ``probs``, every atom of positive
-    probability) lies in [a_i, a_i + b] up to ``slack(b)``.
+    probability) lies in [a_i, a_i + b] up to ``slack(b)``.  Under the
+    identity map (a = 0, b = 1) with every value in [0, 1], returns
+    ``values`` itself.
     """
-    xt = (values - np.asarray(params.a)) / params.b
+    a = np.asarray(params.a)
+    xt = values if params.b == 1.0 and not a.any() else (values - a) / params.b
     tol = slack(params.b) / params.b
-    if xt.min() < -tol or xt.max() > 1.0 + tol:
+    lo, hi = xt.min(), xt.max()
+    if lo < -tol or hi > 1.0 + tol:
         bad = (xt < -tol) | (xt > 1.0 + tol)
         if probs is not None:
             bad &= (probs > 0.0)[:, None]
@@ -540,7 +544,7 @@ def to_unit_cube(
                 f"values leave [a_i, a_i + b]: variable {col} takes value "
                 f"{values[row, col]} outside [{params.a[col]}, {params.a[col] + params.b}]"
             )
-    return np.clip(xt, 0.0, 1.0)
+    return np.clip(xt, 0.0, 1.0) if lo < 0.0 or hi > 1.0 else xt
 
 
 def check_support_range(model: JointModel, params: BoundParams) -> None:

@@ -30,6 +30,10 @@ PROB_SUM_TOL = 1e-9
 """Input tolerance for the total of a user-given probability table: tables are
 typed as rounded decimals (0.333333333 for 1/3) that miss 1 by far more than TOL."""
 
+KL_REL_ERR = 5e-14
+"""Relative accuracy of ``kl_div``, as its decimal-reference tests pin it;
+``chernoff_bound`` shrinks its exponent by this fraction to round outward."""
+
 LAMBDA_CAP = 1.0 - 1e-6
 """Largest tilt used where the optimal lambda reaches 1 or a lambda grid ends."""
 
@@ -342,11 +346,18 @@ def chernoff_bound(params: BoundParams) -> float:
     Interior parameters give exp(-n D((cbar-abar+t)/b || (cbar-abar)/b));
     the boundary t = b + abar - cbar gives ctilde^n; the degenerate case
     c = a gives 1 for t = 0 and 0 for t > 0.
+
+    Rounding is outward, so the value is never below the exact bound of the
+    normalized floats: the interior exponent shrinks by ``KL_REL_ERR`` of
+    itself, and interior and boundary results step one ulp up (at most to 1).
     """
     norm = normalize(params)
     case = proof_case(norm)
     if case == "degenerate":
         return 1.0 if norm.ttilde <= slack() else 0.0
     if case == "boundary":
-        return norm.ctilde**params.n
-    return math.exp(-params.n * kl_div(min(norm.ctilde + norm.ttilde, 1.0), norm.ctilde))
+        value = norm.ctilde**params.n
+    else:
+        exponent = params.n * kl_div(min(norm.ctilde + norm.ttilde, 1.0), norm.ctilde)
+        value = math.exp(-exponent * (1.0 - KL_REL_ERR))
+    return math.nextafter(value, 1.0)

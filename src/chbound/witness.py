@@ -103,7 +103,7 @@ class WitnessParams:
             warnings.warn(
                 f"alpha={self.alpha} is below the certified tail bound "
                 f"{self.tail_bound}; a dependent subset is not guaranteed to exist",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property
@@ -203,12 +203,25 @@ class WitnessReport:
 
 
 def _tally(rows: np.ndarray, counts: np.ndarray, hits: np.ndarray) -> tuple:
-    """Merge equal rows of a boolean matrix, summing their counts and hits."""
-    keys, inverse = np.unique(rows, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-    n = len(keys)
-    return (keys, np.bincount(inverse, weights=counts, minlength=n),
-            np.bincount(inverse, weights=hits, minlength=n))
+    """Merge equal rows of a boolean matrix, summing their counts and hits.
+
+    Returns the distinct rows in lexicographic order (column 0 first, False
+    before True) with their summed counts and hits.  Each row is sorted as a
+    bit-packed key: column 0 is the top bit of a big-endian 64-bit word, so
+    numeric word order is row order, for every n.
+    """
+    m, n = rows.shape
+    packed = np.zeros((m, -(-n // 64) * 8), dtype=np.uint8)
+    packed[:, : -(-n // 8)] = np.packbits(rows, axis=1)
+    words = packed.view(">u8")
+    order = np.lexsort(words.T[::-1])
+    ordered = words[order]
+    start = np.ones(m, dtype=bool)
+    start[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    inverse = np.empty(m, dtype=np.intp)
+    inverse[order] = np.cumsum(start) - 1
+    keys = np.unpackbits(packed[order[start]], axis=1, count=n).view(bool)
+    return keys, np.bincount(inverse, weights=counts), np.bincount(inverse, weights=hits)
 
 
 def _best_candidate(

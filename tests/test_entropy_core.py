@@ -6,6 +6,7 @@ High-precision reference values were computed independently with mpmath at
 
 import decimal
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import chbound as cb
-from chbound.entropy_core import proof_case
+from chbound.entropy_core import KL_REL_ERR, proof_case
 
 # mpmath oracles
 KL_07_05 = 0.08228287850505185
@@ -25,7 +26,7 @@ unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 interior = st.floats(min_value=1e-9, max_value=1.0 - 1e-9)
 
 
-def _kl_reference(p: float, q: float) -> float:
+def _kl_decimal(p: float, q: float) -> decimal.Decimal:
     """D(p || q) at 60 significant digits from the exact binary values of p, q.
 
     The working precision grows with the smaller exponent of p and q, so that
@@ -39,7 +40,11 @@ def _kl_reference(p: float, q: float) -> float:
             total += p_ * (p_ / q_).ln()
         if p_ < 1:
             total += (1 - p_) * ((1 - p_) / (1 - q_)).ln()
-        return float(total)
+        return total
+
+
+def _kl_reference(p: float, q: float) -> float:
+    return float(_kl_decimal(p, q))
 
 
 class TestKlDiv:
@@ -84,7 +89,7 @@ class TestKlDiv:
     @example(p=6e-300, q=3e-300)
     @given(unit, interior)
     def test_matches_decimal_reference(self, p, q):
-        assert cb.kl_div(p, q) == pytest.approx(_kl_reference(p, q), rel=1e-13, abs=0.0)
+        assert cb.kl_div(p, q) == pytest.approx(_kl_reference(p, q), rel=KL_REL_ERR, abs=0.0)
 
     @settings(max_examples=300)
     @example(q=0.3, gap=1e-9)  # the naive formula returned 20.7x the true value
@@ -102,7 +107,7 @@ class TestKlDiv:
     def test_matches_decimal_reference_for_p_near_q(self, q, gap):
         p = q + gap
         assume(0.0 <= p <= 1.0)
-        assert cb.kl_div(p, q) == pytest.approx(_kl_reference(p, q), rel=1e-13, abs=0.0)
+        assert cb.kl_div(p, q) == pytest.approx(_kl_reference(p, q), rel=KL_REL_ERR, abs=0.0)
 
 
 class TestBoundParams:
@@ -282,6 +287,28 @@ class TestChernoffBound:
         base = cb.BoundParams.boolean(6, 0.4, 0.3)
         scaled = cb.BoundParams.uniform(6, -2.0, 5.0, -2.0 + 5.0 * 0.4, 5.0 * 0.3)
         assert cb.chernoff_bound(scaled) == pytest.approx(cb.chernoff_bound(base), rel=1e-12)
+
+    @settings(max_examples=300)
+    @example(n=40, c=0.2603361161571089, t=0.26493057335184306)  # to nearest: 2.5 ulps low
+    @given(
+        st.integers(min_value=1, max_value=1000),
+        st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_rounds_outward(self, n, c, t):
+        assume(t < 1.0 - c)
+        params = cb.BoundParams.boolean(n, c, t)
+        norm = cb.normalize(params)
+        assume(proof_case(norm) == "interior")
+        q = norm.ctilde
+        exponent = n * _kl_decimal(min(q + norm.ttilde, 1.0), q)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            reference = (-exponent).exp()
+            assume(reference >= decimal.Decimal(sys.float_info.min))
+            bound = decimal.Decimal(cb.chernoff_bound(params))
+            assert bound >= reference
+            assert bound <= reference * (1 + decimal.Decimal(1e-12) * max(1, exponent))
 
     @given(
         st.floats(min_value=0.05, max_value=0.95),

@@ -6,12 +6,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chbound as cb
 from chbound.entropy_core import kl_div
-from chbound.witness import CONFIRM_Z, LAMBDA_CAP, _best_candidate
+from chbound.witness import CONFIRM_Z, LAMBDA_CAP, _best_candidate, _tally
 
 
 def _quiet_budgets(*args, **kwargs):
@@ -86,8 +86,10 @@ class TestWitnessParams:
         assert WP_10.tail_bound == pytest.approx(ALPHA_10, rel=1e-15)
 
     def test_warns_when_alpha_below_tail_bound(self):
-        with pytest.warns(UserWarning, match="below the certified tail bound"):
+        with pytest.warns(UserWarning, match="below the certified tail bound") as record:
             cb.default_budgets(10, 0.4, 0.3, ALPHA_10 / 2)
+        # the warning names the caller's line, not the dataclass-generated __init__
+        assert all(w.filename != "<string>" for w in record)
 
     def test_no_warning_at_or_above_tail_bound(self):
         with warnings.catch_warnings():
@@ -256,24 +258,65 @@ def _dict_tally_reference(blocks, c, min_rounds):
     return len(candidates), score, best
 
 
+def _unique_tally_reference(rows, counts, hits):
+    """The ``np.unique(axis=0)`` + ``bincount`` tally that ``_tally`` replaces."""
+    keys, inverse = np.unique(rows, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    n = len(keys)
+    return (keys, np.bincount(inverse, weights=counts, minlength=n),
+            np.bincount(inverse, weights=hits, minlength=n))
+
+
 @st.composite
 def _tally_inputs(draw):
-    n = draw(st.integers(min_value=1, max_value=5))
+    # Rows are drawn from a small pool of base rows with at most one flipped
+    # column each, so equal rows and rows differing in one bit are common at
+    # every n up to 70 (two 64-bit key words).
+    n = draw(st.integers(min_value=1, max_value=70))
+    pool = [
+        [bool(key >> j & 1) for j in range(n)]
+        for key in draw(st.lists(st.integers(0, 2**n - 1), min_size=1, max_size=4))
+    ]
     blocks = []
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
         m = draw(st.integers(min_value=1, max_value=12))
-        rows = np.array(
-            draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n), min_size=m, max_size=m)),
-            dtype=bool,
-        )
+        rows = np.empty((m, n), dtype=bool)
+        for i in range(m):
+            rows[i] = draw(st.sampled_from(pool))
+            flip = draw(st.integers(min_value=-1, max_value=n - 1))
+            if flip >= 0:
+                rows[i, flip] = not rows[i, flip]
         counts = draw(st.lists(st.integers(1, 6), min_size=m, max_size=m))
         hits = [draw(st.integers(0, cnt)) for cnt in counts]
         blocks.append((rows, np.array(counts, dtype=np.float64), np.array(hits, dtype=np.float64)))
     return blocks
 
 
+def _boundary_blocks(n):
+    """Two blocks at width n of rows that differ from one base row in column
+    0, the last column, or columns 7, 8 or 63 (the edges of the first byte and
+    word), each row drawn three times."""
+    rng = np.random.default_rng(n)
+    base = rng.random(n) < 0.5
+    rows = [base.copy() for _ in range(6)]
+    for row, col in zip(rows[1:], (0, n - 1, min(7, n - 1), min(8, n - 1), min(63, n - 1))):
+        row[col] = not row[col]
+    rows = np.array(rows * 3)
+    counts = np.arange(1.0, len(rows) + 1)
+    hits = np.minimum(counts, rng.integers(0, 7, len(rows)).astype(np.float64))
+    half = len(rows) // 2
+    return [(rows[:half], counts[:half], hits[:half]), (rows[half:], counts[half:], hits[half:])]
+
+
+_TALLY_EXAMPLES = [_boundary_blocks(n) for n in (8, 9, 64, 65)]
+
+
 class TestVectorisedTally:
     @settings(max_examples=300, deadline=None)
+    @example(blocks=_TALLY_EXAMPLES[0], c=0.4, min_rounds=2)
+    @example(blocks=_TALLY_EXAMPLES[1], c=0.4, min_rounds=2)
+    @example(blocks=_TALLY_EXAMPLES[2], c=0.4, min_rounds=2)
+    @example(blocks=_TALLY_EXAMPLES[3], c=0.4, min_rounds=2)
     @given(
         _tally_inputs(),
         st.sampled_from([0.25, 0.4, 0.5, 0.7]),
@@ -283,6 +326,35 @@ class TestVectorisedTally:
         got = _best_candidate(blocks, c, min_rounds)
         assert got == _dict_tally_reference(blocks, c, min_rounds)
         assert all(type(i) is int for i in got[2])
+
+    @settings(max_examples=300, deadline=None)
+    @example(blocks=_TALLY_EXAMPLES[0])
+    @example(blocks=_TALLY_EXAMPLES[1])
+    @example(blocks=_TALLY_EXAMPLES[2])
+    @example(blocks=_TALLY_EXAMPLES[3])
+    @given(_tally_inputs())
+    def test_packed_tally_matches_unique_rows(self, blocks):
+        rows, counts, hits = (np.concatenate(part) for part in zip(*blocks))
+        got = _tally(rows, counts, hits)
+        want = _unique_tally_reference(rows, counts, hits)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert np.array_equal(g, w)
+
+    def test_two_word_keys_find_the_planted_block(self):
+        # n = 70 packs each index set into two 64-bit words; the planted
+        # block straddles the word boundary.  With c = p only sets holding two
+        # block members beat c^|S|, and lam = 2/n makes pairs the likeliest
+        # index sets, so each block pair is drawn about 23 times.
+        block = tuple(range(60, 68))
+        model = cb.PlantedCliqueModel(70, 0.3, indices=block)
+        wp = cb.WitnessParams(n=70, c=0.3, t=0.3, alpha=0.5, lam=2 / 70,
+                              m_search=200_000, m_confirm=5_000, margin_threshold=0.01)
+        runs = [cb.find_dependent_set(model, wp, seed=0, workers=w, min_rounds_per_subset=20)
+                for w in (1, 2)]
+        assert runs[0] == runs[1]
+        assert runs[0].verdict == "found"
+        assert len(runs[0].subset) >= 2 and set(runs[0].subset) <= set(block)
 
     def test_pinned_reports(self):
         # Exact reports frozen from the dict-tally implementation; block_size
