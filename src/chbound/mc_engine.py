@@ -8,14 +8,18 @@ the tail threshold.  Averaging that product links the certified moments to
 the tail probability through a four-step inequality chain; ``verify_chain``
 evaluates every step exactly on an enumerable model.
 
-Reproducibility contract: every sampler (``draw_round``, ``estimate_product``
-and both witness phases) draws rounds through the one round kernel
-``_rounds`` and schedules them through the one block scheduler
-``_run_blocks``.  Estimators are seeded by an integer, rounds are partitioned
-into fixed-size blocks, and block b uses the generator derived from
-``SeedSequence(entropy=seed, spawn_key=(tag, b))``.  Workers only decide who
-computes a block, never what the block contains, and per-block results are
-consumed in block order, so results are byte-identical for any worker count.
+Given X the round product is Bernoulli(prod_i (lam Xtilde_i + 1 - lam)), so
+``estimate_product`` integrates Y and I out: it draws only X and averages
+that row weight, which the exact routines sum over the support.
+
+Reproducibility contract: every sampler schedules its blocks through the one
+block scheduler ``_run_blocks``, and ``draw_round`` and both witness phases
+draw rounds through the one round kernel ``_rounds``.  Samplers are seeded
+by an integer, rounds are partitioned into fixed-size blocks, and block b
+uses the generator derived from ``SeedSequence(entropy=seed, spawn_key=(tag,
+b))``.  Workers only decide who computes a block, never what the block
+contains, and per-block results are consumed in block order, so results are
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -37,6 +41,9 @@ from .errors import RejectionBudgetError, ValidationError
 
 DEFAULT_BLOCK_SIZE = 8192
 DEFAULT_MAX_PROPOSALS = 10_000_000
+# estimate_product samples ESTIMATE_CHUNK // n rows at a time, so each float64
+# temporary holds 512 KiB and stays in L2, where a whole block took megabytes.
+ESTIMATE_CHUNK = 2**16
 
 # Stream tags keep the block generators of different estimators disjoint
 # even when they share a seed.
@@ -196,11 +203,9 @@ def draw_round(
     )
 
 
-def _bernoulli_se(hits: int, count: int) -> float:
-    if count < 2:
-        return 0.0
-    var = (hits - hits * hits / count) / (count - 1)
-    return math.sqrt(max(0.0, var) / count)
+def _row_weights(xt: np.ndarray, lam: float) -> np.ndarray:
+    """E[prod_{i in I} Y_i | x] = prod_i (lam xt_i + 1 - lam) for each row of xt."""
+    return np.prod(lam * xt + 1.0 - lam, axis=1)
 
 
 def estimate_product(
@@ -217,11 +222,14 @@ def estimate_product(
 ) -> Estimate:
     """Estimate E[prod_{i in I} Y_i], optionally conditioned on the tail event.
 
-    Unconditional mode runs exactly ``n_samples`` rounds.  Conditional mode
-    keeps drawing whole blocks of proposal rounds and retains the rounds
-    whose sum cleared the threshold, until ``n_samples`` acceptances exist;
-    if ``max_proposals`` rounds (rounded up to whole blocks) are exhausted
-    first it raises ``RejectionBudgetError``.  Results depend only on
+    The estimate is the mean of the weights prod_i (lam xtilde_i + 1 - lam)
+    of sampled vectors x, with their sample standard error.  Unconditional
+    mode draws exactly ``n_samples`` vectors.  Conditional mode keeps drawing
+    whole blocks of proposals and keeps the vectors whose sum cleared the
+    threshold, until ``n_samples`` acceptances exist; if ``max_proposals``
+    vectors (rounded up to whole blocks) are exhausted first it raises
+    ``RejectionBudgetError``.  Per-block (count, mean, centred sum of
+    squares) merge in block order, so results depend only on
     (seed, block_size, n_samples), never on ``workers``.
     """
     lam = _check_round_args(model, params, lam)
@@ -232,28 +240,39 @@ def estimate_product(
         check_positive_int("max_proposals", max_proposals)
         total = max(1, math.ceil(max_proposals / block_size)) * block_size
     cutoff = tail_cutoff(params.threshold)
+    rows = max(1, ESTIMATE_CHUNK // model.n)
 
     def block(rng: np.random.Generator, m: int) -> np.ndarray:
-        r = _rounds(model, params, rng, m, lam)
-        return r.product[r.x.sum(axis=1) >= cutoff] if conditional else r.product
+        kept = []
+        for start in range(0, m, rows):
+            x = model.sample_many(rng, min(rows, m - start))
+            w = _row_weights(to_unit_cube(x, params), lam)
+            kept.append(w[x.sum(axis=1) >= cutoff] if conditional else w)
+        return np.concatenate(kept)
 
-    hits = accepted = 0
-    for product in _run_blocks(seed, PRODUCT_STREAM_TAG, total, block_size, workers, block):
-        kept = product[: n_samples - accepted]
-        hits += int(kept.sum())
-        accepted += len(kept)
-        if accepted == n_samples:
+    count, mean, m2 = 0, 0.0, 0.0
+    for weights in _run_blocks(seed, PRODUCT_STREAM_TAG, total, block_size, workers, block):
+        kept = weights[: n_samples - count]
+        if len(kept):
+            k, k_mean = len(kept), float(kept.mean())
+            k_m2 = float(np.sum(np.square(kept - k_mean)))
+            merged = count + k
+            delta = k_mean - mean
+            mean = (count * mean + k * k_mean) / merged
+            m2 += k_m2 + delta * delta * (count * k / merged)
+            count = merged
+        if count == n_samples:
             break
     else:
         raise RejectionBudgetError(
-            f"conditional estimate got {accepted} acceptances from "
+            f"conditional estimate got {count} acceptances from "
             f"{total} proposals; needed {n_samples}. "
             f"The tail event is too rare for this budget; raise max_proposals "
             f"or lower n_samples."
         )
     return Estimate(
-        mean=hits / n_samples,
-        std_error=_bernoulli_se(hits, n_samples),
+        mean=mean,
+        std_error=math.sqrt(m2 / (count - 1) / count) if count > 1 else 0.0,
         n_samples=n_samples,
         conditional_on_tail=bool(conditional),
     )
@@ -274,7 +293,7 @@ def exact_product_expectation(
     total = 0.0
     for values, probs in model.support_chunks():
         xt = to_unit_cube(values, params, probs)
-        total += float(np.sum(probs * np.prod(lam * xt + 1.0 - lam, axis=1)))
+        total += float(np.sum(probs * _row_weights(xt, lam)))
     return total
 
 
@@ -370,7 +389,7 @@ def verify_chain(
     tail_probability = 0.0
     for values, probs in model.support_chunks():
         xt = to_unit_cube(values, params, probs)
-        row = np.prod(lam * xt + 1.0 - lam, axis=1)
+        row = _row_weights(xt, lam)
         tails = values.sum(axis=1) >= cutoff
         expected_product += float(np.sum(probs * row))
         expected_on_tail += float(np.sum(probs * (row * tails)))

@@ -32,7 +32,6 @@ from .mc_engine import (
     DEFAULT_BLOCK_SIZE,
     WITNESS_CONFIRM_TAG,
     WITNESS_SEARCH_TAG,
-    _bernoulli_se,
     _rounds,
     _run_blocks,
 )
@@ -246,6 +245,13 @@ def _best_candidate(
     # Among equal sizes, the earliest index tuple is the largest boolean row.
     best = tied[np.lexsort(rows[tied].T[::-1])[-1]]
     return len(eligible), float(top), tuple(int(i) for i in np.flatnonzero(rows[best]))
+
+
+def _bernoulli_se(hits: int, count: int) -> float:
+    if count < 2:
+        return 0.0
+    var = (hits - hits * hits / count) / (count - 1)
+    return math.sqrt(max(0.0, var) / count)
 
 
 def find_dependent_set(

@@ -262,6 +262,31 @@ class TestSimulate:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_report_independent_of_blas_threads_and_workers(self, tmp_path):
+        # The same 16384-atom table as the verify guard: the estimate and the
+        # exact field must not depend on BLAS threading or on --workers.
+        rng = np.random.default_rng(7)
+        values, weights = rng.random((16384, 4)), rng.random(16384)
+        support = [{"x": x, "p": p} for x, p in zip(values.tolist(), weights / weights.sum())]
+        spec = tmp_path / "table.json"
+        spec.write_text(json.dumps({"kind": "explicit_table", "params": {"support": support}}))
+        src = str(Path(chbound.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            for workers in ("1", "2"):
+                env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+                env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+                proc = subprocess.run(
+                    [sys.executable, "-m", "chbound.cli", "simulate", "--spec", str(spec),
+                     "--c", "0.3", "--t", "0.2", "--samples", "100000", "--seed", "5",
+                     "--workers", workers],
+                    env=env, capture_output=True, timeout=300, check=False,
+                )
+                assert proc.returncode == 0, proc.stderr
+                outputs.append(proc.stdout)
+        assert json.loads(outputs[0])["result"]["exact"] is not None
+        assert outputs.count(outputs[0]) == 4
+
 
 class TestDetect:
     def test_shared_bit_model_found(self, specs, capsys):

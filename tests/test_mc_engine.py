@@ -6,9 +6,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chbound as cb
 from chbound import mc_engine
+from chbound.dist_models import tail_cutoff, to_unit_cube
 from chbound.entropy_core import TOL, normalize
 from chbound.mc_engine import ChainLink
 from conftest import make_violating_pair, make_zoo
@@ -171,6 +174,109 @@ class TestConditionalEstimate:
             )
 
 
+def _exact_conditional_product(model, params, lam):
+    """E[prod (lam xtilde + 1 - lam) | sum X >= threshold] by enumeration."""
+    on_tail = mass = 0.0
+    for values, probs in model.support_chunks():
+        tail = values.sum(axis=1) >= tail_cutoff(params.threshold)
+        weights = np.prod(lam * to_unit_cube(values, params, probs) + 1.0 - lam, axis=1)
+        on_tail += math.fsum(probs[tail] * weights[tail])
+        mass += math.fsum(probs[tail])
+    return on_tail / mass
+
+
+@st.composite
+def _small_models(draw):
+    """An explicit table or an independent model on [a, a + b]^n, with every
+    atom at probability >= 1/40, and params whose tail is one atom's sum."""
+    n = draw(st.integers(1, 4))
+    a = draw(st.sampled_from([0.0, -0.25]))
+    b = draw(st.sampled_from([1.0, 2.0]))
+    value = st.integers(0, 4).map(lambda k: a + b * k / 4)
+    weight = st.integers(1, 10)
+    if draw(st.booleans()):
+        rows = draw(st.lists(st.lists(value, min_size=n, max_size=n),
+                             min_size=1, max_size=4, unique_by=tuple))
+        w = draw(st.lists(weight, min_size=len(rows), max_size=len(rows)))
+        model = cb.ExplicitTableModel([(r, wi / sum(w)) for r, wi in zip(rows, w)])
+    else:
+        marginals = []
+        for _ in range(n):
+            vals = draw(st.lists(value, min_size=1, max_size=3, unique=True))
+            w = draw(st.lists(weight, min_size=len(vals), max_size=len(vals)))
+            marginals.append([(v, wi / sum(w)) for v, wi in zip(vals, w)])
+        model = cb.IndependentModel(marginals)
+    sums = np.concatenate([values.sum(axis=1) for values, _ in model.support_chunks()])
+    level = float(draw(st.sampled_from(sorted(set(sums.tolist())))))
+    params = cb.BoundParams(n=n, a=(a,) * n, b=b, c=(level / n,) * n, t=0.0)
+    return model, params
+
+
+def _block_weights(model, params, lam, seed, block_size, total):
+    """Per-block row weights rebuilt from block_rng and chunked sample_many."""
+    rows = max(1, mc_engine.ESTIMATE_CHUNK // model.n)
+    blocks = []
+    for b in range(-(-total // block_size)):
+        rng = mc_engine.block_rng(seed, mc_engine.PRODUCT_STREAM_TAG, b)
+        m = min(block_size, total - b * block_size)
+        chunks = [model.sample_many(rng, min(rows, m - s)) for s in range(0, m, rows)]
+        blocks.append(np.concatenate(
+            [np.prod(lam * to_unit_cube(x, params) + 1.0 - lam, axis=1) for x in chunks]
+        ))
+    return blocks
+
+
+class TestRaoBlackwellEstimate:
+    """estimate_product averages the row weight prod (lam xtilde + 1 - lam)."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_small_models(), st.floats(0.0, 1.0), st.booleans(), st.integers(0, 2**20))
+    def test_agrees_with_enumeration(self, case, lam, conditional, seed):
+        model, params = case
+        est = cb.estimate_product(
+            model, params, lam, 4000, conditional=conditional, seed=seed, block_size=1500
+        )
+        if conditional:
+            exact = _exact_conditional_product(model, params, lam)
+        else:
+            exact = cb.exact_product_expectation(model, lam, params)
+        assert abs(est.mean - exact) <= 5 * est.std_error + 1e-12, (est, exact)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rebuilt_by_hand_from_block_streams(self, workers):
+        # 21 rows per chunk, so blocks of 50 end in a partial chunk, and the
+        # last block holds only 30 rows.
+        model = cb.PlantedCliqueModel(3000, 0.5, k=40)
+        params = cb.BoundParams.boolean(3000, 0.5, 0.1)
+        assert mc_engine.ESTIMATE_CHUNK // model.n == 21
+        lam = 1e-3
+        count, mean, m2 = 0, 0.0, 0.0
+        for w in _block_weights(model, params, lam, 4, 50, 130):
+            k, k_mean = len(w), float(w.mean())
+            delta = k_mean - mean
+            mean = (count * mean + k * k_mean) / (count + k)
+            m2 += float(np.sum(np.square(w - k_mean))) + delta * delta * (count * k / (count + k))
+            count += k
+        est = cb.estimate_product(model, params, lam, 130, seed=4, block_size=50, workers=workers)
+        assert est == cb.Estimate(mean, math.sqrt(m2 / (count - 1) / count), 130, False)
+
+    def test_std_error_survives_nearly_equal_weights(self):
+        # At lam = 1e-6 every weight lies within 2e-5 of 1, so
+        # sum w^2 - (sum w)^2 / N cancels almost every digit.
+        model = cb.BooleanIIDModel(20, 0.5)
+        params = cb.BoundParams.boolean(20, 0.5, 0.1)
+        lam, total = 1e-6, 20_000
+        w = np.concatenate(_block_weights(model, params, lam, 8, 8192, total)).tolist()
+        ref_mean = math.fsum(w) / total
+        ref_se = math.sqrt(math.fsum((v - ref_mean) ** 2 for v in w) / (total - 1) / total)
+        est = cb.estimate_product(model, params, lam, total, seed=8)
+        assert est.mean == pytest.approx(ref_mean, rel=1e-15, abs=0.0)
+        assert est.std_error == pytest.approx(ref_se, rel=1e-11, abs=0.0)
+        arr = np.array(w)
+        naive = np.sum(arr * arr) - np.sum(arr) ** 2 / total
+        assert abs(math.sqrt(naive / (total - 1) / total) / ref_se - 1.0) > 1e-6
+
+
 class TestExactProductExpectation:
     def test_identity_scale_default(self):
         model = cb.BooleanIIDModel(3, 0.25)
@@ -308,7 +414,7 @@ class TestStreamPinning:
         est = cb.estimate_product(
             model, params, 0.3, 10_000, seed=9, block_size=3000, workers=workers
         )
-        assert est == cb.Estimate(0.3571, 0.0047916860316075125, 10_000, False)
+        assert est == cb.Estimate(0.371779102, 0.0015616930193287097, 10_000, False)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_conditional_estimate(self, workers):
@@ -318,7 +424,7 @@ class TestStreamPinning:
             model, params, 0.5, 5_000, conditional=True, seed=5, block_size=700,
             workers=workers,
         )
-        assert est == cb.Estimate(0.5954, 0.006941858964367991, 5_000, True)
+        assert est == cb.Estimate(0.6051, 0.0028813987040495355, 5_000, True)
 
     def test_conditional_estimate_builds_one_pool(self, monkeypatch):
         # About 23 blocks of 700 proposals are needed, so two workers take
@@ -338,7 +444,7 @@ class TestStreamPinning:
             model, params, 0.5, 5_000, conditional=True, seed=5, block_size=700, workers=2
         )
         assert built == [2]
-        assert est.mean == 0.5954
+        assert est.mean == 0.6051
 
 
 class TestEstimateType:
