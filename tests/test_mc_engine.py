@@ -187,8 +187,9 @@ def _exact_conditional_product(model, params, lam):
 
 @st.composite
 def _small_models(draw):
-    """An explicit table or an independent model on [a, a + b]^n, with every
-    atom at probability >= 1/40, and params whose tail is one atom's sum."""
+    """An explicit table or an independent model on [a, a + b]^n, every table
+    atom or marginal value at probability >= 1/31, and params whose tail
+    threshold is an atom sum with tail mass >= 1/20."""
     n = draw(st.integers(1, 4))
     a = draw(st.sampled_from([0.0, -0.25]))
     b = draw(st.sampled_from([1.0, 2.0]))
@@ -206,8 +207,11 @@ def _small_models(draw):
             w = draw(st.lists(weight, min_size=len(vals), max_size=len(vals)))
             marginals.append([(v, wi / sum(w)) for v, wi in zip(vals, w)])
         model = cb.IndependentModel(marginals)
-    sums = np.concatenate([values.sum(axis=1) for values, _ in model.support_chunks()])
-    level = float(draw(st.sampled_from(sorted(set(sums.tolist())))))
+    sums, probs = map(np.concatenate, zip(*[
+        (values.sum(axis=1), p) for values, p in model.support_chunks()
+    ]))
+    levels = sorted(s for s in set(sums.tolist()) if probs[sums >= s].sum() >= 1 / 20)
+    level = float(draw(st.sampled_from(levels)))
     params = cb.BoundParams(n=n, a=(a,) * n, b=b, c=(level / n,) * n, t=0.0)
     return model, params
 
