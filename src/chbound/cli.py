@@ -28,7 +28,6 @@ from typing import Sequence
 import numpy as np
 
 from .dist_models import (
-    DEFAULT_ATOM_CAP,
     JointModel,
     check_support_range,
     exact_tail,
@@ -40,7 +39,6 @@ from .entropy_core import (
     chernoff_bound,
     check_positive_int,
     g_objective,
-    kl_div,
     normalize,
     optimize_lambda,
     proof_case,

@@ -6,6 +6,9 @@ Every model here is a finite-support joint law on R^n exposing two views:
 * exact enumeration (``support_chunks`` / ``sum_support``) used by
   ``exact_moment``, ``exact_tail`` and ``certify_moments``.
 
+Every model is a factor table (see ``_FactoredModel``); an explicit table is
+one factor, and only the mixture's shared atoms are enumerated outside it.
+
 Enumeration is only permitted while the support has at most ``atom_cap``
 atoms; larger models stay usable for sampling but exact operations raise
 ``SupportTooLargeError`` up front instead of grinding forever.  Atoms are
@@ -148,16 +151,7 @@ class JointModel:
         return self._sum_cache
 
     def _build_sum_support(self) -> tuple[np.ndarray, np.ndarray]:
-        size = self.support_size()
-        sums = np.empty(size, dtype=np.float64)
-        probs = np.empty(size, dtype=np.float64)
-        pos = 0
-        for values, p in self.support_chunks():
-            m = len(p)
-            sums[pos : pos + m] = values.sum(axis=1)
-            probs[pos : pos + m] = p
-            pos += m
-        return sums, probs
+        raise NotImplementedError
 
     def _check_columns(self, columns: Iterable[int]) -> tuple[int, ...]:
         cols = tuple(int(i) for i in columns)
@@ -171,9 +165,11 @@ class JointModel:
 class _FactoredModel(JointModel):
     """Shared machinery for laws that factor into independent discrete factors.
 
-    Variable i reads its value off factor ``vmap[i]``; several variables may
-    share a factor (that is how the planted construction couples a block).
-    Atom order is mixed-radix with factor 0 most significant.
+    Factor j is a table of atom rows, ``factor_values[j]`` of shape (m_j, w_j)
+    (1-D for one column), with row probabilities ``factor_probs[j]``.  The
+    factors' columns sit side by side and variable i reads column ``vmap[i]``;
+    several variables may read one column (the planted block does).  Atom
+    order is mixed-radix over factor rows, factor 0 most significant.
     """
 
     def __init__(
@@ -185,16 +181,26 @@ class _FactoredModel(JointModel):
         atom_cap: int = DEFAULT_ATOM_CAP,
     ):
         super().__init__(n, atom_cap)
-        self._fvals = [np.asarray(v, dtype=np.float64) for v in factor_values]
+        self._fvals = [np.asarray(v, dtype=np.float64).reshape(len(v), -1) for v in factor_values]
         self._fprobs = [np.asarray(p, dtype=np.float64) for p in factor_probs]
         self._vmap = np.asarray(vmap, dtype=np.int64)
         if len(self._vmap) != n:
-            raise ValidationError("vmap must assign a factor to each variable")
+            raise ValidationError("vmap must assign a column to each variable")
         self._sizes = [len(v) for v in self._fvals]
         self._total = math.prod(self._sizes)
+        # (factor, column within it) of the global column each variable reads
+        starts = np.cumsum([0] + [fv.shape[1] for fv in self._fvals])
+        owner = np.searchsorted(starts, self._vmap, side="right") - 1
+        self._reads = list(zip(owner.tolist(), (self._vmap - starts[owner]).tolist()))
 
     def support_size(self) -> int:
         return self._total
+
+    def _rows(self, atoms: Sequence[np.ndarray]) -> np.ndarray:
+        """(rows, n) values of per-factor atom indices: each factor's rows,
+        gathered column by column in variable order into one C-ordered array."""
+        blocks = [fv[a] for fv, a in zip(self._fvals, atoms)]
+        return np.stack([blocks[j][:, c] for j, c in self._reads], axis=1)
 
     def support_chunks(
         self, chunk_size: int = DEFAULT_CHUNK
@@ -206,32 +212,22 @@ class _FactoredModel(JointModel):
             probs = np.ones(len(idx), dtype=np.float64)
             for j, fp in enumerate(self._fprobs):
                 probs *= fp[digits[j]]
-            values = np.empty((len(idx), self._n), dtype=np.float64)
-            for i, j in enumerate(self._vmap):
-                values[:, i] = self._fvals[j][digits[j]]
-            yield values, probs
+            yield self._rows(digits), probs
 
     def _build_sum_support(self) -> tuple[np.ndarray, np.ndarray]:
-        # Expand factor by factor; vars sharing a factor contribute a multiple
-        # of its value.  This is O(total) rather than O(total * n).
-        mult = np.bincount(self._vmap, minlength=len(self._fvals))
+        # Expand factor by factor; each adds the row sum of the columns its
+        # variables read.  This is O(total) rather than O(total * n).
         sums = np.zeros(1, dtype=np.float64)
         probs = np.ones(1, dtype=np.float64)
         for j, (fv, fp) in enumerate(zip(self._fvals, self._fprobs)):
-            sums = (sums[:, None] + mult[j] * fv[None, :]).ravel()
+            reads = [c for owner, c in self._reads if owner == j]
+            sums = (sums[:, None] + fv.take(reads, axis=1).sum(axis=1)[None, :]).ravel()
             probs = (probs[:, None] * fp[None, :]).ravel()
         return sums, probs
 
     def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        draws = [
-            rng.choice(len(fv), size=size, p=fp)
-            for fv, fp in zip(self._fvals, self._fprobs)
-        ]
-        out = np.empty((size, self._n), dtype=np.float64)
-        for i in range(self._n):
-            j = int(self._vmap[i])
-            out[:, i] = self._fvals[j][draws[j]]
-        return out
+        return self._rows([rng.choice(len(fv), size=size, p=fp)
+                           for fv, fp in zip(self._fvals, self._fprobs)])
 
 
 class IndependentModel(_FactoredModel):
@@ -310,16 +306,13 @@ class PlantedCliqueModel(_FactoredModel):
         self.p = float(p)
         self.indices = tuple(sorted(indices))
         self.k = len(self.indices)
-        self._free = free
 
     def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        shared = (rng.random(size) < self.p).astype(np.float64)
-        free = (rng.random((size, len(self._free))) < self.p).astype(np.float64)
-        out = np.empty((size, self._n), dtype=np.float64)
-        out[:, list(self.indices)] = shared[:, None]
-        if self._free:
-            out[:, list(self._free)] = free
-        return out
+        # Stream order: every row's block coin, then the free coins row by row.
+        coins = np.empty((size, len(self._fvals)), dtype=bool)
+        np.less(rng.random(size), self.p, out=coins[:, 0])
+        np.less(rng.random((size, len(self._fvals) - 1)), self.p, out=coins[:, 1:])
+        return coins.take(self._vmap, axis=1).astype(np.float64)
 
 
 class ExchangeableMixtureModel(_FactoredModel):
@@ -371,8 +364,9 @@ class ExchangeableMixtureModel(_FactoredModel):
         return out.astype(np.float64)
 
 
-class ExplicitTableModel(JointModel):
-    """Joint law given directly as a table of (vector, probability) atoms."""
+class ExplicitTableModel(_FactoredModel):
+    """Joint law given directly as a table of (vector, probability) atoms:
+    one factor whose rows are the atoms, read column i by variable i."""
 
     kind = "explicit_table"
 
@@ -393,26 +387,14 @@ class ExplicitTableModel(JointModel):
         widths = {len(r) for r in rows}
         if len(widths) != 1:
             raise ValidationError(f"atom vectors have inconsistent lengths {sorted(widths)}")
-        super().__init__(widths.pop(), atom_cap)
-        self._X = np.array(rows, dtype=np.float64)
-        self._p = np.array(probs, dtype=np.float64)
-        check_table(self._X, self._p, "explicit_table")
-        if len(self._p) > atom_cap:
+        n = widths.pop()
+        table = np.array(rows, dtype=np.float64)
+        super().__init__(n, [table], [probs], vmap=range(n), atom_cap=atom_cap)
+        check_table(table, self._fprobs[0], "explicit_table")
+        if len(probs) > atom_cap:
             raise ValidationError(
-                f"explicit_table has {len(self._p)} atoms, exceeding atom_cap={atom_cap}"
+                f"explicit_table has {len(probs)} atoms, exceeding atom_cap={atom_cap}"
             )
-
-    def support_size(self) -> int:
-        return len(self._p)
-
-    def support_chunks(self, chunk_size=DEFAULT_CHUNK):
-        for start in range(0, len(self._p), chunk_size):
-            stop = min(start + chunk_size, len(self._p))
-            yield self._X[start:stop].copy(), self._p[start:stop]
-
-    def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        idx = rng.choice(len(self._p), size=size, p=self._p)
-        return self._X[idx]
 
 
 @dataclass(frozen=True)

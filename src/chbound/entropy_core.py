@@ -350,14 +350,15 @@ def chernoff_bound(params: BoundParams) -> float:
     Rounding is outward, so the value is never below the exact bound of the
     normalized floats: the interior exponent shrinks by ``KL_REL_ERR`` of
     itself, and interior and boundary results step one ulp up (at most to 1).
+    ctilde^n is used only once ctilde + ttilde reaches 1 in floating point:
+    just below, in ``proof_case``'s boundary band, it would undercut the bound.
     """
     norm = normalize(params)
-    case = proof_case(norm)
-    if case == "degenerate":
+    if proof_case(norm) == "degenerate":
         return 1.0 if norm.ttilde <= slack() else 0.0
-    if case == "boundary":
+    if norm.ctilde + norm.ttilde >= 1.0:
         value = norm.ctilde**params.n
     else:
-        exponent = params.n * kl_div(min(norm.ctilde + norm.ttilde, 1.0), norm.ctilde)
+        exponent = params.n * kl_div(norm.ctilde + norm.ttilde, norm.ctilde)
         value = math.exp(-exponent * (1.0 - KL_REL_ERR))
     return math.nextafter(value, 1.0)

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist_models import JointModel
-from .entropy_core import LAMBDA_CAP, BoundParams, check_positive_int, kl_div, slack
+from .entropy_core import (LAMBDA_CAP, BoundParams, NormalizedParams, check_positive_int,
+                           chernoff_bound, optimize_lambda, proof_case, slack)
 from .errors import BudgetOverflowError, ValidationError
 from .mc_engine import (
     DEFAULT_BLOCK_SIZE,
@@ -107,8 +108,8 @@ class WitnessParams:
 
     @property
     def tail_bound(self) -> float:
-        """exp(-n D(c+t || c)), the certified ceiling for the tail."""
-        return math.exp(-self.n * kl_div(min(self.c + self.t, 1.0), self.c))
+        """exp(-n D(c+t || c)), the certified ceiling for the tail, from ``chernoff_bound``."""
+        return chernoff_bound(BoundParams.boolean(self.n, self.c, self.t))
 
 
 def default_budgets(
@@ -121,7 +122,8 @@ def default_budgets(
 ) -> WitnessParams:
     """Resolve (n, c, t, alpha) into a full WitnessParams.
 
-    lam is the optimizing tilt t / ((1-c)(c+t)) capped just below 1; the
+    lam is ``optimize_lambda``'s tilt t / ((1-c)(c+t)) capped at LAMBDA_CAP,
+    and LAMBDA_CAP itself unless ``proof_case`` says interior; the
     margin is alpha^(4/(c t)) / 8; the round budgets follow the closed forms
     64 alpha^(-4/(c t)) n ln(n+1) and 64 margin^-2 ln(100), each truncated
     at its cap.  Raises ``BudgetOverflowError`` when the margin underflows
@@ -153,7 +155,9 @@ def default_budgets(
     except OverflowError:
         inv_margin_sq = math.inf
     m_confirm = capped(64.0 * inv_margin_sq * math.log(100.0), m_confirm_cap)
-    lam = min(t / ((1.0 - c) * (c + t)), LAMBDA_CAP)
+    norm = NormalizedParams.symmetric(c, t)
+    interior = proof_case(norm) == "interior"
+    lam = min(optimize_lambda(norm).lam, LAMBDA_CAP) if interior else LAMBDA_CAP
     return WitnessParams(
         n=n,
         c=c,

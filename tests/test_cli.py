@@ -338,6 +338,31 @@ class TestDetect:
         )
         assert code == 2 and "alpha" in err
 
+    def test_report_independent_of_blas_threads_and_workers(self, tmp_path):
+        # The same 16384-atom table as the verify guard: the search and the
+        # confirm phase must not depend on BLAS threading or on --workers.
+        rng = np.random.default_rng(7)
+        values, weights = rng.random((16384, 4)), rng.random(16384)
+        support = [{"x": x, "p": p} for x, p in zip(values.tolist(), weights / weights.sum())]
+        spec = tmp_path / "table.json"
+        spec.write_text(json.dumps({"kind": "explicit_table", "params": {"support": support}}))
+        src = str(Path(chbound.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            for workers in ("1", "2"):
+                env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+                env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+                proc = subprocess.run(
+                    [sys.executable, "-m", "chbound.cli", "detect", "--spec", str(spec),
+                     "--c", "0.4", "--t", "0.3", "--alpha", "0.16", "--seed", "5",
+                     "--workers", workers],
+                    env=env, capture_output=True, timeout=300, check=False,
+                )
+                assert proc.returncode in (0, 3), proc.stderr
+                outputs.append(proc.stdout)
+        assert json.loads(outputs[0])["result"]["candidates"] > 0
+        assert outputs.count(outputs[0]) == 4
+
 
 class TestSweep:
     def test_t_sweep_is_monotone_and_dominates_exact_tail(self, specs, capsys):

@@ -262,6 +262,91 @@ class TestCertify:
         self._assert_matches_per_subset_reference(model, caps)
 
 
+def _table_chunks_reference(rows, probs, chunk_size):
+    """Enumeration of a table as row slices in order (the table's own path before
+    it became a one-factor table)."""
+    for start in range(0, len(probs), chunk_size):
+        yield rows[start : start + chunk_size].copy(), probs[start : start + chunk_size]
+
+
+def _planted_sample_reference(model, rng, size):
+    """Planted sampling by column scatter: the block coin for every row, then
+    the free coins row by row."""
+    free = [i for i in range(model.n) if i not in model.indices]
+    shared = (rng.random(size) < model.p).astype(np.float64)
+    coins = (rng.random((size, len(free))) < model.p).astype(np.float64)
+    out = np.empty((size, model.n), dtype=np.float64)
+    out[:, list(model.indices)] = shared[:, None]
+    out[:, free] = coins
+    return out
+
+
+class TestFactorTables:
+    @given(
+        st.integers(min_value=1, max_value=6).flatmap(
+            lambda n: st.lists(
+                st.tuples(
+                    st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=n, max_size=n),
+                    st.integers(min_value=0, max_value=5),
+                ),
+                min_size=1,
+                max_size=40,
+            )
+        ),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_explicit_table_is_one_factor(self, atoms, seed):
+        weights = np.array([w for _, w in atoms], dtype=np.float64)
+        if not weights.any():
+            weights[0] = 1.0
+        probs = weights / weights.sum()
+        rows = np.array([x for x, _ in atoms], dtype=np.float64)
+        model = cb.ExplicitTableModel(list(zip(rows.tolist(), probs.tolist())))
+        for chunk_size in (1, 7, 1 << 16):
+            got = list(model.support_chunks(chunk_size))
+            want = list(_table_chunks_reference(rows, probs, chunk_size))
+            assert len(got) == len(want)
+            for (values, p), (ref_values, ref_p) in zip(got, want):
+                assert values.tobytes() == ref_values.tobytes()
+                assert p.tobytes() == ref_p.tobytes()
+        sums, sum_probs = model.sum_support()
+        assert sums.tobytes() == rows.sum(axis=1).tobytes()
+        assert sum_probs.tobytes() == probs.tobytes()
+        draws = np.random.default_rng(seed).choice(len(probs), size=33, p=probs)
+        sampled = model.sample_many(np.random.default_rng(seed), 33)
+        assert sampled.tobytes() == rows[draws].tobytes()
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            cb.PlantedCliqueModel(12, 0.5, k=4),
+            cb.PlantedCliqueModel(10, 0.4, indices=[1, 4, 8]),
+            cb.PlantedCliqueModel(6, 0.7, k=6),
+            cb.PlantedCliqueModel(1, 0.3, k=1),
+        ],
+        ids=["k4", "scattered", "all", "n1"],
+    )
+    @pytest.mark.parametrize("size", [1, 5, 1310])
+    def test_planted_sampling_keeps_its_stream(self, model, size):
+        got = model.sample_many(np.random.default_rng(size), size)
+        want = _planted_sample_reference(model, np.random.default_rng(size), size)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "model",
+        [model for _, model, _ in ZOO] + [cb.PlantedCliqueModel(10, 0.4, indices=[1, 4, 8])],
+        ids=ZOO_IDS + ["planted_scattered"],
+    )
+    def test_values_are_c_ordered_float64(self, model):
+        # Row sums over axis 1 depend on the memory order, so every view of the
+        # atoms must come out C-contiguous.
+        arrays = [values for values, _ in model.support_chunks(chunk_size=7)]
+        arrays.append(model.sample_many(np.random.default_rng(0), 9))
+        for values in arrays:
+            assert values.dtype == np.float64 and values.flags["C_CONTIGUOUS"]
+
+
 class TestEnumerabilityCap:
     def test_large_support_fails_fast_but_samples(self):
         model = cb.BooleanIIDModel(25, 0.5)

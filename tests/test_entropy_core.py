@@ -310,6 +310,32 @@ class TestChernoffBound:
             assert bound >= reference
             assert bound <= reference * (1 + decimal.Decimal(1e-12) * max(1, exponent))
 
+    @settings(max_examples=300)
+    @example(case=(1, 0.5, 0.4999999999999))
+    @example(case=(199, 0.031547962762707216, 0.9684520372371959))
+    @given(
+        st.tuples(
+            st.integers(min_value=1, max_value=1000),
+            st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
+            st.floats(min_value=1e-16, max_value=1e-12),
+        ).map(lambda v: (v[0], v[1], (1.0 - v[1]) * (1.0 - v[2])))
+    )
+    def test_rounds_outward_near_boundary(self, case):
+        # t within slack() of 1 - c is proof_case's "boundary"; while c + t < 1
+        # in floating point the bound still is exp(-n D(c+t || c)), above c^n.
+        n, c, t = case
+        params = cb.BoundParams.boolean(n, c, t)
+        norm = cb.normalize(params)
+        q = norm.ctilde
+        exponent = n * _kl_decimal(min(q + norm.ttilde, 1.0), q)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            reference = (-exponent).exp()
+            assume(reference >= decimal.Decimal(sys.float_info.min))
+            bound = decimal.Decimal(cb.chernoff_bound(params))
+            assert bound >= reference
+            assert bound <= reference * (1 + decimal.Decimal(1e-12) * max(1, exponent))
+
     @given(
         st.floats(min_value=0.05, max_value=0.95),
         st.floats(min_value=0.0, max_value=0.999),
