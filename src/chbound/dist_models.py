@@ -2,7 +2,8 @@
 
 Every model here is a finite-support joint law on R^n exposing two views:
 
-* sampling (``sample`` / ``sample_many``) against a numpy ``Generator``, and
+* sampling (``sample`` / ``sample_many``) against a numpy ``Generator``, all
+  through one primitive per model, ``_draw``, and
 * exact enumeration (``support_chunks`` / ``sum_support``) used by
   ``exact_moment``, ``exact_tail`` and ``certify_moments``.
 
@@ -108,9 +109,20 @@ class JointModel:
     def support_size(self) -> int:
         raise NotImplementedError
 
-    def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw ``size`` joint vectors, shape (size, n), dtype float64."""
+    def _draw(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """Fill the C-ordered (n, size) float64 ``out`` with ``size`` joint
+        vectors, variable-major: column r of ``out`` is vector r.
+
+        The model's one sampling primitive.  It may use ``out``'s memory as
+        scratch for its uniforms, so ``out`` must own its whole extent.
+        """
         raise NotImplementedError
+
+    def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Draw ``size`` joint vectors, shape (size, n), C-ordered float64."""
+        out = np.empty((self._n, size), dtype=np.float64)
+        self._draw(rng, out)
+        return out.T.copy()
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return self.sample_many(rng, 1)[0]
@@ -196,11 +208,13 @@ class _FactoredModel(JointModel):
     def support_size(self) -> int:
         return self._total
 
-    def _rows(self, atoms: Sequence[np.ndarray]) -> np.ndarray:
-        """(rows, n) values of per-factor atom indices: each factor's rows,
-        gathered column by column in variable order into one C-ordered array."""
-        blocks = [fv[a] for fv, a in zip(self._fvals, atoms)]
-        return np.stack([blocks[j][:, c] for j, c in self._reads], axis=1)
+    def _gather(self, atoms: Sequence[np.ndarray], out: np.ndarray) -> np.ndarray:
+        """Fill the variable-major (n, rows) ``out`` from per-factor atom
+        indices: row i takes the column variable i reads from factor j's rows
+        ``atoms[j]``.  The one variable gather, for sampling and enumeration."""
+        for row, (j, c) in zip(out, self._reads):
+            self._fvals[j][:, c].take(atoms[j], out=row)
+        return out
 
     def support_chunks(
         self, chunk_size: int = DEFAULT_CHUNK
@@ -212,7 +226,7 @@ class _FactoredModel(JointModel):
             probs = np.ones(len(idx), dtype=np.float64)
             for j, fp in enumerate(self._fprobs):
                 probs *= fp[digits[j]]
-            yield self._rows(digits), probs
+            yield self._gather(digits, np.empty((self._n, len(idx)))).T.copy(), probs
 
     def _build_sum_support(self) -> tuple[np.ndarray, np.ndarray]:
         # Expand factor by factor; each adds the row sum of the columns its
@@ -225,9 +239,9 @@ class _FactoredModel(JointModel):
             probs = (probs[:, None] * fp[None, :]).ravel()
         return sums, probs
 
-    def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return self._rows([rng.choice(len(fv), size=size, p=fp)
-                           for fv, fp in zip(self._fvals, self._fprobs)])
+    def _draw(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        self._gather([rng.choice(len(fv), size=out.shape[1], p=fp)
+                      for fv, fp in zip(self._fvals, self._fprobs)], out)
 
 
 class IndependentModel(_FactoredModel):
@@ -261,8 +275,12 @@ class BooleanIIDModel(_FactoredModel):
         super().__init__(n, [values] * n, [probs] * n, vmap=range(n), atom_cap=atom_cap)
         self.p = float(p)
 
-    def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return (rng.random((size, self._n)) < self.p).astype(np.float64)
+    def _draw(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        # Stream order: the coins row by row, drawn into out's own memory.
+        # Comparing in that order and transposing the byte-sized coin table
+        # keeps every pass over the floats contiguous.
+        u = rng.random(out=out.reshape(out.shape[1], self._n))
+        np.copyto(out, np.less(u, self.p).T.copy())
 
 
 class PlantedCliqueModel(_FactoredModel):
@@ -307,12 +325,16 @@ class PlantedCliqueModel(_FactoredModel):
         self.indices = tuple(sorted(indices))
         self.k = len(self.indices)
 
-    def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        # Stream order: every row's block coin, then the free coins row by row.
-        coins = np.empty((size, len(self._fvals)), dtype=bool)
-        np.less(rng.random(size), self.p, out=coins[:, 0])
-        np.less(rng.random((size, len(self._fvals) - 1)), self.p, out=coins[:, 1:])
-        return coins.take(self._vmap, axis=1).astype(np.float64)
+    def _draw(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        # Stream order: every row's block coin, then the free coins row by
+        # row, drawn into a flat prefix of out's own memory.
+        size, factors = out.shape[1], len(self._fvals)
+        flat = out.reshape(-1)
+        coins = np.empty((factors, size), dtype=bool)
+        np.less(rng.random(out=flat[:size]), self.p, out=coins[0])
+        free = rng.random(out=flat[size:size * factors].reshape(size, factors - 1))
+        coins[1:] = np.less(free, self.p).T
+        np.copyto(out, coins.take(self._vmap, axis=0))
 
 
 class ExchangeableMixtureModel(_FactoredModel):
@@ -354,14 +376,13 @@ class ExchangeableMixtureModel(_FactoredModel):
         probs = np.concatenate([self.rho * self._probs, (1.0 - self.rho) * ind_probs])
         return sums, probs
 
-    def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def _draw(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        size = out.shape[1]
         mix = rng.random(size) < self.rho
         shared = rng.choice(len(self._values), size=size, p=self._probs)
         indep = rng.choice(len(self._values), size=(size, self._n), p=self._probs)
-        out = np.where(
-            mix[:, None], self._values[shared][:, None], self._values[indep]
-        )
-        return out.astype(np.float64)
+        self._values.take(indep.T, out=out)
+        np.copyto(out, self._values[shared], where=mix)
 
 
 class ExplicitTableModel(_FactoredModel):

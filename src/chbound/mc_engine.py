@@ -12,6 +12,19 @@ Given X the round product is Bernoulli(prod_i (lam Xtilde_i + 1 - lam)), so
 ``estimate_product`` integrates Y and I out: it draws only X and averages
 that row weight, which the exact routines sum over the support.
 
+Its chunk kernel works in one variable-major (n, rows) float64 workspace per
+block, reused for every chunk: the model's ``_draw`` fills it (drawing its
+uniforms into the same memory), ``to_unit_cube`` checks the (rows, n) view
+and maps it (the identity map allocates nothing), the weight
+(lam xtilde + 1) - lam is formed in place, and ``np.multiply.reduce`` over
+axis 0 folds each column.  That fold multiplies variables 0..n-1 left to
+right, as ``np.prod`` along a C-ordered row does, so the weights keep the
+bits of the row-major kernel (``_row_weights``) while vectorising across
+rows.  Sums are different: NumPy adds a contiguous row pairwise, which an
+axis-0 fold does not reproduce, so conditional mode copies each chunk back
+to C-ordered rows for the tail test, and then weighs only the kept rows.
+The range check still covers every drawn row.
+
 Reproducibility contract: every sampler schedules its blocks through the one
 block scheduler ``_run_blocks``, and ``draw_round`` and both witness phases
 draw rounds through the one round kernel ``_rounds``.  Samplers are seeded
@@ -240,15 +253,33 @@ def estimate_product(
         check_positive_int("max_proposals", max_proposals)
         total = max(1, math.ceil(max_proposals / block_size)) * block_size
     cutoff = tail_cutoff(params.threshold)
-    rows = max(1, ESTIMATE_CHUNK // model.n)
+    n = model.n
+    rows = max(1, ESTIMATE_CHUNK // n)
 
     def block(rng: np.random.Generator, m: int) -> np.ndarray:
-        kept = []
+        # One variable-major workspace per block; a partial chunk uses a flat
+        # prefix of it, so every chunk stays C-ordered.
+        work = np.empty(n * min(rows, m))
+        rowwise = np.empty_like(work) if conditional else None
+        weights = np.empty(m)
+        kept = 0
         for start in range(0, m, rows):
-            x = model.sample_many(rng, min(rows, m - start))
-            w = _row_weights(to_unit_cube(x, params), lam)
-            kept.append(w[x.sum(axis=1) >= cutoff] if conditional else w)
-        return np.concatenate(kept)
+            r = min(rows, m - start)
+            x = work[: n * r].reshape(n, r)
+            model._draw(rng, x)
+            xt = to_unit_cube(x.T, params).T
+            if conditional:
+                # Tail sums of C-ordered rows, bit for bit those of sample_many.
+                xr = rowwise[: n * r].reshape(r, n)
+                np.copyto(xr, x.T)
+                xt = xt[:, xr.sum(axis=1) >= cutoff]
+            np.multiply(xt, lam, out=xt)  # the operations of _row_weights
+            np.add(xt, 1.0, out=xt)
+            np.subtract(xt, lam, out=xt)
+            k = xt.shape[1]
+            np.multiply.reduce(xt, axis=0, out=weights[kept:kept + k])
+            kept += k
+        return weights[:kept]
 
     count, mean, m2 = 0, 0.0, 0.0
     for weights in _run_blocks(seed, PRODUCT_STREAM_TAG, total, block_size, workers, block):

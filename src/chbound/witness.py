@@ -99,12 +99,6 @@ class WitnessParams:
             raise ValidationError(
                 f"margin_threshold must be positive, got {self.margin_threshold}"
             )
-        if self.alpha < self.tail_bound - slack():
-            warnings.warn(
-                f"alpha={self.alpha} is below the certified tail bound "
-                f"{self.tail_bound}; a dependent subset is not guaranteed to exist",
-                stacklevel=3,
-            )
 
     @property
     def tail_bound(self) -> float:
@@ -127,8 +121,9 @@ def default_budgets(
     margin is alpha^(4/(c t)) / 8; the round budgets follow the closed forms
     64 alpha^(-4/(c t)) n ln(n+1) and 64 margin^-2 ln(100), each truncated
     at its cap.  Raises ``BudgetOverflowError`` when the margin underflows
-    to zero.  (Constructing the WitnessParams warns when alpha is below the
-    certified tail bound: detection is not guaranteed there.)
+    to zero.  Warns, once and naming the caller's line, when alpha is below
+    the certified tail bound: detection is not guaranteed there.  Overriding
+    fields with ``dataclasses.replace`` afterwards does not warn again.
     """
     c, t, alpha = float(c), float(t), float(alpha)
     _check_problem(n, c, t, alpha)
@@ -158,7 +153,7 @@ def default_budgets(
     norm = NormalizedParams.symmetric(c, t)
     interior = proof_case(norm) == "interior"
     lam = min(optimize_lambda(norm).lam, LAMBDA_CAP) if interior else LAMBDA_CAP
-    return WitnessParams(
+    wp = WitnessParams(
         n=n,
         c=c,
         t=t,
@@ -168,6 +163,14 @@ def default_budgets(
         m_confirm=max(1, m_confirm),
         margin_threshold=margin,
     )
+    bound = wp.tail_bound
+    if alpha < bound - slack():
+        warnings.warn(
+            f"alpha={alpha} is below the certified tail bound "
+            f"{bound}; a dependent subset is not guaranteed to exist",
+            stacklevel=2,
+        )
+    return wp
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
-"""Shared fixtures: the model zoo used across the exact and Monte Carlo tests."""
+"""Shared fixtures: the model zoo used across the exact and Monte Carlo tests,
+and the row-major reference sampler the sampling and estimator tests pin against."""
 
 import math
 
+import numpy as np
 import pytest
 
 import chbound as cb
@@ -72,6 +74,30 @@ def make_zoo():
 def make_violating_pair():
     """n=2 identical coins with c_i = 0.5: E[X1 X2] = 0.5 > 0.25."""
     return cb.PlantedCliqueModel(2, 0.5, k=2), cb.BoundParams.boolean(2, 0.5, 0.25)
+
+
+def reference_sample_many(model, rng, size):
+    """Row-major sampling as each model kind drew it before ``_draw``: the
+    same generator calls, shapes and order, gathered into (size, n) rows."""
+    if model.kind == "boolean_iid":
+        return (rng.random((size, model.n)) < model.p).astype(np.float64)
+    if model.kind == "planted_clique":
+        # every row's block coin, then the free coins row by row
+        factors = len(model._fvals)
+        coins = np.empty((size, factors), dtype=bool)
+        np.less(rng.random(size), model.p, out=coins[:, 0])
+        np.less(rng.random((size, factors - 1)), model.p, out=coins[:, 1:])
+        return coins.take(model._vmap, axis=1).astype(np.float64)
+    if model.kind == "exchangeable_mixture":
+        values, probs = model._values, model._probs
+        mix = rng.random(size) < model.rho
+        shared = rng.choice(len(values), size=size, p=probs)
+        indep = rng.choice(len(values), size=(size, model.n), p=probs)
+        return np.where(mix[:, None], values[shared][:, None], values[indep]).astype(np.float64)
+    # independent and explicit_table: one categorical draw per factor
+    atoms = [rng.choice(len(fv), size=size, p=fp) for fv, fp in zip(model._fvals, model._fprobs)]
+    blocks = [fv[a] for fv, a in zip(model._fvals, atoms)]
+    return np.stack([blocks[j][:, c] for j, c in model._reads], axis=1)
 
 
 @pytest.fixture(scope="session")

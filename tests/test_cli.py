@@ -321,6 +321,27 @@ class TestDetect:
         assert cfg["margin_threshold"] == 0.05
         assert doc["result"]["samples_used"] <= 6000
 
+    def test_alpha_warning_printed_once_at_a_chbound_line(self, tmp_path):
+        # A budget override rebuilds the WitnessParams; the warning that alpha
+        # is below the tail bound must still appear once, naming chbound code.
+        spec = tmp_path / "planted.json"
+        spec.write_text(json.dumps({"kind": "planted_clique", "n": 10,
+                                    "params": {"p": 0.5, "indices": [1, 4, 8]}}))
+        src = Path(chbound.__file__).resolve().parents[1]
+        env = {**os.environ}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "chbound.cli", "detect", "--spec", str(spec),
+             "--c", "0.5", "--t", "0.2", "--alpha", "0.01", "--m-search", "20000"],
+            env=env, capture_output=True, text=True, timeout=300, check=False,
+        )
+        assert proc.returncode in (0, 3), proc.stderr
+        lines = [line for line in proc.stderr.splitlines() if "UserWarning" in line]
+        assert len(lines) == 1, proc.stderr
+        assert "below the certified tail bound" in lines[0]
+        location = Path(lines[0].split(":", 1)[0]).resolve()
+        assert location.parent == Path(chbound.__file__).resolve().parent, lines[0]
+
     def test_unreachable_min_rounds_reports_no_candidates(self, specs, capsys):
         code, doc = run_json(
             capsys, "detect", "--spec", specs["shared10"], "--c", "0.4", "--t", "0.3",

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import chbound as cb
 from chbound.cli import main
-from conftest import make_violating_pair, make_zoo
+from conftest import make_violating_pair, make_zoo, reference_sample_many
 
 ZOO = make_zoo()
 ZOO_IDS = [name for name, _, _ in ZOO]
@@ -269,18 +269,6 @@ def _table_chunks_reference(rows, probs, chunk_size):
         yield rows[start : start + chunk_size].copy(), probs[start : start + chunk_size]
 
 
-def _planted_sample_reference(model, rng, size):
-    """Planted sampling by column scatter: the block coin for every row, then
-    the free coins row by row."""
-    free = [i for i in range(model.n) if i not in model.indices]
-    shared = (rng.random(size) < model.p).astype(np.float64)
-    coins = (rng.random((size, len(free))) < model.p).astype(np.float64)
-    out = np.empty((size, model.n), dtype=np.float64)
-    out[:, list(model.indices)] = shared[:, None]
-    out[:, free] = coins
-    return out
-
-
 class TestFactorTables:
     @given(
         st.integers(min_value=1, max_value=6).flatmap(
@@ -324,14 +312,27 @@ class TestFactorTables:
             cb.PlantedCliqueModel(10, 0.4, indices=[1, 4, 8]),
             cb.PlantedCliqueModel(6, 0.7, k=6),
             cb.PlantedCliqueModel(1, 0.3, k=1),
+            cb.BooleanIIDModel(7, 0.3),
+            cb.BooleanIIDModel(1, 0.6),
+            cb.ExchangeableMixtureModel(9, 0.3, [(0.0, 0.25), (0.5, 0.25), (1.0, 0.5)]),
+            cb.ExchangeableMixtureModel.bernoulli(1, 0.5, 0.4),
+            cb.IndependentModel([[(-0.2, 0.3), (0.1, 0.3), (0.8, 0.4)], [(0.5, 1.0)],
+                                 [(0.0, 0.5), (0.25, 0.5)]]),
+            cb.ExplicitTableModel([([0.1 * i, 0.3, 0.7 - 0.05 * i], 0.1) for i in range(10)]),
         ],
-        ids=["k4", "scattered", "all", "n1"],
+        ids=["k4", "scattered", "all", "n1", "boolean", "boolean_n1", "mixture_half",
+             "mixture_n1", "independent", "table"],
     )
     @pytest.mark.parametrize("size", [1, 5, 1310])
     def test_planted_sampling_keeps_its_stream(self, model, size):
-        got = model.sample_many(np.random.default_rng(size), size)
-        want = _planted_sample_reference(model, np.random.default_rng(size), size)
+        # Every model kind, despite the name: sample_many, the transpose of
+        # _draw, must give the bytes of the row-major sampler it replaced
+        # and leave the generator where that sampler left it.
+        rng, ref = np.random.default_rng(size), np.random.default_rng(size)
+        got = model.sample_many(rng, size)
+        want = reference_sample_many(model, ref, size)
         assert got.tobytes() == want.tobytes()
+        assert rng.random() == ref.random()
 
     @pytest.mark.parametrize(
         "model",

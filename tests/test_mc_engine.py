@@ -1,7 +1,10 @@
 """Coupled-process sampling, estimators, and exact chain verification."""
 
 import itertools
+import json
 import math
+import re
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -11,10 +14,11 @@ from hypothesis import strategies as st
 
 import chbound as cb
 from chbound import mc_engine
+from chbound.cli import main
 from chbound.dist_models import tail_cutoff, to_unit_cube
 from chbound.entropy_core import TOL, normalize
 from chbound.mc_engine import ChainLink
-from conftest import make_violating_pair, make_zoo
+from conftest import make_violating_pair, make_zoo, reference_sample_many
 
 ZOO = make_zoo()
 ZOO_IDS = [name for name, _, _ in ZOO]
@@ -279,6 +283,171 @@ class TestRaoBlackwellEstimate:
         arr = np.array(w)
         naive = np.sum(arr * arr) - np.sum(arr) ** 2 / total
         assert abs(math.sqrt(naive / (total - 1) / total) / ref_se - 1.0) > 1e-6
+
+
+def _reference_estimate(model, params, lam, n_samples, *, conditional, seed, workers,
+                        block_size, max_proposals):
+    """estimate_product with the row-major chunk kernel it had before the
+    variable-major workspace: pre-_draw samplers, np.prod row weights, and
+    tail sums of the C-ordered rows.  None when the proposal budget runs out."""
+    total = n_samples
+    if conditional:
+        total = max(1, math.ceil(max_proposals / block_size)) * block_size
+    cutoff = tail_cutoff(params.threshold)
+    rows = max(1, mc_engine.ESTIMATE_CHUNK // model.n)
+
+    def block(rng, m):
+        kept = []
+        for start in range(0, m, rows):
+            x = reference_sample_many(model, rng, min(rows, m - start))
+            w = np.prod(lam * to_unit_cube(x, params) + 1.0 - lam, axis=1)
+            kept.append(w[x.sum(axis=1) >= cutoff] if conditional else w)
+        return np.concatenate(kept)
+
+    count, mean, m2 = 0, 0.0, 0.0
+    blocks = mc_engine._run_blocks(
+        seed, mc_engine.PRODUCT_STREAM_TAG, total, block_size, workers, block
+    )
+    for weights in blocks:
+        kept = weights[: n_samples - count]
+        if len(kept):
+            k, k_mean = len(kept), float(kept.mean())
+            k_m2 = float(np.sum(np.square(kept - k_mean)))
+            merged = count + k
+            delta = k_mean - mean
+            mean = (count * mean + k * k_mean) / merged
+            m2 += k_m2 + delta * delta * (count * k / merged)
+            count = merged
+        if count == n_samples:
+            break
+    else:
+        return None
+    se = math.sqrt(m2 / (count - 1) / count) if count > 1 else 0.0
+    return cb.Estimate(mean, se, n_samples, bool(conditional))
+
+
+@st.composite
+def _kernel_cases(draw):
+    """A zoo model with its params, or a model of any kind with n in 1..70
+    on [a, a + b] for identity or shifted (a = -0.2) params."""
+    kind = draw(st.sampled_from(
+        ["zoo", "boolean", "planted", "mixture", "independent", "table"]
+    ))
+    if kind == "zoo":
+        _, model, params = draw(st.sampled_from(ZOO))
+        return model, params
+    a, b = draw(st.sampled_from([(0.0, 1.0), (-0.2, 1.2)]))
+    n = draw(st.integers(1, 70))
+    p = draw(st.sampled_from([0.1, 0.5, 0.8]))
+    grid = st.integers(0, 4).map(lambda k: a + b * k / 4)
+    weight = st.integers(1, 10)
+    if kind == "boolean":
+        model = cb.BooleanIIDModel(n, p)
+    elif kind == "planted":
+        order = draw(st.permutations(range(n)))
+        model = cb.PlantedCliqueModel(n, p, indices=order[: draw(st.integers(1, n))])
+    elif kind == "mixture":
+        w = draw(st.lists(weight, min_size=3, max_size=3))
+        atoms = [(v, wi / sum(w)) for v, wi in zip((0.0, 0.5, 1.0), w)]
+        model = cb.ExchangeableMixtureModel(n, draw(st.sampled_from([0.0, 0.3, 1.0])), atoms)
+    elif kind == "independent":
+        marginals = []
+        for _ in range(n):
+            vals = draw(st.lists(grid, min_size=1, max_size=3, unique=True))
+            w = draw(st.lists(weight, min_size=len(vals), max_size=len(vals)))
+            marginals.append([(v, wi / sum(w)) for v, wi in zip(vals, w)])
+        model = cb.IndependentModel(marginals)
+    else:
+        table = draw(st.lists(st.lists(grid, min_size=n, max_size=n),
+                              min_size=1, max_size=6, unique_by=tuple))
+        w = draw(st.lists(weight, min_size=len(table), max_size=len(table)))
+        model = cb.ExplicitTableModel([(r, wi / sum(w)) for r, wi in zip(table, w)])
+    params = cb.BoundParams(n=n, a=(a,) * n, b=b, c=(a + 0.4 * b,) * n, t=0.1 * b)
+    return model, params
+
+
+class TestChunkKernel:
+    """The variable-major chunk kernel gives the row-major kernel's bits."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        _kernel_cases(), st.floats(0.0, 1.0), st.booleans(), st.integers(1, 5000),
+        st.integers(100, 3000), st.sampled_from([1, 2]), st.integers(0, 2**20),
+    )
+    def test_matches_row_major_reference(
+        self, case, lam, conditional, n_samples, block_size, workers, seed
+    ):
+        model, params = case
+        kwargs = dict(conditional=conditional, seed=seed, workers=workers,
+                      block_size=block_size, max_proposals=20_000)
+        want = _reference_estimate(model, params, lam, n_samples, **kwargs)
+        if want is None:
+            with pytest.raises(cb.RejectionBudgetError):
+                cb.estimate_product(model, params, lam, n_samples, **kwargs)
+        else:
+            assert cb.estimate_product(model, params, lam, n_samples, **kwargs) == want
+
+    def test_numpy_reduction_orders(self):
+        # The kernel's row product reduces the variable-major (n, rows)
+        # chunk over axis 0; the reference multiplies along each C-ordered
+        # row.  Both must fold left to right.  The tail sums stay on
+        # C-ordered rows, copied back from the chunk, because NumPy sums a
+        # contiguous row pairwise while an axis-0 fold does not.  If a NumPy
+        # release changes either order, reported bits move: this says so.
+        rng = np.random.default_rng(2024)
+        for n in range(1, 131):
+            for rows in (1, 7, 1310):
+                w = rng.uniform(0.5, 1.5, (rows, n))
+                chunk = w.T.copy()
+                product = np.empty(rows)
+                np.multiply.reduce(chunk, axis=0, out=product)
+                assert product.tobytes() == np.prod(w, axis=1).tobytes(), (n, rows)
+                rowwise = np.empty((rows, n))
+                np.copyto(rowwise, chunk.T)
+                assert rowwise.sum(axis=1).tobytes() == w.sum(axis=1).tobytes(), (n, rows)
+
+    def test_identity_chunk_allocates_only_the_workspace(self):
+        # One block of planted n=50 under the identity map: the (n, rows)
+        # workspace, the block's weights and byte-sized coin tables (an
+        # eighth of a chunk each), but no second chunk-sized float array.
+        model = cb.PlantedCliqueModel(50, 0.5, k=5)
+        params = cb.BoundParams.boolean(50, 0.5, 0.1)
+        rows = mc_engine.ESTIMATE_CHUNK // model.n
+        chunk_bytes = 8 * model.n * rows
+        cb.estimate_product(model, params, 0.3, 100, seed=1)
+        tracemalloc.start()
+        try:
+            cb.estimate_product(model, params, 0.3, 8192, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chunk_bytes <= peak < 2 * chunk_bytes, (peak, chunk_bytes)
+
+
+class TestRangeCheckBelowTheTail:
+    """Conditional mode weighs only tail rows, but checks every drawn row."""
+
+    # threshold 1.5: only [1, 1] is in the tail; -0.5 sits in a row below it
+    ATOMS = [([-0.5, 0.0], 0.1), ([1.0, 1.0], 0.45), ([0.0, 1.0], 0.45)]
+    MESSAGE = "values leave [a_i, a_i + b]: variable 0 takes value -0.5 outside [0.0, 1.0]"
+
+    @pytest.mark.parametrize("conditional", [False, True])
+    def test_estimate_raises(self, conditional):
+        model = cb.ExplicitTableModel(self.ATOMS)
+        params = cb.BoundParams.boolean(2, 0.5, 0.25)
+        with pytest.raises(cb.ValidationError, match=re.escape(self.MESSAGE)):
+            cb.estimate_product(model, params, 0.5, 1000, conditional=conditional, seed=0)
+
+    @pytest.mark.parametrize("conditional", [False, True])
+    def test_simulate_exits_2(self, conditional, tmp_path, capsys):
+        spec = tmp_path / "table.json"
+        spec.write_text(json.dumps({"kind": "explicit_table", "params": {
+            "support": [{"x": x, "p": p} for x, p in self.ATOMS]}}))
+        argv = ["simulate", "--spec", str(spec), "--c", "0.5", "--t", "0.25",
+                "--samples", "1000"] + (["--conditional"] if conditional else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and self.MESSAGE in captured.err
 
 
 class TestExactProductExpectation:
