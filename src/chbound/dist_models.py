@@ -1,25 +1,31 @@
-"""Joint distributions with sample access and exact discrete enumeration.
+"""Joint distributions with sample access and exact discrete computation.
 
 Every model here is a finite-support joint law on R^n exposing two views:
 
 * sampling (``sample`` / ``sample_many``) against a numpy ``Generator``, all
   through one primitive per model, ``_draw``, and
-* exact enumeration (``support_chunks`` / ``sum_support``) used by
-  ``exact_moment``, ``exact_tail`` and ``certify_moments``.
+* exact computation (``sum_support``, ``exact_moment``, ``exact_tail``,
+  ``certify_moments``, ``check_support_range``) without enumerating atoms.
 
 Every model is a factor table (see ``_FactoredModel``); an explicit table is
-one factor, and only the mixture's shared atoms are enumerated outside it.
+one factor, and the mixture is a weighted sum of two factor tables (its
+shared atoms, and its independent part).  The exact routines fold factors
+instead of walking the support: the law of the coordinate sum folds factor
+by factor into a map from partial sum to mass, merging equal sums, and a
+product moment is the product of per-factor moments.  Only a factor read by
+several variables (an explicit table, the planted block, the shared atoms)
+is walked row by row.  ``support_chunks`` still enumerates every atom, for
+tests and small models.
 
-Enumeration is only permitted while the support has at most ``atom_cap``
-atoms; larger models stay usable for sampling but exact operations raise
-``SupportTooLargeError`` up front instead of grinding forever.  Atoms are
-always visited in a fixed order and reduced by NumPy sums, never by threaded
-BLAS dot products, so exact results are bit-reproducible.
+Exact operations are only permitted while the support has at most
+``atom_cap`` atoms; larger models stay usable for sampling but exact
+operations raise ``SupportTooLargeError`` up front.  Sums and products run in
+a fixed order through NumPy reductions, never threaded BLAS dot products, so
+exact results are bit-reproducible.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -32,7 +38,9 @@ from .errors import SubsetBudgetError, SupportTooLargeError, ValidationError
 DEFAULT_ATOM_CAP = 10**6
 DEFAULT_SUBSET_BUDGET = 10**6
 DEFAULT_CHUNK = 1 << 16
-CERTIFY_CHUNK = 1 << 12  # keeps certify_moments' stack of prefix vectors small
+# A factor's row products are summed over slices of CERTIFY_CHUNK rows, and
+# the slice sums added in row order; the walk holds DEFAULT_CHUNK rows at a time.
+CERTIFY_CHUNK = 1 << 12
 
 MODEL_KINDS = (
     "independent",
@@ -82,6 +90,48 @@ def _validate_atoms(atoms, name: str) -> tuple[np.ndarray, np.ndarray]:
     probs = np.array([p for _, p in pairs], dtype=np.float64)
     check_table(values, probs, name)
     return values, probs
+
+
+def _row_weights(xt: np.ndarray, lam: float) -> np.ndarray:
+    """E[prod_{i in I} Y_i | x] = prod_i (lam xt_i + 1 - lam) for each row of xt."""
+    return np.prod(lam * xt + 1.0 - lam, axis=1)
+
+
+def _merge(sums: np.ndarray, *masses: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Merge equal sums: the ascending distinct sums, and each mass array
+    summed per distinct sum in input order."""
+    sums, inverse = np.unique(sums, return_inverse=True)
+    return (sums, *(np.bincount(inverse, weights=m, minlength=len(sums)) for m in masses))
+
+
+def _slice_sums(values: np.ndarray) -> list[float]:
+    """Sums of consecutive CERTIFY_CHUNK-element slices of a 1-D array, each
+    reduced as ``np.sum`` reduces the slice alone."""
+    full = len(values) - len(values) % CERTIFY_CHUNK
+    sums = np.add.reduce(values[:full].reshape(-1, CERTIFY_CHUNK), axis=1).tolist() if full else []
+    if full < len(values):
+        sums.append(float(np.add.reduce(values[full:])))
+    return sums
+
+
+def _lex_walk(n: int, max_size: int, root, step, chain: tuple[int, ...] | None = None):
+    """Yield (subset, state) for the non-empty subsets of range(n) with at
+    most ``max_size`` elements, in lexicographic order, where a subset's state
+    is step(its prefix's state, its last element) and the empty prefix's is
+    ``root``.  Given ``chain``, only the non-empty prefixes of that tuple."""
+    stack = [((), root)]
+    while stack:
+        prefix, state = stack.pop()
+        if prefix:
+            state = step(state, prefix[-1])
+            yield prefix, state
+        size = len(prefix)
+        if size < max_size:
+            if chain is None:
+                following = range(n - 1, prefix[-1] if prefix else -1, -1)
+            else:
+                following = chain[size:size + 1]
+            stack.extend((prefix + (i,), state) for i in following)
 
 
 class JointModel:
@@ -154,15 +204,32 @@ class JointModel:
     def sum_support(self) -> tuple[np.ndarray, np.ndarray]:
         """Exact distribution of the coordinate sum: (sums, probs) arrays.
 
-        Entries follow the same atom order as ``support_chunks`` and the
-        result is cached on the model.
+        ``sums`` holds the distinct atom sums in ascending order and
+        ``probs`` their probabilities; the result is cached on the model.
         """
         if self._sum_cache is None:
             self._require_enumerable("sum_support")
-            self._sum_cache = self._build_sum_support()
+            self._sum_cache = self._fold()
         return self._sum_cache
 
-    def _build_sum_support(self) -> tuple[np.ndarray, np.ndarray]:
+    def _fold(
+        self, params: BoundParams | None = None, lam: float = 0.0
+    ) -> tuple[np.ndarray, ...]:
+        """Law of the coordinate sum: (ascending distinct sums, masses) and,
+        given ``params``, the masses weighted by prod_i ((lam xtilde_i) + 1) - lam.
+        Range-checks every positive-probability atom against ``params``."""
+        raise NotImplementedError
+
+    def _moments(
+        self, max_size: int, chain: tuple[int, ...] | None = None
+    ) -> tuple[list[tuple[int, ...]], list[float]]:
+        """E[prod_{i in S} X_i] for every non-empty S with at most ``max_size``
+        variables (given ``chain``, its non-empty prefixes only), in
+        lexicographic order: (subsets, moments)."""
+        raise NotImplementedError
+
+    def _check_range(self, params: BoundParams) -> None:
+        """Raise unless every positive-probability atom lies in [a_i, a_i + b]."""
         raise NotImplementedError
 
     def _check_columns(self, columns: Iterable[int]) -> tuple[int, ...]:
@@ -204,9 +271,20 @@ class _FactoredModel(JointModel):
         starts = np.cumsum([0] + [fv.shape[1] for fv in self._fvals])
         owner = np.searchsorted(starts, self._vmap, side="right") - 1
         self._reads = list(zip(owner.tolist(), (self._vmap - starts[owner]).tolist()))
+        # per factor, the variables reading it (ascending) and their columns
+        self._freads = [([], []) for _ in self._fvals]
+        for i, (j, c) in enumerate(self._reads):
+            self._freads[j][0].append(i)
+            self._freads[j][1].append(c)
+        if not all(variables for variables, _ in self._freads):
+            raise ValidationError("every factor must be read by some variable")
 
     def support_size(self) -> int:
         return self._total
+
+    def _parts(self) -> tuple[tuple[float, "_FactoredModel"], ...]:
+        """(weight, factor table) pairs whose weighted sum is the law."""
+        return ((1.0, self),)
 
     def _gather(self, atoms: Sequence[np.ndarray], out: np.ndarray) -> np.ndarray:
         """Fill the variable-major (n, rows) ``out`` from per-factor atom
@@ -228,16 +306,110 @@ class _FactoredModel(JointModel):
                 probs *= fp[digits[j]]
             yield self._gather(digits, np.empty((self._n, len(idx)))).T.copy(), probs
 
-    def _build_sum_support(self) -> tuple[np.ndarray, np.ndarray]:
-        # Expand factor by factor; each adds the row sum of the columns its
-        # variables read.  This is O(total) rather than O(total * n).
-        sums = np.zeros(1, dtype=np.float64)
-        probs = np.ones(1, dtype=np.float64)
-        for j, (fv, fp) in enumerate(zip(self._fvals, self._fprobs)):
-            reads = [c for owner, c in self._reads if owner == j]
-            sums = (sums[:, None] + fv.take(reads, axis=1).sum(axis=1)[None, :]).ravel()
-            probs = (probs[:, None] * fp[None, :]).ravel()
-        return sums, probs
+    def _factor_atoms(self, params: BoundParams | None = None) -> list[tuple]:
+        """Per factor: its (m_j, k_j) atom rows over the k_j variables reading
+        it, their probabilities, and, given ``params``, the range-checked
+        unit-cube image of the rows (else None)."""
+        out = []
+        for fv, fp, (variables, cols) in zip(self._fvals, self._fprobs, self._freads):
+            atoms = fv.take(cols, axis=1)
+            xt = None if params is None else to_unit_cube(atoms, params, fp, variables)
+            out.append((atoms, fp, xt))
+        return out
+
+    def _fold_factors(self, params: BoundParams | None, lam: float) -> tuple[np.ndarray, ...]:
+        # Factor by factor: every (state, row) pair adds the row's sum and
+        # multiplies the row's mass (and weighted mass) in; equal sums merge.
+        law = None
+        for atoms, probs, xt in self._factor_atoms(params):
+            step = [atoms.sum(axis=1), probs]
+            if xt is not None:
+                step.append(probs * _row_weights(xt, lam))
+            if law is not None:
+                step = [np.add.outer(law[0], step[0]).ravel(),
+                        *(np.multiply.outer(a, b).ravel() for a, b in zip(law[1:], step[1:]))]
+            law = _merge(*step)
+        return law
+
+    def _fold(self, params=None, lam=0.0):
+        laws = [(w, part._fold_factors(params, lam)) for w, part in self._parts() if w > 0.0]
+        if len(laws) == 1:  # its weight is 1
+            return laws[0][1]
+        return _merge(*(np.concatenate([w * law[k] if k else law[k] for w, law in laws])
+                        for k in range(len(laws[0][1]))))
+
+    def _check_range(self, params):
+        for w, part in self._parts():
+            if w > 0.0:
+                part._factor_atoms(params)
+
+    def _factor_moments(
+        self, j: int, max_size: int, chain: tuple[int, ...] | None
+    ) -> dict[tuple[int, ...], float]:
+        """E[prod of factor j's variables at positions T] for each T the
+        walk visits (T indexes factor j's variable list).  Each T's row
+        products are its prefix's times one column of a variable-major copy
+        of the factor, summed per CERTIFY_CHUNK rows and then in row order."""
+        variables, cols = self._freads[j]
+        columns = np.ascontiguousarray(self._fvals[j].take(cols, axis=1).T)
+        probs = self._fprobs[j]
+        table: dict[tuple[int, ...], float] = {}
+        for start in range(0, len(probs), DEFAULT_CHUNK):
+            chunk = columns[:, start:start + DEFAULT_CHUNK]
+            walk = _lex_walk(len(variables), max_size, probs[start:start + DEFAULT_CHUNK],
+                             lambda w, p, chunk=chunk: w * chunk[p], chain)
+            for key, weights in walk:
+                total = table.get(key, 0.0)
+                for part in _slice_sums(weights):
+                    total += part
+                table[key] = total
+        return table
+
+    def _part_moments(
+        self, max_size: int, chain: tuple[int, ...] | None
+    ) -> tuple[list[tuple[int, ...]], list[float]]:
+        # E prod_S X = prod_j E[prod of S's variables in factor j].  A factor
+        # read by one variable contributes its mean, multiplied in along the
+        # subset's prefix; the moments of the joint factors (read by several
+        # variables) are multiplied in after the means, in factor order.
+        owner = [j for j, _ in self._reads]
+        pos = [self._freads[j][0].index(i) for i, j in enumerate(owner)]
+        joint = [j for j, (variables, _) in enumerate(self._freads) if len(variables) > 1]
+        rank = {j: r for r, j in enumerate(joint)}
+        tables = []
+        for j, (variables, _) in enumerate(self._freads):
+            sub = None if chain is None else tuple(pos[i] for i in chain if owner[i] == j)
+            tables.append(self._factor_moments(j, min(max_size, len(variables)), sub)
+                          if sub is None or sub else {})
+        means = [None if j in rank else tables[j].get((0,)) for j in owner]
+
+        def step(state, i):
+            # state: (product of means, per joint factor the positions of the
+            # prefix's variables in it, product of the joint factor moments)
+            product, keys, joint_product = state
+            if means[i] is not None:
+                return product * means[i], keys, joint_product
+            r = rank[owner[i]]
+            keys = keys[:r] + (keys[r] + (pos[i],),) + keys[r + 1:]
+            joint_product = 1.0
+            for j, key in zip(joint, keys):
+                if key:
+                    joint_product *= tables[j][key]
+            return product, keys, joint_product
+
+        subsets, moments = [], []
+        root = (1.0, ((),) * len(joint), 1.0)
+        for subset, (product, _, joint_product) in _lex_walk(self._n, max_size, root, step, chain):
+            subsets.append(subset)
+            moments.append(product * joint_product)
+        return subsets, moments
+
+    def _moments(self, max_size, chain=None):
+        parts = [(w, part._part_moments(max_size, chain)) for w, part in self._parts() if w > 0.0]
+        if len(parts) == 1:  # its weight is 1
+            return parts[0][1]
+        total = sum(w * np.asarray(moments) for w, (_, moments) in parts)
+        return parts[0][1][0], total.tolist()
 
     def _draw(self, rng: np.random.Generator, out: np.ndarray) -> None:
         self._gather([rng.choice(len(fv), size=out.shape[1], p=fp)
@@ -340,7 +512,8 @@ class PlantedCliqueModel(_FactoredModel):
 class ExchangeableMixtureModel(_FactoredModel):
     """Mixture: with probability rho all variables copy one draw from the
     marginal, otherwise all n are drawn independently from that marginal.
-    The factors describe the independent part, enumerated after the shared atoms.
+    The factors describe the independent part, enumerated after the shared
+    atoms; the shared atoms are a one-factor table that every variable reads.
     """
 
     kind = "exchangeable_mixture"
@@ -355,6 +528,7 @@ class ExchangeableMixtureModel(_FactoredModel):
         self.rho = rho
         self._values = values
         self._probs = probs
+        self._shared = _FactoredModel(n, [values], [probs], [0] * n, atom_cap)
 
     @classmethod
     def bernoulli(
@@ -370,11 +544,8 @@ class ExchangeableMixtureModel(_FactoredModel):
         for values, probs in super().support_chunks(chunk_size):
             yield values, (1.0 - self.rho) * probs
 
-    def _build_sum_support(self):
-        ind_sums, ind_probs = super()._build_sum_support()
-        sums = np.concatenate([self._n * self._values, ind_sums])
-        probs = np.concatenate([self.rho * self._probs, (1.0 - self.rho) * ind_probs])
-        return sums, probs
+    def _parts(self):
+        return ((self.rho, self._shared), (1.0 - self.rho, self))
 
     def _draw(self, rng: np.random.Generator, out: np.ndarray) -> None:
         size = out.shape[1]
@@ -392,8 +563,30 @@ class ExplicitTableModel(_FactoredModel):
     kind = "explicit_table"
 
     def __init__(self, atoms: Sequence, atom_cap: int = DEFAULT_ATOM_CAP):
-        rows = []
-        probs = []
+        atoms = list(atoms)
+        if not atoms:
+            raise ValidationError("explicit_table needs at least one atom")
+        try:
+            vecs, probs = zip(*atoms)
+            table = np.asarray(vecs, dtype=np.float64)
+            probs = np.asarray(probs, dtype=np.float64)
+            clean = (table.ndim == 2 and probs.ndim == 1
+                     and np.isfinite(table).all() and np.isfinite(probs).all())
+        except (TypeError, ValueError):
+            clean = False
+        if not clean:  # parse atom by atom, to report the first bad one
+            table, probs = self._parse(atoms)
+        n = table.shape[1]
+        super().__init__(n, [table], [probs], vmap=range(n), atom_cap=atom_cap)
+        check_table(table, self._fprobs[0], "explicit_table")
+        if len(probs) > atom_cap:
+            raise ValidationError(
+                f"explicit_table has {len(probs)} atoms, exceeding atom_cap={atom_cap}"
+            )
+
+    @staticmethod
+    def _parse(atoms: list) -> tuple[np.ndarray, list[float]]:
+        rows, probs = [], []
         for entry in atoms:
             try:
                 vec, p = entry
@@ -403,19 +596,10 @@ class ExplicitTableModel(_FactoredModel):
                 raise ValidationError(
                     "explicit_table atoms must be (vector, probability) pairs"
                 ) from exc
-        if not rows:
-            raise ValidationError("explicit_table needs at least one atom")
         widths = {len(r) for r in rows}
-        if len(widths) != 1:
+        if len(widths) > 1:
             raise ValidationError(f"atom vectors have inconsistent lengths {sorted(widths)}")
-        n = widths.pop()
-        table = np.array(rows, dtype=np.float64)
-        super().__init__(n, [table], [probs], vmap=range(n), atom_cap=atom_cap)
-        check_table(table, self._fprobs[0], "explicit_table")
-        if len(probs) > atom_cap:
-            raise ValidationError(
-                f"explicit_table has {len(probs)} atoms, exceeding atom_cap={atom_cap}"
-            )
+        return np.array(rows, dtype=np.float64).reshape(len(rows), -1), probs
 
 
 @dataclass(frozen=True)
@@ -440,15 +624,14 @@ def sample(model: JointModel, rng: np.random.Generator, size: int | None = None)
 
 
 def exact_moment(model: JointModel, subset: Iterable[int]) -> float:
-    """Exact E[prod_{i in subset} X_i] by enumeration; empty subset gives 1."""
-    cols = sorted(model._check_columns(subset))
+    """Exact E[prod_{i in subset} X_i] as a product of per-factor moments;
+    the empty subset gives 1.  Bit for bit the moment ``certify_moments``
+    reports for the subset."""
+    cols = tuple(sorted(model._check_columns(subset)))
     if not cols:
         return 1.0
     model._require_enumerable("exact_moment")
-    total = 0.0
-    for values, probs in model.support_chunks():
-        total += float(np.sum(probs * np.prod(values[:, cols], axis=1)))
-    return total
+    return model._moments(len(cols), chain=cols)[1][-1]
 
 
 def tail_cutoff(threshold: float) -> float:
@@ -457,7 +640,7 @@ def tail_cutoff(threshold: float) -> float:
 
 
 def exact_tail(model: JointModel, threshold: float) -> float:
-    """Exact P(sum of coordinates >= threshold) by enumeration.
+    """Exact P(sum of coordinates >= threshold) from the law of the sum.
 
     Atoms whose sum reaches ``tail_cutoff(threshold)``, i.e. within the
     package tolerance ``slack(threshold)`` below it, count as meeting it, so
@@ -482,8 +665,11 @@ def certify_moments(
     Covers every subset of size up to ``max_subset_size`` (all n when
     omitted) in deterministic order: by size, lexicographic within a size.
     Raises ``SubsetBudgetError`` before doing any work if that would exceed
-    ``subset_budget`` subsets.  One support pass, O(#subsets x #atoms): each
-    subset's weighted product is its prefix's times one column.  For small n.
+    ``subset_budget`` subsets.  Moments are closed-form products of
+    per-factor moments (see ``_FactoredModel._part_moments``), and each
+    bound product is its prefix's times one c_i, bit for bit ``np.prod`` of
+    the subset's c_i.  Only factors read by several variables cost
+    O(#subsets x rows); the others cost O(1) per subset.
     """
     if params.n != model.n:
         raise ValidationError(f"params.n={params.n} does not match model n={model.n}")
@@ -497,43 +683,33 @@ def certify_moments(
             f"subsets, exceeding subset_budget={subset_budget}"
         )
     model._require_enumerable("certify_moments")
-    n = model.n
-    subsets = [s for size in range(max_size + 1) for s in itertools.combinations(range(n), size)]
-    moments = dict.fromkeys(subsets, 0.0)
-
-    def walk(columns: np.ndarray, prefix: tuple[int, ...], weights: np.ndarray) -> None:
-        # weights = probs * prefix columns; each lexicographic child adds one.
-        for j in range(prefix[-1] + 1 if prefix else 0, n):
-            subset = prefix + (j,)
-            child = weights * columns[j]
-            moments[subset] += float(child.sum())
-            if len(subset) < max_size:
-                walk(columns, subset, child)
-
-    if max_size:
-        for values, probs in model.support_chunks(chunk_size=CERTIFY_CHUNK):
-            walk(values.T.copy(), (), probs)
-    return [
-        MomentCertificate(
-            subset=subset,
-            exact_moment=moments[subset] if subset else 1.0,
-            bound_product=float(np.prod([params.c[i] for i in subset])) if subset else 1.0,
-        )
-        for subset in subsets
+    subsets, moments = model._moments(max_size)
+    c = params.c
+    bounds = [b for _, b in _lex_walk(model.n, max_size, 1.0, lambda b, i: b * c[i])]
+    # lexicographic order -> by size, lexicographic within a size
+    order = sorted(range(len(subsets)), key=lambda k: len(subsets[k]))
+    return [MomentCertificate((), 1.0, 1.0)] + [
+        MomentCertificate(subsets[k], moments[k], bounds[k]) for k in order
     ]
 
 
 def to_unit_cube(
-    values: np.ndarray, params: BoundParams, probs: np.ndarray | None = None
+    values: np.ndarray,
+    params: BoundParams,
+    probs: np.ndarray | None = None,
+    variables: Sequence[int] | None = None,
 ) -> np.ndarray:
-    """Map (m, n) atoms to [0, 1] by x -> (x - a_i) / b, clipped; the one range check.
+    """Map (m, k) atoms to [0, 1] by x -> (x - a_i) / b, clipped; the one range check.
 
+    Column c holds variable ``variables[c]`` (default: variable c, k = n).
     Raises unless every atom (with ``probs``, every atom of positive
     probability) lies in [a_i, a_i + b] up to ``slack(b)``.  Under the
     identity map (a = 0, b = 1) with every value in [0, 1], returns
     ``values`` itself.
     """
     a = np.asarray(params.a)
+    if variables is not None:
+        a = a[variables]
     xt = values if params.b == 1.0 and not a.any() else (values - a) / params.b
     tol = slack(params.b) / params.b
     lo, hi = xt.min(), xt.max()
@@ -543,20 +719,25 @@ def to_unit_cube(
             bad &= (probs > 0.0)[:, None]
         if bad.any():
             row, col = np.argwhere(bad)[0]
+            var = col if variables is None else variables[col]
             raise ValidationError(
-                f"values leave [a_i, a_i + b]: variable {col} takes value "
-                f"{values[row, col]} outside [{params.a[col]}, {params.a[col] + params.b}]"
+                f"values leave [a_i, a_i + b]: variable {var} takes value "
+                f"{values[row, col]} outside [{params.a[var]}, {params.a[var] + params.b}]"
             )
     return np.clip(xt, 0.0, 1.0) if lo < 0.0 or hi > 1.0 else xt
 
 
 def check_support_range(model: JointModel, params: BoundParams) -> None:
-    """Raise unless every positive-probability atom lies in [a_i, a_i + b]."""
+    """Raise unless every positive-probability atom lies in [a_i, a_i + b].
+
+    Checks factor rows, not the enumerated support: an atom has positive
+    probability exactly when each of its factor rows does (in a mixture
+    part of positive weight).
+    """
     if params.n != model.n:
         raise ValidationError(f"params.n={params.n} does not match model n={model.n}")
     model._require_enumerable("check_support_range")
-    for values, probs in model.support_chunks():
-        to_unit_cube(values, params, probs)
+    model._check_range(params)
 
 
 def _require(doc: dict, key: str, kind: str):
@@ -588,12 +769,11 @@ def model_from_spec(doc: dict, atom_cap: int | None = None) -> JointModel:
         raw = params.get("support", doc.get("support"))
         if raw is None:
             raise ValidationError("explicit_table spec is missing 'support'")
-        atoms = []
-        for entry in raw:
-            if isinstance(entry, dict):
-                atoms.append((_require(entry, "x", kind), _require(entry, "p", kind)))
-            else:
-                atoms.append(tuple(entry))
+        try:
+            atoms = [(e["x"], e["p"]) if isinstance(e, dict) else e for e in raw]
+        except KeyError:  # name the missing key
+            atoms = [(_require(e, "x", kind), _require(e, "p", kind)) for e in raw
+                     if isinstance(e, dict)]
         model = ExplicitTableModel(atoms, atom_cap=cap)
     else:
         n = check_positive_int("n", _require(doc, "n", kind))

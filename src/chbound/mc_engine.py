@@ -10,7 +10,7 @@ evaluates every step exactly on an enumerable model.
 
 Given X the round product is Bernoulli(prod_i (lam Xtilde_i + 1 - lam)), so
 ``estimate_product`` integrates Y and I out: it draws only X and averages
-that row weight, which the exact routines sum over the support.
+that row weight, which the exact routines sum over the folded law of the sum.
 
 Its chunk kernel works in one variable-major (n, rows) float64 workspace per
 block, reused for every chunk: the model's ``_draw`` fills it (drawing its
@@ -19,7 +19,7 @@ and maps it (the identity map allocates nothing), the weight
 (lam xtilde + 1) - lam is formed in place, and ``np.multiply.reduce`` over
 axis 0 folds each column.  That fold multiplies variables 0..n-1 left to
 right, as ``np.prod`` along a C-ordered row does, so the weights keep the
-bits of the row-major kernel (``_row_weights``) while vectorising across
+bits of the row-major kernel (``dist_models._row_weights``) while vectorising across
 rows.  Sums are different: NumPy adds a contiguous row pairwise, which an
 axis-0 fold does not reproduce, so conditional mode copies each chunk back
 to C-ordered rows for the tail test, and then weighs only the kept rows.
@@ -154,8 +154,11 @@ def _rounds(
     Bernoulli layer, then, given ``lam``, a uniform per round and variable
     for the index set.  Without ``lam`` the index set is fixed to ``cols``
     (default all), only those Bernoulli columns are drawn, and ``member`` is None.
+    The vectors are drawn variable-major and ``x`` is the (m, n) view of them.
     """
-    x = model.sample_many(rng, m)
+    x = np.empty((model.n, m))
+    model._draw(rng, x)
+    x = x.T
     xt = to_unit_cube(x, params)
     if cols is not None:
         xt = xt[:, cols]
@@ -214,11 +217,6 @@ def draw_round(
         product=int(r.product[0]),
         sum_exceeds=bool(x.sum() >= tail_cutoff(params.threshold)),
     )
-
-
-def _row_weights(xt: np.ndarray, lam: float) -> np.ndarray:
-    """E[prod_{i in I} Y_i | x] = prod_i (lam xt_i + 1 - lam) for each row of xt."""
-    return np.prod(lam * xt + 1.0 - lam, axis=1)
 
 
 def estimate_product(
@@ -315,17 +313,13 @@ def exact_product_expectation(
     """Exact E[prod_{i in I} Y_i] = E[prod_i (lam Xtilde_i + 1 - lam)].
 
     Integrating out the indicators and the index set coordinate-wise leaves
-    a plain expectation over X, evaluated here by enumeration.  With params
-    omitted the model values must already live in [0, 1].
+    a plain expectation over X, summed here over the folded law of the sum.
+    With params omitted the model values must already live in [0, 1].
     """
     params = BoundParams.boolean(model.n, 1.0, 0.0) if params is None else params
     lam = _check_round_args(model, params, lam)
     model._require_enumerable("exact_product_expectation")
-    total = 0.0
-    for values, probs in model.support_chunks():
-        xt = to_unit_cube(values, params, probs)
-        total += float(np.sum(probs * _row_weights(xt, lam)))
-    return total
+    return float(model._fold(params, lam)[2].sum())
 
 
 @dataclass(frozen=True)
@@ -401,9 +395,10 @@ def verify_chain(
 ) -> ChainReport:
     """Evaluate the full inequality chain exactly at one lambda in [0, 1).
 
-    All expectations are computed by enumeration, so a failed link is an
-    exact statement about the model, not sampling noise.  The moment
-    certificates cover subsets up to ``max_subset_size`` (default: all).
+    All expectations are exact sums over the folded law of the coordinate
+    sum (see ``JointModel._fold``), so a failed link is an exact statement
+    about the model, not sampling noise.  The moment certificates cover
+    subsets up to ``max_subset_size`` (default: all).
     """
     lam = float(lam)
     if not 0.0 <= lam < 1.0:
@@ -414,17 +409,11 @@ def verify_chain(
     certificates = tuple(certify_moments(model, params, max_subset_size, **kwargs))
     hypothesis_ok = all(cert.satisfied for cert in certificates)
 
-    cutoff = tail_cutoff(params.threshold)
-    expected_product = 0.0
-    expected_on_tail = 0.0
-    tail_probability = 0.0
-    for values, probs in model.support_chunks():
-        xt = to_unit_cube(values, params, probs)
-        row = _row_weights(xt, lam)
-        tails = values.sum(axis=1) >= cutoff
-        expected_product += float(np.sum(probs * row))
-        expected_on_tail += float(np.sum(probs * (row * tails)))
-        tail_probability += float(probs[tails].sum())
+    sums, mass, weighted = model._fold(params, lam)
+    tails = sums >= tail_cutoff(params.threshold)
+    expected_product = float(weighted.sum())
+    expected_on_tail = float(weighted[tails].sum())
+    tail_probability = float(mass[tails].sum())
 
     mean_side = (lam * norm.ctilde + 1.0 - lam) ** params.n
     per_variable = float(np.prod([lam * ci + 1.0 - lam for ci in norm.ctilde_i]))

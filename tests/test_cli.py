@@ -42,6 +42,21 @@ def specs(tmp_path_factory):
     return paths
 
 
+def blas_thread_outputs(*argv):
+    """Standard output of ``python -m chbound.cli *argv`` at
+    OPENBLAS_NUM_THREADS 1 and 2; each run must exit 0."""
+    src = str(Path(chbound.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "chbound.cli", *argv],
+                              env=env, capture_output=True, timeout=300, check=False)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    return outputs
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -200,6 +215,16 @@ class TestVerify:
             assert proc.returncode == 0, proc.stderr
             outputs.append(proc.stdout)
         assert json.loads(outputs[0])["result"]["certificates_failing"]
+        assert outputs[0] == outputs[1]
+
+    def test_wide_report_independent_of_blas_threads(self, tmp_path):
+        # Certificates of a 2^16-atom model from the closed form, chain sums
+        # from the folded law: no step may depend on BLAS threading.
+        spec = tmp_path / "b16.json"
+        spec.write_text(json.dumps({"kind": "boolean_iid", "n": 16, "params": {"p": 0.5}}))
+        outputs = blas_thread_outputs("verify", "--spec", str(spec), "--c", "0.5",
+                                      "--t", "0.25", "--max-subset-size", "2")
+        assert json.loads(outputs[0])["result"]["certificates_total"] == 137
         assert outputs[0] == outputs[1]
 
     def test_spec_on_stdin(self, specs, capsys, monkeypatch):
@@ -404,6 +429,13 @@ class TestSweep:
         assert last["case"] == "boundary"
         assert last["bound"] == pytest.approx(0.5**20, rel=1e-12)
         assert last["exact_tail"] == pytest.approx(0.5**20, rel=1e-12)
+
+    def test_exact_tails_independent_of_blas_threads(self, specs):
+        outputs = blas_thread_outputs("sweep", "--n", "20", "--c", "0.5", "--points", "50",
+                                      "--spec", specs["b20"], "--atom-cap", "2097152")
+        rows = json.loads(outputs[0])["result"]["rows"]
+        assert len(rows) == 50 and all(row["exact_tail"] is not None for row in rows)
+        assert outputs[0] == outputs[1]
 
     def test_single_point_matches_bound_command(self, capsys):
         _, swept = run_json(

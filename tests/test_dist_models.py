@@ -17,24 +17,31 @@ ZOO = make_zoo()
 ZOO_IDS = [name for name, _, _ in ZOO]
 
 
+def _enumerated_sum_law(model, chunk_size=7):
+    """The law of the coordinate sum from the enumerated support: distinct
+    atom sums (np.unique) and their probabilities, added in atom order."""
+    chunks = list(model.support_chunks(chunk_size=chunk_size))
+    sums, inverse = np.unique(np.concatenate([v.sum(axis=1) for v, _ in chunks]),
+                              return_inverse=True)
+    return sums, np.bincount(inverse, weights=np.concatenate([p for _, p in chunks]))
+
+
 @pytest.mark.parametrize("name,model,params", ZOO, ids=ZOO_IDS)
 def test_support_probabilities_sum_to_one(name, model, params):
-    _, probs = model.sum_support()
+    sums, probs = model.sum_support()
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(probs >= 0.0)
-    assert len(probs) == model.support_size()
+    assert np.all(np.diff(sums) > 0.0)
+    assert len(probs) == len(_enumerated_sum_law(model)[0])
 
 
 @pytest.mark.parametrize("name,model,params", ZOO, ids=ZOO_IDS)
 def test_sum_support_matches_chunked_enumeration(name, model, params):
     sums, probs = model.sum_support()
-    pos = 0
-    for values, p in model.support_chunks(chunk_size=7):
-        m = len(p)
-        np.testing.assert_allclose(values.sum(axis=1), sums[pos : pos + m], rtol=1e-12)
-        np.testing.assert_allclose(p, probs[pos : pos + m], rtol=1e-12)
-        pos += m
-    assert pos == len(probs)
+    ref_sums, ref_probs = _enumerated_sum_law(model)
+    assert len(sums) == len(ref_sums)
+    np.testing.assert_allclose(sums, ref_sums, rtol=1e-12)
+    np.testing.assert_allclose(probs, ref_probs, rtol=1e-12)
 
 
 class TestExactMoment:
@@ -299,8 +306,9 @@ class TestFactorTables:
                 assert values.tobytes() == ref_values.tobytes()
                 assert p.tobytes() == ref_p.tobytes()
         sums, sum_probs = model.sum_support()
-        assert sums.tobytes() == rows.sum(axis=1).tobytes()
-        assert sum_probs.tobytes() == probs.tobytes()
+        ref_sums, inverse = np.unique(rows.sum(axis=1), return_inverse=True)
+        assert sums.tobytes() == ref_sums.tobytes()
+        assert sum_probs.tobytes() == np.bincount(inverse, weights=probs).tobytes()
         draws = np.random.default_rng(seed).choice(len(probs), size=33, p=probs)
         sampled = model.sample_many(np.random.default_rng(seed), 33)
         assert sampled.tobytes() == rows[draws].tobytes()
