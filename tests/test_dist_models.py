@@ -466,6 +466,8 @@ class TestModelFromSpec:
                 },
                 "sum to",
             ),
+            ({"kind": "explicit_table", "params": {"support": [5]}}, "pairs"),
+            ({"kind": "explicit_table", "params": {"support": [{"x": [None], "p": 1.0}]}}, "pairs"),
         ],
     )
     def test_rejects_malformed_docs(self, doc, match):
