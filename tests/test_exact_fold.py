@@ -253,8 +253,3 @@ def test_boolean_20_law_is_binomial():
     assert sums.tolist() == [float(k) for k in range(21)]
     assert probs.tolist() == [math.comb(20, k) / 2**20 for k in range(21)]
     assert cb.exact_tail(model, 14.0) == 60460 / 1048576
-
-
-def test_every_factor_must_be_read():
-    with pytest.raises(cb.ValidationError, match="every factor"):
-        _FactoredModel(1, [[0.0, 1.0], [0.0, 1.0]], [[0.5, 0.5], [0.5, 0.5]], [0])
