@@ -10,80 +10,49 @@ ships exact enumeration of small joint models, an executable version of the
 coupled sampling process whose inequality chain proves the bound, and a
 randomized detector that recovers a moment-violating subset from sample
 access alone.
+
+Each layer loads on first use: ``import chbound`` imports no submodule, and
+``chbound.<name>`` imports the module that defines ``<name>``.  The closed
+form (``entropy_core``) needs no NumPy.
 """
 
-from .dist_models import (
-    BooleanIIDModel,
-    ExchangeableMixtureModel,
-    ExplicitTableModel,
-    IndependentModel,
-    JointModel,
-    MomentCertificate,
-    PlantedCliqueModel,
-    certify_moments,
-    check_support_range,
-    exact_moment,
-    exact_tail,
-    model_from_spec,
-    sample,
-)
-from .entropy_core import (
-    BoundParams,
-    LambdaChoice,
-    NormalizedParams,
-    chernoff_bound,
-    g_objective,
-    grid_search_lambda,
-    kl_div,
-    normalize,
-    optimize_lambda,
-    proof_case,
-)
-from .errors import (
-    BudgetError,
-    BudgetOverflowError,
-    ChboundError,
-    RejectionBudgetError,
-    SubsetBudgetError,
-    SupportTooLargeError,
-    ValidationError,
-)
-from .mc_engine import (
-    ChainLink,
-    ChainReport,
-    Estimate,
-    SamplingRound,
-    draw_round,
-    estimate_product,
-    exact_product_expectation,
-    verify_chain,
-)
-from .witness import (
-    WitnessParams,
-    WitnessReport,
-    default_budgets,
-    find_dependent_set,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # entropy_core
-    "BoundParams", "NormalizedParams", "LambdaChoice", "kl_div", "normalize",
-    "proof_case", "g_objective", "optimize_lambda", "grid_search_lambda",
-    "chernoff_bound",
-    # dist_models
-    "JointModel", "IndependentModel", "BooleanIIDModel", "PlantedCliqueModel",
-    "ExchangeableMixtureModel", "ExplicitTableModel", "MomentCertificate",
-    "model_from_spec", "sample", "exact_moment", "exact_tail",
-    "certify_moments", "check_support_range",
-    # mc_engine
-    "SamplingRound", "Estimate", "ChainLink", "ChainReport", "draw_round",
-    "estimate_product", "exact_product_expectation", "verify_chain",
-    # witness
-    "WitnessParams", "WitnessReport", "default_budgets", "find_dependent_set",
-    # errors
-    "ChboundError", "ValidationError", "BudgetError", "SupportTooLargeError",
-    "SubsetBudgetError", "RejectionBudgetError", "BudgetOverflowError",
-]
+# public name -> defining submodule, in the order of ``__all__``
+_ORIGIN = {
+    name: module
+    for module, names in (
+        ("entropy_core", ("BoundParams", "NormalizedParams", "LambdaChoice", "kl_div",
+                          "normalize", "proof_case", "g_objective", "optimize_lambda",
+                          "grid_search_lambda", "chernoff_bound")),
+        ("dist_models", ("JointModel", "IndependentModel", "BooleanIIDModel",
+                         "PlantedCliqueModel", "ExchangeableMixtureModel",
+                         "ExplicitTableModel", "MomentCertificate", "model_from_spec",
+                         "sample", "exact_moment", "exact_tail", "certify_moments",
+                         "check_support_range")),
+        ("mc_engine", ("SamplingRound", "Estimate", "ChainLink", "ChainReport", "draw_round",
+                       "estimate_product", "exact_product_expectation", "verify_chain")),
+        ("witness", ("WitnessParams", "WitnessReport", "default_budgets",
+                     "find_dependent_set")),
+        ("errors", ("ChboundError", "ValidationError", "BudgetError", "SupportTooLargeError",
+                    "SubsetBudgetError", "RejectionBudgetError", "BudgetOverflowError")),
+    )
+    for name in names
+}
+
+__all__ = ["__version__", *_ORIGIN]
+
+
+def __getattr__(name: str):
+    module = _ORIGIN.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

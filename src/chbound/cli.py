@@ -23,19 +23,14 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
-from .dist_models import (
-    JointModel,
-    check_support_range,
-    exact_tail,
-    model_from_spec,
-)
 from .entropy_core import (
-    BoundParams,
+    DEFAULT_BLOCK_SIZE,
+    DEFAULT_MAX_PROPOSALS,
+    DEFAULT_MIN_ROUNDS,
     LAMBDA_CAP,
+    BoundParams,
     chernoff_bound,
     check_positive_int,
     g_objective,
@@ -45,14 +40,9 @@ from .entropy_core import (
     slack,
 )
 from .errors import BudgetError, ValidationError
-from .mc_engine import (
-    DEFAULT_BLOCK_SIZE,
-    DEFAULT_MAX_PROPOSALS,
-    estimate_product,
-    exact_product_expectation,
-    verify_chain,
-)
-from .witness import DEFAULT_MIN_ROUNDS, default_budgets, find_dependent_set
+
+if TYPE_CHECKING:
+    from .dist_models import JointModel
 
 SCHEMA_VERSION = "1"
 DEFAULT_SEED = 1729
@@ -78,6 +68,8 @@ def _parse_vector(text: str, n: int, name: str) -> tuple[float, ...]:
 
 
 def _load_model(args) -> JointModel:
+    from .dist_models import model_from_spec
+
     path = args.spec
     try:
         text = sys.stdin.read() if path == "-" else Path(path).read_text()
@@ -113,10 +105,9 @@ def _jsonify(obj):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
+    np = sys.modules.get("numpy")  # no NumPy scalar exists before NumPy loads
+    if np is not None and isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
     return obj
 
 
@@ -179,6 +170,9 @@ def cmd_bound(args) -> tuple[dict, int]:
 
 
 def cmd_verify(args) -> tuple[dict, int]:
+    from .dist_models import check_support_range
+    from .mc_engine import verify_chain
+
     model = _load_model(args)
     params = _build_params(args, model.n)
     check_support_range(model, params)
@@ -219,6 +213,8 @@ def cmd_verify(args) -> tuple[dict, int]:
 
 
 def cmd_simulate(args) -> tuple[dict, int]:
+    from .mc_engine import estimate_product, exact_product_expectation
+
     model = _load_model(args)
     params = _build_params(args, model.n)
     lam = _resolve_lambda(args, params)
@@ -253,6 +249,8 @@ def cmd_simulate(args) -> tuple[dict, int]:
 
 
 def cmd_detect(args) -> tuple[dict, int]:
+    from .witness import default_budgets, find_dependent_set
+
     model = _load_model(args)
     wp = default_budgets(model.n, args.c_scalar, args.t, args.alpha)
     overrides = {
@@ -306,6 +304,10 @@ def cmd_sweep(args) -> tuple[dict, int]:
 
 
 def _sweep_t(args, model: JointModel | None) -> tuple[list[dict], dict]:
+    import numpy as np
+
+    from .dist_models import exact_tail
+
     base = _build_params(args, args.n, t=0.0)
     t_max = args.t_max if args.t_max is not None else base.t_max
     t_min = args.t_min
@@ -338,6 +340,8 @@ def _sweep_t(args, model: JointModel | None) -> tuple[list[dict], dict]:
 
 
 def _sweep_lambda(args) -> tuple[list[dict], dict]:
+    import numpy as np
+
     if args.t is None:
         raise ValidationError("sweep --over lambda needs --t")
     params = _build_params(args, args.n)

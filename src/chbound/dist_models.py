@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .entropy_core import BoundParams, check_positive_int, check_table, slack
+from .entropy_core import PROB_SUM_TOL, BoundParams, check_positive_int, slack
 from .errors import SubsetBudgetError, SupportTooLargeError, ValidationError
 
 DEFAULT_ATOM_CAP = 10**6
@@ -76,6 +76,18 @@ def _coin(p) -> tuple[np.ndarray, np.ndarray]:
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"p must lie in [0, 1], got {p}")
     return np.array([0.0, 1.0]), np.array([1.0 - p, p])
+
+
+def check_table(values: np.ndarray, probs: np.ndarray, name: str) -> None:
+    """The check of every user-given probability table: finite values, and
+    finite, non-negative probabilities that sum to 1 within PROB_SUM_TOL."""
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(f"{name} has non-finite values")
+    if np.any(probs < 0.0) or not np.all(np.isfinite(probs)):
+        raise ValidationError(f"{name} has negative or non-finite probabilities")
+    total = float(probs.sum())
+    if abs(total - 1.0) > PROB_SUM_TOL:
+        raise ValidationError(f"{name} probabilities sum to {total}, expected 1")
 
 
 def _validate_atoms(atoms, name: str) -> tuple[np.ndarray, np.ndarray]:

@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ValidationError
 
 # -- tolerance policy ------------------------------------------------------
@@ -43,19 +41,13 @@ def slack(scale: float = 1.0) -> float:
     return TOL * max(1.0, abs(scale))
 
 
-def check_table(values: np.ndarray, probs: np.ndarray, name: str) -> None:
-    """The check of every user-given probability table: finite values, and
-    finite, non-negative probabilities that sum to 1 within PROB_SUM_TOL."""
-    if not np.all(np.isfinite(values)):
-        raise ValidationError(f"{name} has non-finite values")
-    if np.any(probs < 0.0) or not np.all(np.isfinite(probs)):
-        raise ValidationError(f"{name} has negative or non-finite probabilities")
-    total = float(probs.sum())
-    if abs(total - 1.0) > PROB_SUM_TOL:
-        raise ValidationError(f"{name} probabilities sum to {total}, expected 1")
-
-
 # -- end of tolerance policy -----------------------------------------------
+
+# Sampling defaults shared by the library and the CLI parser, kept here so
+# that building the parser loads no NumPy.
+DEFAULT_BLOCK_SIZE = 8192
+DEFAULT_MAX_PROPOSALS = 10_000_000
+DEFAULT_MIN_ROUNDS = 5
 
 __all__ = [
     "TOL",
@@ -333,6 +325,8 @@ def grid_search_lambda(
         raise ValidationError(f"points must be >= 2, got {points}")
     if not 0.0 < hi < 1.0:
         raise ValidationError(f"hi must lie in (0, 1), got {hi}")
+    import numpy as np
+
     ct, tt = _interior(norm, "grid_search_lambda")
     lams = np.linspace(0.0, hi, points)
     values = (lams * ct + 1.0 - lams) * (1.0 - lams) ** (ct + tt - 1.0)

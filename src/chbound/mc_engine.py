@@ -40,7 +40,6 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
@@ -49,11 +48,11 @@ import numpy as np
 from .dist_models import (
     JointModel, MomentCertificate, certify_moments, tail_cutoff, to_unit_cube,
 )
-from .entropy_core import BoundParams, check_positive_int, normalize, slack
+from .entropy_core import (
+    DEFAULT_BLOCK_SIZE, DEFAULT_MAX_PROPOSALS, BoundParams, check_positive_int, normalize, slack,
+)
 from .errors import RejectionBudgetError, ValidationError
 
-DEFAULT_BLOCK_SIZE = 8192
-DEFAULT_MAX_PROPOSALS = 10_000_000
 # estimate_product samples ESTIMATE_CHUNK // n rows at a time, so each float64
 # temporary holds 512 KiB and stays in L2, where a whole block took megabytes.
 ESTIMATE_CHUNK = 2**16
@@ -120,6 +119,8 @@ def _run_blocks(
     if workers == 1:
         yield from map(run, range(n_blocks))
         return
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending: deque = deque()
         try:

@@ -26,8 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist_models import JointModel
-from .entropy_core import (LAMBDA_CAP, BoundParams, NormalizedParams, check_positive_int,
-                           chernoff_bound, optimize_lambda, proof_case, slack)
+from .entropy_core import (DEFAULT_MIN_ROUNDS, LAMBDA_CAP, BoundParams, NormalizedParams,
+                           check_positive_int, chernoff_bound, optimize_lambda, proof_case,
+                           slack)
 from .errors import BudgetOverflowError, ValidationError
 from .mc_engine import (
     DEFAULT_BLOCK_SIZE,
@@ -43,7 +44,6 @@ from .mc_engine import (
 # threshold retains its closed form.
 DEFAULT_SEARCH_CAP = 50_000
 DEFAULT_CONFIRM_CAP = 20_000
-DEFAULT_MIN_ROUNDS = 5
 CONFIRM_Z = 2.0
 
 __all__ = [

@@ -1,11 +1,11 @@
 """Coupled-process sampling, estimators, and exact chain verification."""
 
+import concurrent.futures
 import itertools
 import json
 import math
 import re
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -604,12 +604,13 @@ class TestStreamPinning:
         # many rounds of blocks; all of them must share a single pool.
         built = []
 
-        class CountingPool(ThreadPoolExecutor):
+        class CountingPool(concurrent.futures.ThreadPoolExecutor):
             def __init__(self, *args, **kwargs):
                 built.append(kwargs.get("max_workers"))
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(mc_engine, "ThreadPoolExecutor", CountingPool)
+        # _run_blocks imports the pool class when it first needs one
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
         monkeypatch.setattr(mc_engine.os, "cpu_count", lambda: 2)
         model = cb.BooleanIIDModel(4, 0.5)
         params = cb.BoundParams.boolean(4, 0.5, 0.25)
