@@ -7,19 +7,18 @@ Every model here is a finite-support joint law on R^n exposing two views:
 * exact computation (``sum_support``, ``exact_moment``, ``exact_tail``,
   ``certify_moments``, ``check_support_range``) without enumerating atoms.
 
-Every model is a factor table (see ``_FactoredModel``); an explicit table is
-one factor, and the mixture is a weighted sum of two factor tables (its
-shared atoms, and its independent part).  The exact routines fold factors
-instead of walking the support: the law of the coordinate sum folds factor
-by factor into a map from partial sum to mass, merging equal sums, and a
-product moment is the product of per-factor moments.  Only a factor read by
-several variables (an explicit table, the planted block, the shared atoms)
-is walked row by row.  ``support_chunks`` still enumerates every atom, for
-tests and small models.
+Every model is a factor table (``JointModel``); an explicit table is one
+factor, and the mixture is a weighted sum of two factor tables (its shared
+atoms, and its independent part).  The exact routines fold factors instead
+of walking the support: the law of the coordinate sum folds factor by factor
+into a map from partial sum to mass, merging equal sums, and a product
+moment is the product of per-factor moments.  Only a factor read by several
+variables (an explicit table, the planted block, the shared atoms) is
+walked row by row.
 
-Exact operations are only permitted while the support has at most
-``atom_cap`` atoms; larger models stay usable for sampling but exact
-operations raise ``SupportTooLargeError`` up front.  Sums and products run in
+The exact routines run only while the support has at most ``atom_cap``
+atoms; larger models stay usable for sampling but exact routines raise
+``SupportTooLargeError`` up front.  Sums and products run in
 a fixed order through NumPy reductions, never threaded BLAS dot products, so
 exact results are bit-reproducible.
 """
@@ -27,8 +26,9 @@ exact results are bit-reproducible.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -147,14 +147,44 @@ def _lex_walk(n: int, max_size: int, root, step, chain: tuple[int, ...] | None =
 
 
 class JointModel:
-    """Base class: a joint law on R^n with sampling and exact enumeration."""
+    """A joint law on R^n as a table of independent discrete factors.
 
-    kind = "abstract"
+    Factor j is a table of atom rows, ``factor_values[j]`` of shape (m_j, w_j)
+    (1-D for one column), with row probabilities ``factor_probs[j]``.  The
+    factors' columns sit side by side and variable i reads column ``vmap[i]``;
+    several variables may read one column (the planted block does), and
+    every factor is read by some variable (the range check of an unread
+    factor would see no columns).
+    """
 
-    def __init__(self, n: int, atom_cap: int = DEFAULT_ATOM_CAP):
+    kind = "factor_table"
+
+    def __init__(
+        self,
+        n: int,
+        factor_values: Sequence[np.ndarray],
+        factor_probs: Sequence[np.ndarray],
+        vmap: Sequence[int],
+        atom_cap: int = DEFAULT_ATOM_CAP,
+    ):
         self._n = check_positive_int("n", n)
         self._atom_cap = check_positive_int("atom_cap", atom_cap)
         self._sum_cache: tuple[np.ndarray, np.ndarray] | None = None
+        self._fvals = [np.asarray(v, dtype=np.float64).reshape(len(v), -1) for v in factor_values]
+        self._fprobs = [np.asarray(p, dtype=np.float64) for p in factor_probs]
+        self._vmap = np.asarray(vmap, dtype=np.int64)
+        if len(self._vmap) != n:
+            raise ValidationError("vmap must assign a column to each variable")
+        self._total = math.prod(len(v) for v in self._fvals)
+        # (factor, column within it) of the global column each variable reads
+        starts = np.cumsum([0] + [fv.shape[1] for fv in self._fvals])
+        owner = np.searchsorted(starts, self._vmap, side="right") - 1
+        self._reads = list(zip(owner.tolist(), (self._vmap - starts[owner]).tolist()))
+        # per factor, the variables reading it (ascending) and their columns
+        self._freads = [([], []) for _ in self._fvals]
+        for i, (j, c) in enumerate(self._reads):
+            self._freads[j][0].append(i)
+            self._freads[j][1].append(c)
 
     @property
     def n(self) -> int:
@@ -169,7 +199,7 @@ class JointModel:
         return self.support_size() <= self._atom_cap
 
     def support_size(self) -> int:
-        raise NotImplementedError
+        return self._total
 
     def _draw(self, rng: np.random.Generator, out: np.ndarray) -> None:
         """Fill the C-ordered (n, size) float64 ``out`` with ``size`` joint
@@ -178,7 +208,8 @@ class JointModel:
         The model's one sampling primitive.  It may use ``out``'s memory as
         scratch for its uniforms, so ``out`` must own its whole extent.
         """
-        raise NotImplementedError
+        self._gather([rng.choice(len(fv), size=out.shape[1], p=fp)
+                      for fv, fp in zip(self._fvals, self._fprobs)], out)
 
     def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` joint vectors, shape (size, n), C-ordered float64."""
@@ -188,21 +219,6 @@ class JointModel:
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return self.sample_many(rng, 1)[0]
-
-    def support_chunks(
-        self, chunk_size: int = DEFAULT_CHUNK
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Yield (values, probs) over the whole support in a fixed order.
-
-        ``values`` holds full (m, n) atom rows and ``probs`` their probabilities.
-        """
-        raise NotImplementedError
-
-    def support(self) -> Iterator[tuple[np.ndarray, float]]:
-        """Atom-by-atom view, mainly for tests and tiny models."""
-        for values, probs in self.support_chunks():
-            for row, p in zip(values, probs):
-                yield row.copy(), float(p)
 
     def _require_enumerable(self, what: str) -> None:
         size = self.support_size()
@@ -232,71 +248,17 @@ class JointModel:
             raise ValidationError(f"column indices must be distinct, got {cols}")
         return cols
 
-
-class _FactoredModel(JointModel):
-    """Shared machinery for laws that factor into independent discrete factors.
-
-    Factor j is a table of atom rows, ``factor_values[j]`` of shape (m_j, w_j)
-    (1-D for one column), with row probabilities ``factor_probs[j]``.  The
-    factors' columns sit side by side and variable i reads column ``vmap[i]``;
-    several variables may read one column (the planted block does), and
-    every factor is read by some variable (the range check of an unread
-    factor would see no columns).  Atom order is mixed-radix over factor
-    rows, factor 0 most significant.
-    """
-
-    def __init__(
-        self,
-        n: int,
-        factor_values: Sequence[np.ndarray],
-        factor_probs: Sequence[np.ndarray],
-        vmap: Sequence[int],
-        atom_cap: int = DEFAULT_ATOM_CAP,
-    ):
-        super().__init__(n, atom_cap)
-        self._fvals = [np.asarray(v, dtype=np.float64).reshape(len(v), -1) for v in factor_values]
-        self._fprobs = [np.asarray(p, dtype=np.float64) for p in factor_probs]
-        self._vmap = np.asarray(vmap, dtype=np.int64)
-        if len(self._vmap) != n:
-            raise ValidationError("vmap must assign a column to each variable")
-        self._sizes = [len(v) for v in self._fvals]
-        self._total = math.prod(self._sizes)
-        # (factor, column within it) of the global column each variable reads
-        starts = np.cumsum([0] + [fv.shape[1] for fv in self._fvals])
-        owner = np.searchsorted(starts, self._vmap, side="right") - 1
-        self._reads = list(zip(owner.tolist(), (self._vmap - starts[owner]).tolist()))
-        # per factor, the variables reading it (ascending) and their columns
-        self._freads = [([], []) for _ in self._fvals]
-        for i, (j, c) in enumerate(self._reads):
-            self._freads[j][0].append(i)
-            self._freads[j][1].append(c)
-
-    def support_size(self) -> int:
-        return self._total
-
-    def _parts(self) -> tuple[tuple[float, "_FactoredModel"], ...]:
+    def _parts(self) -> tuple[tuple[float, "JointModel"], ...]:
         """(weight, factor table) pairs whose weighted sum is the law."""
         return ((1.0, self),)
 
     def _gather(self, atoms: Sequence[np.ndarray], out: np.ndarray) -> np.ndarray:
         """Fill the variable-major (n, rows) ``out`` from per-factor atom
         indices: row i takes the column variable i reads from factor j's rows
-        ``atoms[j]``.  The one variable gather, for sampling and enumeration."""
+        ``atoms[j]``.  The one variable gather of sampling."""
         for row, (j, c) in zip(out, self._reads):
             self._fvals[j][:, c].take(atoms[j], out=row)
         return out
-
-    def support_chunks(
-        self, chunk_size: int = DEFAULT_CHUNK
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        total = self._total
-        for start in range(0, total, chunk_size):
-            idx = np.arange(start, min(start + chunk_size, total), dtype=np.int64)
-            digits = np.unravel_index(idx, self._sizes)
-            probs = np.ones(len(idx), dtype=np.float64)
-            for j, fp in enumerate(self._fprobs):
-                probs *= fp[digits[j]]
-            yield self._gather(digits, np.empty((self._n, len(idx)))).T.copy(), probs
 
     def _factor_atoms(self, params: BoundParams | None = None) -> list[tuple]:
         """Per factor: its (m_j, k_j) atom rows over the k_j variables reading
@@ -418,12 +380,8 @@ class _FactoredModel(JointModel):
         total = sum(w * np.asarray(moments) for w, (_, moments) in parts)
         return parts[0][1][0], total.tolist()
 
-    def _draw(self, rng: np.random.Generator, out: np.ndarray) -> None:
-        self._gather([rng.choice(len(fv), size=out.shape[1], p=fp)
-                      for fv, fp in zip(self._fvals, self._fprobs)], out)
 
-
-class IndependentModel(_FactoredModel):
+class IndependentModel(JointModel):
     """Independent variables with arbitrary finite marginals."""
 
     kind = "independent"
@@ -444,7 +402,7 @@ class IndependentModel(_FactoredModel):
         ]
 
 
-class BooleanIIDModel(_FactoredModel):
+class BooleanIIDModel(JointModel):
     """n i.i.d. Bernoulli(p) variables on {0, 1}."""
 
     kind = "boolean_iid"
@@ -462,7 +420,7 @@ class BooleanIIDModel(_FactoredModel):
         np.copyto(out, np.less(u, self.p).T.copy())
 
 
-class PlantedCliqueModel(_FactoredModel):
+class PlantedCliqueModel(JointModel):
     """Bernoulli(p) variables where a planted index block shares one coin.
 
     Variables inside the block are perfectly correlated (they all copy a
@@ -516,11 +474,11 @@ class PlantedCliqueModel(_FactoredModel):
         np.copyto(out, coins.take(self._vmap, axis=0))
 
 
-class ExchangeableMixtureModel(_FactoredModel):
+class ExchangeableMixtureModel(JointModel):
     """Mixture: with probability rho all variables copy one draw from the
     marginal, otherwise all n are drawn independently from that marginal.
-    The factors describe the independent part, enumerated after the shared
-    atoms; the shared atoms are a one-factor table that every variable reads.
+    The factors describe the independent part; the shared atoms are a
+    one-factor table that every variable reads.
     """
 
     kind = "exchangeable_mixture"
@@ -535,7 +493,7 @@ class ExchangeableMixtureModel(_FactoredModel):
         self.rho = rho
         self._values = values
         self._probs = probs
-        self._shared = _FactoredModel(n, [values], [probs], [0] * n, atom_cap)
+        self._shared = JointModel(n, [values], [probs], [0] * n, atom_cap)
 
     @classmethod
     def bernoulli(
@@ -545,11 +503,6 @@ class ExchangeableMixtureModel(_FactoredModel):
 
     def support_size(self) -> int:
         return len(self._values) + self._total
-
-    def support_chunks(self, chunk_size=DEFAULT_CHUNK):
-        yield np.repeat(self._values[:, None], self._n, axis=1), self.rho * self._probs
-        for values, probs in super().support_chunks(chunk_size):
-            yield values, (1.0 - self.rho) * probs
 
     def _parts(self):
         return ((self.rho, self._shared), (1.0 - self.rho, self))
@@ -563,7 +516,7 @@ class ExchangeableMixtureModel(_FactoredModel):
         np.copyto(out, self._values[shared], where=mix)
 
 
-class ExplicitTableModel(_FactoredModel):
+class ExplicitTableModel(JointModel):
     """Joint law given directly as a table of (vector, probability) atoms:
     one factor whose rows are the atoms, read column i by variable i."""
 
@@ -673,16 +626,20 @@ def certify_moments(
     omitted) in deterministic order: by size, lexicographic within a size.
     Raises ``SubsetBudgetError`` before doing any work if that would exceed
     ``subset_budget`` subsets.  Moments are closed-form products of
-    per-factor moments (see ``_FactoredModel._part_moments``), and each
+    per-factor moments (see ``JointModel._part_moments``), and each
     bound product is its prefix's times one c_i, bit for bit ``np.prod`` of
     the subset's c_i.  Only factors read by several variables cost
     O(#subsets x rows); the others cost O(1) per subset.
     """
     if params.n != model.n:
         raise ValidationError(f"params.n={params.n} does not match model n={model.n}")
-    max_size = model.n if max_subset_size is None else int(max_subset_size)
+    max_size = model.n if max_subset_size is None else max_subset_size
+    if isinstance(max_size, bool) or not isinstance(max_size, numbers.Integral):
+        raise ValidationError(f"max_subset_size must be an integer, got {max_size!r}")
+    max_size = int(max_size)
     if not 0 <= max_size <= model.n:
         raise ValidationError(f"max_subset_size must lie in [0, n], got {max_size}")
+    subset_budget = check_positive_int("subset_budget", subset_budget)
     count = sum(math.comb(model.n, k) for k in range(max_size + 1))
     if count > subset_budget:
         raise SubsetBudgetError(
@@ -737,7 +694,7 @@ def to_unit_cube(
 def check_support_range(model: JointModel, params: BoundParams) -> None:
     """Raise unless every positive-probability atom lies in [a_i, a_i + b].
 
-    Checks factor rows, not the enumerated support: an atom has positive
+    Checks factor rows, not the atoms: an atom has positive
     probability exactly when each of its factor rows does (in a mixture
     part of positive weight).
     """

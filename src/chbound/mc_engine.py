@@ -397,7 +397,7 @@ def verify_chain(
     """Evaluate the full inequality chain exactly at one lambda in [0, 1).
 
     All expectations are exact sums over the folded law of the coordinate
-    sum (see ``_FactoredModel._fold``), so a failed link is an exact statement
+    sum (see ``JointModel._fold``), so a failed link is an exact statement
     about the model, not sampling noise.  The moment certificates cover
     subsets up to ``max_subset_size`` (default: all).
     """

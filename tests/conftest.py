@@ -1,6 +1,8 @@
 """Shared fixtures: the model zoo used across the exact and Monte Carlo tests,
-and the row-major reference sampler the sampling and estimator tests pin against."""
+the brute-force atom enumerator the exact tests compare against, and the
+row-major reference sampler the sampling and estimator tests pin against."""
 
+import itertools
 import math
 
 import numpy as np
@@ -74,6 +76,18 @@ def make_zoo():
 def make_violating_pair():
     """n=2 identical coins with c_i = 0.5: E[X1 X2] = 0.5 > 0.25."""
     return cb.PlantedCliqueModel(2, 0.5, k=2), cb.BoundParams.boolean(2, 0.5, 0.25)
+
+
+def enumerate_atoms(model):
+    """Every atom of the model, brute force: one per combination of factor
+    rows in each weighted part, factor 0 most significant.  Returns the
+    C-ordered (m, n) float64 atom rows and their probabilities."""
+    rows, probs = [], []
+    for weight, part in model._parts():
+        for combo in itertools.product(*(range(len(fp)) for fp in part._fprobs)):
+            rows.append([part._fvals[j][combo[j], c] for j, c in part._reads])
+            probs.append(weight * math.prod(fp[k] for fp, k in zip(part._fprobs, combo)))
+    return np.array(rows, dtype=np.float64).reshape(len(rows), model.n), np.array(probs)
 
 
 def reference_sample_many(model, rng, size):

@@ -11,19 +11,18 @@ from hypothesis import strategies as st
 
 import chbound as cb
 from chbound.cli import main
-from conftest import make_violating_pair, make_zoo, reference_sample_many
+from conftest import enumerate_atoms, make_violating_pair, make_zoo, reference_sample_many
 
 ZOO = make_zoo()
 ZOO_IDS = [name for name, _, _ in ZOO]
 
 
-def _enumerated_sum_law(model, chunk_size=7):
+def _enumerated_sum_law(model):
     """The law of the coordinate sum from the enumerated support: distinct
     atom sums (np.unique) and their probabilities, added in atom order."""
-    chunks = list(model.support_chunks(chunk_size=chunk_size))
-    sums, inverse = np.unique(np.concatenate([v.sum(axis=1) for v, _ in chunks]),
-                              return_inverse=True)
-    return sums, np.bincount(inverse, weights=np.concatenate([p for _, p in chunks]))
+    values, probs = enumerate_atoms(model)
+    sums, inverse = np.unique(values.sum(axis=1), return_inverse=True)
+    return sums, np.bincount(inverse, weights=probs)
 
 
 @pytest.mark.parametrize("name,model,params", ZOO, ids=ZOO_IDS)
@@ -153,7 +152,7 @@ class TestSampling:
         assert x.shape == (model.n,)
         batch = model.sample_many(rng, 128)
         assert batch.shape == (128, model.n)
-        atoms = {tuple(row) for row, _ in model.support()}
+        atoms = {tuple(row) for row in enumerate_atoms(model)[0]}
         assert all(tuple(row) in atoms for row in batch)
 
     @pytest.mark.parametrize("name,model,params", ZOO, ids=ZOO_IDS)
@@ -206,6 +205,20 @@ class TestCertify:
             model, cb.BoundParams.boolean(5, 0.5, 0.1), max_subset_size=2
         )
         assert len(certs) == 1 + 5 + 10
+
+    @pytest.mark.parametrize("size", [2.5, True])
+    def test_max_subset_size_must_be_an_integer(self, size):
+        model, params = cb.BooleanIIDModel(5, 0.5), cb.BoundParams.boolean(5, 0.5, 0.1)
+        with pytest.raises(cb.ValidationError, match="max_subset_size must be an integer"):
+            cb.certify_moments(model, params, max_subset_size=size)
+        with pytest.raises(cb.ValidationError, match="max_subset_size must be an integer"):
+            cb.verify_chain(model, params, 0.5, max_subset_size=size)
+
+    @pytest.mark.parametrize("budget", ["10", None, 0])
+    def test_subset_budget_must_be_a_positive_integer(self, budget):
+        with pytest.raises(cb.ValidationError, match="subset_budget"):
+            cb.certify_moments(cb.BooleanIIDModel(2, 0.5), cb.BoundParams.boolean(2, 0.5, 0.1),
+                               subset_budget=budget)
 
     def test_subset_budget_guard(self):
         model = cb.BooleanIIDModel(5, 0.5)
@@ -269,13 +282,6 @@ class TestCertify:
         self._assert_matches_per_subset_reference(model, caps)
 
 
-def _table_chunks_reference(rows, probs, chunk_size):
-    """Enumeration of a table as row slices in order (the table's own path before
-    it became a one-factor table)."""
-    for start in range(0, len(probs), chunk_size):
-        yield rows[start : start + chunk_size].copy(), probs[start : start + chunk_size]
-
-
 class TestFactorTables:
     @given(
         st.integers(min_value=1, max_value=6).flatmap(
@@ -298,13 +304,6 @@ class TestFactorTables:
         probs = weights / weights.sum()
         rows = np.array([x for x, _ in atoms], dtype=np.float64)
         model = cb.ExplicitTableModel(list(zip(rows.tolist(), probs.tolist())))
-        for chunk_size in (1, 7, 1 << 16):
-            got = list(model.support_chunks(chunk_size))
-            want = list(_table_chunks_reference(rows, probs, chunk_size))
-            assert len(got) == len(want)
-            for (values, p), (ref_values, ref_p) in zip(got, want):
-                assert values.tobytes() == ref_values.tobytes()
-                assert p.tobytes() == ref_p.tobytes()
         sums, sum_probs = model.sum_support()
         ref_sums, inverse = np.unique(rows.sum(axis=1), return_inverse=True)
         assert sums.tobytes() == ref_sums.tobytes()
@@ -348,12 +347,10 @@ class TestFactorTables:
         ids=ZOO_IDS + ["planted_scattered"],
     )
     def test_values_are_c_ordered_float64(self, model):
-        # Row sums over axis 1 depend on the memory order, so every view of the
-        # atoms must come out C-contiguous.
-        arrays = [values for values, _ in model.support_chunks(chunk_size=7)]
-        arrays.append(model.sample_many(np.random.default_rng(0), 9))
-        for values in arrays:
-            assert values.dtype == np.float64 and values.flags["C_CONTIGUOUS"]
+        # Row sums over axis 1 depend on the memory order, so sampled rows
+        # must come out C-contiguous.
+        values = model.sample_many(np.random.default_rng(0), 9)
+        assert values.dtype == np.float64 and values.flags["C_CONTIGUOUS"]
 
 
 class TestEnumerabilityCap:

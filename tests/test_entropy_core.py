@@ -155,6 +155,9 @@ _BOOL_SITES = {
         cb.BooleanIIDModel(1, 0.5), cb.BoundParams.boolean(1, 0.5, 0.0), 0.5, 1, workers=v
     ),
     "default_budgets n": lambda v: cb.default_budgets(v, 0.5, 0.25, 0.9),
+    "subset_budget": lambda v: cb.certify_moments(
+        cb.BooleanIIDModel(1, 0.5), cb.BoundParams.boolean(1, 0.5, 0.0), subset_budget=v
+    ),
     "WitnessParams.m_search": lambda v: cb.WitnessParams(
         n=1, c=0.5, t=0.25, alpha=0.9, lam=0.5, m_search=v, m_confirm=1, margin_threshold=0.1
     ),

