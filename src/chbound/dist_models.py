@@ -79,8 +79,13 @@ def _coin(p) -> tuple[np.ndarray, np.ndarray]:
 
 
 def check_table(values: np.ndarray, probs: np.ndarray, name: str) -> None:
-    """The check of every user-given probability table: finite values, and
-    finite, non-negative probabilities that sum to 1 within PROB_SUM_TOL."""
+    """The check of every user-given probability table: one probability per
+    value row, finite values, and finite, non-negative probabilities that
+    sum to 1 within PROB_SUM_TOL."""
+    if probs.ndim != 1 or len(values) != len(probs):
+        raise ValidationError(
+            f"{name} has {len(values)} value rows but probabilities of shape {probs.shape}"
+        )
     if not np.all(np.isfinite(values)):
         raise ValidationError(f"{name} has non-finite values")
     if np.any(probs < 0.0) or not np.all(np.isfinite(probs)):
@@ -154,7 +159,8 @@ class JointModel:
     factors' columns sit side by side and variable i reads column ``vmap[i]``;
     several variables may read one column (the planted block does), and
     every factor is read by some variable (the range check of an unread
-    factor would see no columns).
+    factor would see no columns).  The constructor checks each factor with
+    ``check_table``, the column map, and that every factor is read.
     """
 
     kind = "factor_table"
@@ -170,14 +176,30 @@ class JointModel:
         self._n = check_positive_int("n", n)
         self._atom_cap = check_positive_int("atom_cap", atom_cap)
         self._sum_cache: tuple[np.ndarray, np.ndarray] | None = None
+        # lists keep every table alive, so the ids below stay distinct
+        factor_values, factor_probs = list(factor_values), list(factor_probs)
+        if not all(len(v) for v in factor_values):
+            raise ValidationError("every factor needs at least one value row")
         self._fvals = [np.asarray(v, dtype=np.float64).reshape(len(v), -1) for v in factor_values]
         self._fprobs = [np.asarray(p, dtype=np.float64) for p in factor_probs]
-        self._vmap = np.asarray(vmap, dtype=np.int64)
-        if len(self._vmap) != n:
-            raise ValidationError("vmap must assign a column to each variable")
+        if len(self._fvals) != len(self._fprobs):
+            raise ValidationError("factor_values and factor_probs must list the same factors")
+        checked = set()
+        for j, key in enumerate(zip(map(id, factor_values), map(id, factor_probs))):
+            if key not in checked:  # a table passed for several factors is checked once
+                checked.add(key)
+                check_table(self._fvals[j], self._fprobs[j], f"{self.kind} factor {j}")
+        starts = np.cumsum([0] + [fv.shape[1] for fv in self._fvals])
+        self._vmap = np.asarray(vmap)
+        if (self._vmap.shape != (n,) or self._vmap.dtype.kind not in "iu"
+                or not np.all((self._vmap >= 0) & (self._vmap < starts[-1]))):
+            raise ValidationError(
+                f"vmap must give each of the {n} variables an integer column in "
+                f"[0, {starts[-1]}), got {vmap!r}"
+            )
+        self._vmap = self._vmap.astype(np.int64)
         self._total = math.prod(len(v) for v in self._fvals)
         # (factor, column within it) of the global column each variable reads
-        starts = np.cumsum([0] + [fv.shape[1] for fv in self._fvals])
         owner = np.searchsorted(starts, self._vmap, side="right") - 1
         self._reads = list(zip(owner.tolist(), (self._vmap - starts[owner]).tolist()))
         # per factor, the variables reading it (ascending) and their columns
@@ -185,6 +207,9 @@ class JointModel:
         for i, (j, c) in enumerate(self._reads):
             self._freads[j][0].append(i)
             self._freads[j][1].append(c)
+        unread = [j for j, (variables, _) in enumerate(self._freads) if not variables]
+        if unread:
+            raise ValidationError(f"factors {unread} are read by no variable")
 
     @property
     def n(self) -> int:
@@ -538,7 +563,6 @@ class ExplicitTableModel(JointModel):
             table, probs = self._parse(atoms)
         n = table.shape[1]
         super().__init__(n, [table], [probs], vmap=range(n), atom_cap=atom_cap)
-        check_table(table, self._fprobs[0], "explicit_table")
         if len(probs) > atom_cap:
             raise ValidationError(
                 f"explicit_table has {len(probs)} atoms, exceeding atom_cap={atom_cap}"

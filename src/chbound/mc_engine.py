@@ -11,28 +11,32 @@ evaluates every step exactly on an enumerable model.
 Given X the round product is Bernoulli(prod_i (lam Xtilde_i + 1 - lam)), so
 ``estimate_product`` integrates Y and I out: it draws only X and averages
 that row weight, which the exact routines sum over the folded law of the sum.
+The witness integrates out Y alone (E[prod_{i in I} Y_i | X, I] =
+prod_{i in I} Xtilde_i); only ``draw_round``, which returns Y, draws it.
 
-Its chunk kernel works in one variable-major (n, rows) float64 workspace per
-block, reused for every chunk: the model's ``_draw`` fills it (drawing its
-uniforms into the same memory), ``to_unit_cube`` checks the (rows, n) view
-and maps it (the identity map allocates nothing), the weight
-(lam xtilde + 1) - lam is formed in place, and ``np.multiply.reduce`` over
-axis 0 folds each column.  That fold multiplies variables 0..n-1 left to
-right, as ``np.prod`` along a C-ordered row does, so the weights keep the
-bits of the row-major kernel (``dist_models._row_weights``) while vectorising across
-rows.  Sums are different: NumPy adds a contiguous row pairwise, which an
-axis-0 fold does not reproduce, so conditional mode copies each chunk back
-to C-ordered rows for the tail test, and then weighs only the kept rows.
-The range check still covers every drawn row.
+The round kernel ``_chunks`` works in one variable-major (n, rows) float64
+workspace per block, reused for every chunk: the model's ``_draw`` fills it
+(drawing its uniforms into the same memory), ``to_unit_cube`` checks the
+(rows, n) view and maps it (the identity map allocates nothing).
+``estimate_product`` forms the weight (lam xtilde + 1) - lam in place, and
+``np.multiply.reduce`` over axis 0 folds each column.  That fold multiplies
+variables 0..n-1 left to right, as ``np.prod`` along a C-ordered row does,
+so the weights keep the bits of the row-major kernel
+(``dist_models._row_weights``) while vectorising across rows.  Sums are
+different: NumPy adds a contiguous row pairwise, which an axis-0 fold does
+not reproduce, so conditional mode copies each chunk back to C-ordered rows
+for the tail test, and then weighs only the kept rows.  The range check
+still covers every drawn row.
 
-Reproducibility contract: every sampler schedules its blocks through the one
-block scheduler ``_run_blocks``, and ``draw_round`` and both witness phases
-draw rounds through the one round kernel ``_rounds``.  Samplers are seeded
-by an integer, rounds are partitioned into fixed-size blocks, and block b
-uses the generator derived from ``SeedSequence(entropy=seed, spawn_key=(tag,
-b))``.  Workers only decide who computes a block, never what the block
-contains, and per-block results are consumed in block order, so results are
-byte-identical for any worker count.
+Reproducibility contract: every sampler draws its rows through the one
+round kernel ``_chunks`` and schedules its blocks through the one block
+scheduler ``_run_blocks``; means and standard errors merge per-block results
+in ``_mean_and_se``.  Samplers are seeded by an integer, rounds are
+partitioned into fixed-size blocks, and block b uses the generator derived
+from ``SeedSequence(entropy=seed, spawn_key=(tag, b))``.  Workers only
+decide who computes a block, never what the block contains, and per-block
+results are consumed in block order, so results are byte-identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -53,7 +57,7 @@ from .entropy_core import (
 )
 from .errors import RejectionBudgetError, ValidationError
 
-# estimate_product samples ESTIMATE_CHUNK // n rows at a time, so each float64
+# The round kernel samples ESTIMATE_CHUNK // n rows at a time, so each float64
 # temporary holds 512 KiB and stays in L2, where a whole block took megabytes.
 ESTIMATE_CHUNK = 2**16
 
@@ -135,39 +139,49 @@ def _run_blocks(
                 future.cancel()
 
 
-class _Rounds(NamedTuple):
-    """m rounds of the coupled process, one row per round."""
-
-    x: np.ndarray
-    xtilde: np.ndarray
-    y: np.ndarray
-    member: np.ndarray | None
-    product: np.ndarray
+def _workspace(n: int, m: int) -> np.ndarray:
+    """Flat float64 room for one chunk of a block of m rows of n values."""
+    return np.empty(n * min(m, max(1, ESTIMATE_CHUNK // n)))
 
 
-def _rounds(
-    model: JointModel, params: BoundParams, rng: np.random.Generator, m: int,
-    lam: float | None = None, cols: np.ndarray | None = None,
-) -> _Rounds:
-    """The round kernel: m rounds from one generator.
+def _chunks(
+    model: JointModel, params: BoundParams, rng: np.random.Generator, m: int
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """The round kernel: m rows from one generator, a chunk at a time, as
+    (the chunk's slice of the m rows, x, xtilde), both variable-major.
 
-    Draws m model vectors, then a uniform per round and column for the
-    Bernoulli layer, then, given ``lam``, a uniform per round and variable
-    for the index set.  Without ``lam`` the index set is fixed to ``cols``
-    (default all), only those Bernoulli columns are drawn, and ``member`` is None.
-    The vectors are drawn variable-major and ``x`` is the (m, n) view of them.
+    ``_draw`` fills a flat prefix of one workspace per block, so each chunk
+    (and xtilde, which the identity map leaves as x itself) lives only until
+    the next one.  Draws the consumer makes in between follow the chunk's.
     """
-    x = np.empty((model.n, m))
-    model._draw(rng, x)
-    x = x.T
-    xt = to_unit_cube(x, params)
-    if cols is not None:
-        xt = xt[:, cols]
-    y = rng.random(xt.shape) < xt
-    if lam is None:
-        return _Rounds(x, xt, y, None, np.all(y, axis=1))
-    member = rng.random((m, model.n)) < lam
-    return _Rounds(x, xt, y, member, np.all(y | ~member, axis=1))
+    n = model.n
+    work = _workspace(n, m)
+    rows = len(work) // n
+    for start in range(0, m, rows):
+        stop = min(start + rows, m)
+        x = work[: n * (stop - start)].reshape(n, -1)
+        model._draw(rng, x)
+        yield slice(start, stop), x, to_unit_cube(x.T, params).T
+
+
+def _mean_and_se(blocks: Iterable[np.ndarray], limit: int) -> tuple[int, float, float]:
+    """(count, mean, standard error) of the first ``limit`` samples: merges
+    each block's (count, mean, centred sum of squares) in block order, and
+    consumes no block past the limit.  count < limit if the blocks run out."""
+    count, mean, m2 = 0, 0.0, 0.0
+    for samples in blocks:
+        kept = samples[: limit - count]
+        if len(kept):
+            k, k_mean = len(kept), float(kept.mean())
+            k_m2 = float(np.sum(np.square(kept - k_mean)))
+            merged = count + k
+            delta = k_mean - mean
+            mean = (count * mean + k * k_mean) / merged
+            m2 += k_m2 + delta * delta * (count * k / merged)
+            count = merged
+        if count == limit:
+            break
+    return count, mean, math.sqrt(m2 / (count - 1) / count) if count > 1 else 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,14 +222,15 @@ def draw_round(
     (the empty product is 1).
     """
     lam = _check_round_args(model, params, lam)
-    r = _rounds(model, params, rng, 1, lam)
-    x = r.x[0]
+    ((_, x, xt),) = _chunks(model, params, rng, 1)
+    y = rng.random(xt.shape) < xt
+    member = rng.random(xt.shape) < lam
     return SamplingRound(
-        x=x,
-        xtilde=r.xtilde[0],
-        y=r.y[0].astype(np.int8),
-        subset=tuple(int(i) for i in np.flatnonzero(r.member[0])),
-        product=int(r.product[0]),
+        x=x[:, 0],
+        xtilde=xt[:, 0],
+        y=y[:, 0].astype(np.int8),
+        subset=tuple(int(i) for i in np.flatnonzero(member)),
+        product=int(np.all(y | ~member)),
         sum_exceeds=bool(x.sum() >= tail_cutoff(params.threshold)),
     )
 
@@ -253,23 +268,15 @@ def estimate_product(
         total = max(1, math.ceil(max_proposals / block_size)) * block_size
     cutoff = tail_cutoff(params.threshold)
     n = model.n
-    rows = max(1, ESTIMATE_CHUNK // n)
 
     def block(rng: np.random.Generator, m: int) -> np.ndarray:
-        # One variable-major workspace per block; a partial chunk uses a flat
-        # prefix of it, so every chunk stays C-ordered.
-        work = np.empty(n * min(rows, m))
-        rowwise = np.empty_like(work) if conditional else None
+        rowwise = _workspace(n, m) if conditional else None
         weights = np.empty(m)
         kept = 0
-        for start in range(0, m, rows):
-            r = min(rows, m - start)
-            x = work[: n * r].reshape(n, r)
-            model._draw(rng, x)
-            xt = to_unit_cube(x.T, params).T
+        for _, x, xt in _chunks(model, params, rng, m):
             if conditional:
                 # Tail sums of C-ordered rows, bit for bit those of sample_many.
-                xr = rowwise[: n * r].reshape(r, n)
+                xr = rowwise[: x.size].reshape(x.shape[::-1])
                 np.copyto(xr, x.T)
                 xt = xt[:, xr.sum(axis=1) >= cutoff]
             np.multiply(xt, lam, out=xt)  # the operations of _row_weights
@@ -280,20 +287,9 @@ def estimate_product(
             kept += k
         return weights[:kept]
 
-    count, mean, m2 = 0, 0.0, 0.0
-    for weights in _run_blocks(seed, PRODUCT_STREAM_TAG, total, block_size, workers, block):
-        kept = weights[: n_samples - count]
-        if len(kept):
-            k, k_mean = len(kept), float(kept.mean())
-            k_m2 = float(np.sum(np.square(kept - k_mean)))
-            merged = count + k
-            delta = k_mean - mean
-            mean = (count * mean + k * k_mean) / merged
-            m2 += k_m2 + delta * delta * (count * k / merged)
-            count = merged
-        if count == n_samples:
-            break
-    else:
+    blocks = _run_blocks(seed, PRODUCT_STREAM_TAG, total, block_size, workers, block)
+    count, mean, std_error = _mean_and_se(blocks, n_samples)
+    if count < n_samples:
         raise RejectionBudgetError(
             f"conditional estimate got {count} acceptances from "
             f"{total} proposals; needed {n_samples}. "
@@ -302,7 +298,7 @@ def estimate_product(
         )
     return Estimate(
         mean=mean,
-        std_error=math.sqrt(m2 / (count - 1) / count) if count > 1 else 0.0,
+        std_error=std_error,
         n_samples=n_samples,
         conditional_on_tail=bool(conditional),
     )

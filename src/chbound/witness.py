@@ -4,8 +4,10 @@ Given only sample access to [0, 1]-valued variables that are supposed to
 satisfy E[prod_{i in S} X_i] <= c^|S| for every subset S, the detector runs
 the coupled process of ``mc_engine`` many times, groups rounds by the index
 set that was drawn, and looks for a set whose empirical product mean sits
-above c^|S| by a margin.  A fresh batch of rounds then re-estimates that one
-candidate directly: the second phase never reuses search rounds, so the
+above c^|S| by a margin.  A round scores prod_{i in I} x_i, its Bernoulli
+layer integrated out (the same 0/1 value on 0/1 variables).  A fresh batch
+of rows then re-estimates that one candidate directly as the mean of
+prod_{i in S} x_i: the second phase never reuses search rounds, so the
 selection bias of picking the best-looking set cannot manufacture a finding.
 A subset is reported only when the confirmation estimate clears the margin
 threshold by at least two standard errors.
@@ -34,8 +36,10 @@ from .mc_engine import (
     DEFAULT_BLOCK_SIZE,
     WITNESS_CONFIRM_TAG,
     WITNESS_SEARCH_TAG,
-    _rounds,
+    _chunks,
+    _mean_and_se,
     _run_blocks,
+    _workspace,
 )
 
 # Hard ceilings for the closed-form budgets.  The formulas grow like
@@ -135,21 +139,16 @@ def default_budgets(
             f"alpha={alpha}, c={c}, t={t}"
         )
 
-    def capped(raw: float, cap: int) -> int:
-        if not math.isfinite(raw):
+    def capped(raw, cap: int) -> int:
+        # A budget that overflows a double is the cap.
+        try:
+            value = raw()
+        except OverflowError:
             return cap
-        return min(math.ceil(raw), cap)
+        return min(math.ceil(value), cap) if math.isfinite(value) else cap
 
-    try:
-        inv = alpha**-exponent
-    except OverflowError:
-        inv = math.inf
-    m_search = capped(64.0 * inv * n * math.log(n + 1.0), m_search_cap)
-    try:
-        inv_margin_sq = margin**-2
-    except OverflowError:
-        inv_margin_sq = math.inf
-    m_confirm = capped(64.0 * inv_margin_sq * math.log(100.0), m_confirm_cap)
+    m_search = capped(lambda: 64.0 * alpha**-exponent * n * math.log(n + 1.0), m_search_cap)
+    m_confirm = capped(lambda: 64.0 * margin**-2 * math.log(100.0), m_confirm_cap)
     norm = NormalizedParams.symmetric(c, t)
     interior = proof_case(norm) == "interior"
     lam = min(optimize_lambda(norm).lam, LAMBDA_CAP) if interior else LAMBDA_CAP
@@ -254,13 +253,6 @@ def _best_candidate(
     return len(eligible), float(top), tuple(int(i) for i in np.flatnonzero(rows[best]))
 
 
-def _bernoulli_se(hits: int, count: int) -> float:
-    if count < 2:
-        return 0.0
-    var = (hits - hits * hits / count) / (count - 1)
-    return math.sqrt(max(0.0, var) / count)
-
-
 def find_dependent_set(
     model: JointModel,
     wp: WitnessParams,
@@ -271,11 +263,12 @@ def find_dependent_set(
 ) -> WitnessReport:
     """Two-phase search for a subset with E[prod_{i in S} X_i] > c^|S|.
 
-    Search phase: ``wp.m_search`` rounds of the coupled process, grouped by
-    the drawn index set; non-empty sets seen at least
+    Search phase: ``wp.m_search`` rounds of the coupled process, each
+    scoring prod_{i in I} X_i for its drawn index set I, grouped by I;
+    non-empty sets seen at least
     ``min_rounds_per_subset`` times become candidates, ranked by empirical
     excess over c^|S| (ties break toward smaller, lexicographically earlier
-    sets).  Confirm phase: ``wp.m_confirm`` fresh rounds estimate
+    sets).  Confirm phase: ``wp.m_confirm`` fresh rows estimate the mean of
     prod_{i in S} X_i for the single best candidate only; the verdict is
     "found" iff that estimate exceeds c^|S| + margin_threshold by at least
     ``CONFIRM_Z`` standard errors.
@@ -288,11 +281,20 @@ def find_dependent_set(
     for name, value in (("workers", workers), ("block_size", block_size),
                         ("min_rounds_per_subset", min_rounds_per_subset)):
         check_positive_int(name, value)
-    identity = BoundParams.boolean(model.n, 1.0, 0.0)
+    n = model.n
+    identity = BoundParams.boolean(n, 1.0, 0.0)
 
     def search_tally(rng: np.random.Generator, m: int) -> tuple:
-        r = _rounds(model, identity, rng, m, wp.lam)
-        return _tally(r.member, np.ones(m), r.product)
+        # After each chunk's rows, a uniform per row and variable draws their
+        # index sets, into one buffer reused across the block.
+        uniforms = _workspace(n, m)
+        member = np.empty((m, n), dtype=bool)
+        weights = np.empty(m)
+        for rows, _, xt in _chunks(model, identity, rng, m):
+            u = rng.random(out=uniforms[: xt.size].reshape(-1, n))
+            np.less(u, wp.lam, out=member[rows])
+            np.multiply.reduce(xt, axis=0, where=member[rows].T, initial=1.0, out=weights[rows])
+        return _tally(member, np.ones(m), weights)
 
     blocks = list(
         _run_blocks(seed, WITNESS_SEARCH_TAG, wp.m_search, block_size, workers, search_tally)
@@ -313,38 +315,29 @@ def find_dependent_set(
             ),
         )
 
-    cols = np.array(best, dtype=np.int64)
+    chosen = np.zeros((n, 1), dtype=bool)
+    chosen[list(best)] = True
 
-    def confirm_hits(rng: np.random.Generator, m: int) -> int:
-        return int(_rounds(model, identity, rng, m, cols=cols).product.sum())
+    def confirm_weights(rng: np.random.Generator, m: int) -> np.ndarray:
+        weights = np.empty(m)
+        for rows, _, xt in _chunks(model, identity, rng, m):
+            np.multiply.reduce(xt, axis=0, where=chosen, initial=1.0, out=weights[rows])
+        return weights
 
-    hits = sum(
-        _run_blocks(seed, WITNESS_CONFIRM_TAG, wp.m_confirm, block_size, workers, confirm_hits)
-    )
-    estimate = hits / wp.m_confirm
-    std_error = _bernoulli_se(hits, wp.m_confirm)
+    blocks = _run_blocks(seed, WITNESS_CONFIRM_TAG, wp.m_confirm, block_size, workers,
+                         confirm_weights)
+    _, estimate, std_error = _mean_and_se(blocks, wp.m_confirm)
     threshold = wp.c ** len(best) + wp.margin_threshold
-    samples_used = wp.m_search + wp.m_confirm
+    outcome = dict(empirical_moment=estimate, threshold=threshold, confirm_std_error=std_error,
+                   samples_used=wp.m_search + wp.m_confirm, candidates=candidates)
     if estimate > threshold and estimate - threshold >= CONFIRM_Z * std_error:
-        return WitnessReport(
-            verdict="found",
-            subset=best,
-            empirical_moment=estimate,
-            threshold=threshold,
-            confirm_std_error=std_error,
-            samples_used=samples_used,
-            candidates=candidates,
-        )
+        return WitnessReport(verdict="found", subset=best, **outcome)
     return WitnessReport(
         verdict="not_found",
         subset=(),
-        empirical_moment=estimate,
-        threshold=threshold,
-        confirm_std_error=std_error,
-        samples_used=samples_used,
-        candidates=candidates,
         note=(
             f"best candidate {list(best)} (search excess {score:.6g}) did not "
             f"clear c^|S| + margin = {threshold:.6g} on fresh samples"
         ),
+        **outcome,
     )

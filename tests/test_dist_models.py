@@ -512,3 +512,32 @@ class TestValidation:
     def test_ragged_table_rejected(self):
         with pytest.raises(cb.ValidationError):
             cb.ExplicitTableModel([([0.0, 1.0], 0.5), ([1.0], 0.5)])
+
+
+class TestJointModelValidation:
+    """Direct construction checks its tables, its column map and its reads."""
+
+    def test_probabilities_of_a_factor_must_sum_to_one(self):
+        with pytest.raises(cb.ValidationError, match="sum to 1.2"):
+            cb.JointModel(2, [[0.0, 1.0]], [[0.5, 0.7]], [0, 0])
+        # rows of an array are checked one by one, the bad second one too
+        with pytest.raises(cb.ValidationError, match="factor 1 probabilities sum to 1.2"):
+            cb.JointModel(2, np.array([[0.0, 1.0]] * 2), np.array([[0.5, 0.5], [0.5, 0.7]]), [0, 1])
+
+    def test_column_map_must_stay_in_range(self):
+        with pytest.raises(cb.ValidationError, match=r"integer column in \[0, 1\)"):
+            cb.JointModel(2, [[0.0, 1.0]], [[0.5, 0.5]], [0, 3])
+        with pytest.raises(cb.ValidationError, match="integer column"):
+            cb.JointModel(2, [[0.0, 1.0]], [[0.5, 0.5]], [0.0, 0.0])
+
+    def test_every_factor_must_be_read(self):
+        with pytest.raises(cb.ValidationError, match=r"factors \[1\] are read by no variable"):
+            cb.JointModel(2, [[0.0, 1.0], [0.0, 1.0]], [[0.5, 0.5], [0.5, 0.5]], [0, 0])
+
+    def test_one_probability_per_value_row(self):
+        with pytest.raises(cb.ValidationError, match="2 value rows"):
+            cb.JointModel(1, [[0.0, 1.0]], [[0.5, 0.25, 0.25]], [0])
+        with pytest.raises(cb.ValidationError, match="at least one value row"):
+            cb.JointModel(1, [[]], [[]], [0])
+        with pytest.raises(cb.ValidationError, match="same factors"):
+            cb.JointModel(1, [[0.0, 1.0]], [], [0])

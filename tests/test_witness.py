@@ -10,7 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chbound as cb
-from chbound.entropy_core import kl_div
+from chbound import mc_engine
+from chbound.entropy_core import DEFAULT_MIN_ROUNDS, kl_div
+from chbound.mc_engine import WITNESS_CONFIRM_TAG, WITNESS_SEARCH_TAG
 from chbound.witness import CONFIRM_Z, LAMBDA_CAP, _best_candidate, _tally
 
 
@@ -357,18 +359,154 @@ class TestVectorisedTally:
         assert len(runs[0].subset) >= 2 and set(runs[0].subset) <= set(block)
 
     def test_pinned_reports(self):
-        # Exact reports frozen from the dict-tally implementation; block_size
-        # 3000 leaves a partial last block in both phases.
+        # Exact reports frozen from the kernel that scores each search round
+        # by prod_{i in I} x_i and confirms with the merged mean and standard
+        # error of prod_{i in S} x_i; block_size 3000 leaves a partial last
+        # block in both phases.
         found = cb.find_dependent_set(
             cb.PlantedCliqueModel(10, 0.7, k=10), WP_10, seed=0, block_size=3000
         )
         assert found == cb.WitnessReport(
-            "found", (0, 2, 3, 7, 9), 0.69865, 0.010240000000000003,
-            0.003244600937983335, 70_000, 834,
+            "found", (1, 2, 3, 5, 6), 0.69865, 0.010240000000000003,
+            0.003244600937983335, 70_000, 835,
         )
         null = cb.find_dependent_set(cb.BooleanIIDModel(10, 0.4), WP_10, seed=2, block_size=3000)
         assert null == cb.WitnessReport(
-            "not_found", (), 0.06365, 0.06400000000000002, 0.0017262916552958126, 70_000, 845,
-            note="best candidate [0, 2, 4] (search excess 0.336) did not clear "
-            "c^|S| + margin = 0.064 on fresh samples",
+            "not_found", (), 0.02435, 0.025600000000000005, 0.001089914340975259, 70_000, 823,
+            note="best candidate [4, 5, 8, 9] (search excess 0.307733) did not clear "
+            "c^|S| + margin = 0.0256 on fresh samples",
         )
+
+
+def _chunked_rows(model, tag, seed, block_size, total):
+    """Per block, the generator and the model rows of each chunk, drawn by
+    ``sample_many`` in chunks of ESTIMATE_CHUNK // n rows."""
+    rows = max(1, mc_engine.ESTIMATE_CHUNK // model.n)
+    for b in range(-(-total // block_size)):
+        rng = mc_engine.block_rng(seed, tag, b)
+        m = min(block_size, total - b * block_size)
+        yield rng, (model.sample_many(rng, min(rows, m - s)) for s in range(0, m, rows))
+
+
+def _rebuilt_report(model, wp, seed, block_size, min_rounds):
+    """find_dependent_set rebuilt from the block streams: a dict tally of
+    per-round products prod_{i in I} x_i, then the merged mean and standard
+    error of prod_{i in S} x_i over fresh rows."""
+    totals: dict[tuple[int, ...], list[float]] = {}
+    for rng, chunks in _chunked_rows(model, WITNESS_SEARCH_TAG, seed, block_size, wp.m_search):
+        block: dict[tuple[int, ...], list[float]] = {}
+        for x in chunks:
+            member = rng.random(x.shape) < wp.lam
+            for row, mask in zip(x, member):
+                key = tuple(int(i) for i in np.flatnonzero(mask))
+                entry = block.setdefault(key, [0.0, 0.0])
+                entry[0] += 1.0
+                entry[1] += float(np.prod(np.where(mask, row, 1.0)))
+        for key, (count, weight) in block.items():
+            entry = totals.setdefault(key, [0.0, 0.0])
+            entry[0] += count
+            entry[1] += weight
+    scored = [(weight / count - wp.c ** len(key), key)
+              for key, (count, weight) in totals.items() if key and count >= min_rounds]
+    score, best = min(scored, key=lambda item: (-item[0], len(item[1]), item[1]))
+
+    count, mean, m2 = 0, 0.0, 0.0
+    for _, chunks in _chunked_rows(model, WITNESS_CONFIRM_TAG, seed, block_size, wp.m_confirm):
+        w = np.concatenate([np.prod(x[:, list(best)], axis=1) for x in chunks])
+        k, k_mean = len(w), float(w.mean())
+        delta = k_mean - mean
+        mean = (count * mean + k * k_mean) / (count + k)
+        m2 += float(np.sum(np.square(w - k_mean))) + delta * delta * (count * k / (count + k))
+        count += k
+    se = math.sqrt(m2 / (count - 1) / count)
+    threshold = wp.c ** len(best) + wp.margin_threshold
+    fields = dict(empirical_moment=mean, threshold=threshold, confirm_std_error=se,
+                  samples_used=wp.m_search + wp.m_confirm, candidates=len(scored))
+    if mean > threshold and mean - threshold >= CONFIRM_Z * se:
+        return cb.WitnessReport("found", best, **fields)
+    return cb.WitnessReport(
+        "not_found", (), **fields,
+        note=f"best candidate {list(best)} (search excess {score:.6g}) did not clear "
+        f"c^|S| + margin = {threshold:.6g} on fresh samples",
+    )
+
+
+def _real_valued_table(seed, shared):
+    """A 4-variable explicit table: with ``shared``, 24 random rows on
+    [0, 1] and 8 more whose four values are equal; without, 24 random rows
+    on [0, 0.6], whose means lie below c = 0.4."""
+    rng = np.random.default_rng(seed)
+    rows = rng.random((24, 4)).tolist()
+    if shared:
+        rows += [[v] * 4 for v in rng.random(8).tolist()]
+    else:
+        rows = (0.6 * np.array(rows)).tolist()
+    weights = rng.random(len(rows))
+    return cb.ExplicitTableModel(list(zip(rows, (weights / weights.sum()).tolist())))
+
+
+class TestRebuiltByHand:
+    """The witness on a real-valued table is its block streams, integrated
+    over the Bernoulli layer: the chunk kernel's rows, one uniform per row
+    and variable for the index set, and explicit per-round products."""
+
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_report_rebuilt_from_block_streams(self, workers, shared):
+        # Blocks of 17000 rows hold a full chunk (16384 rows at n = 4) and a
+        # partial one; the last block of each phase is partial.
+        model = _real_valued_table(3, shared)
+        wp = cb.WitnessParams(n=4, c=0.4, t=0.3, alpha=0.5, lam=0.6,
+                              m_search=40_000, m_confirm=20_000, margin_threshold=0.01)
+        assert mc_engine.ESTIMATE_CHUNK // model.n == 16384
+        got = cb.find_dependent_set(model, wp, seed=7, workers=workers, block_size=17_000)
+        assert got == _rebuilt_report(model, wp, 7, 17_000, DEFAULT_MIN_ROUNDS)
+        assert got.candidates == 15
+        assert got.verdict == ("found" if shared else "not_found")
+
+
+def _bernoulli_form(report, m):
+    """The standard error of a mean of m 0/1 hits: sqrt((h - h^2/m)/(m-1)/m)."""
+    h = report.empirical_moment * m
+    return math.sqrt((h - h * h / m) / (m - 1) / m)
+
+
+class TestConfirmStdError:
+    @pytest.mark.parametrize("model,seed", [
+        (cb.PlantedCliqueModel(10, 0.7, k=10), 0),
+        (cb.BooleanIIDModel(10, 0.4), 2),
+        (cb.PlantedCliqueModel(10, 0.5, indices=(1, 4, 8)), 5),
+    ])
+    def test_boolean_models_give_the_bernoulli_form(self, model, seed):
+        report = cb.find_dependent_set(model, WP_10, seed=seed, block_size=3000)
+        assert report.candidates > 0
+        assert report.confirm_std_error == pytest.approx(
+            _bernoulli_form(report, WP_10.m_confirm), rel=1e-12, abs=0.0
+        )
+
+    def test_real_valued_model_is_strictly_below_the_bernoulli_form(self):
+        model = cb.ExchangeableMixtureModel(10, 0.3, [(0.2, 0.5), (0.9, 0.5)])
+        report = cb.find_dependent_set(model, WP_10, seed=1)
+        assert report.candidates > 0 and 0.0 < report.confirm_std_error
+        assert report.confirm_std_error < _bernoulli_form(report, WP_10.m_confirm)
+
+
+class TestRealValuedDetection:
+    def test_mixture_is_found(self):
+        thirds = [(0.0, 1 / 3), (0.5, 1 / 3), (1.0, 1 / 3)]
+        model = cb.ExchangeableMixtureModel(10, 0.5, thirds)
+        found = 0
+        for seed in range(20):
+            report = cb.find_dependent_set(model, WP_10, seed=seed)
+            if report.verdict == "found":
+                found += 1
+                exact = cb.exact_moment(model, report.subset)
+                assert exact > WP_10.c ** len(report.subset) + WP_10.margin_threshold
+        assert found >= 18
+
+    def test_independent_null_stays_clean(self):
+        marginal = [(0.0, 0.6), (0.5, 0.2), (1.0, 0.2)]
+        model = cb.IndependentModel([marginal] * 10)
+        flagged = [seed for seed in range(100)
+                   if cb.find_dependent_set(model, WP_10, seed=seed).verdict == "found"]
+        assert len(flagged) <= 5, flagged
