@@ -3,7 +3,9 @@
 Every model here is a finite-support joint law on R^n exposing two views:
 
 * sampling (``sample`` / ``sample_many``) against a numpy ``Generator``, all
-  through one primitive per model, ``_draw``, and
+  through one primitive per model, ``_draw``; the 0/1 models draw their
+  coins through ``_coins``, one random byte per coin and 45 more bits on a
+  tie, with exactly the law of comparing a uniform against p, and
 * exact computation (``sum_support``, ``exact_moment``, ``exact_tail``,
   ``certify_moments``, ``check_support_range``) without enumerating atoms.
 
@@ -78,6 +80,35 @@ def _coin(p) -> tuple[np.ndarray, np.ndarray]:
     return np.array([0.0, 1.0]), np.array([1.0 - p, p])
 
 
+def _coins(rng: np.random.Generator, p: float, shape: tuple[int, ...]) -> np.ndarray:
+    """Bernoulli(p) coins, a bool array of ``shape``, with exactly the law
+    of ``rng.random(shape) < p``.
+
+    NumPy's uniform is k 2^-53 for a 53-bit integer k, so that coin is
+    k < T with T = ceil(p 2^53).  Each coin's k starts with one random byte,
+    read little-endian from 64-bit words, which decides the coin unless it
+    equals T's top byte; only then (probability 1/256) does the coin draw
+    k's low 45 bits, the top 45 bits of one more word.  p = 0 and p = 1
+    (whose top byte would be 256) draw nothing.
+
+    The words are those ``rng.integers(0, 2**64, dtype=np.uint64)`` returns,
+    taken from ``random_raw``, which releases the GIL while it fills them
+    (``integers`` does not), so worker threads draw in parallel.
+    """
+    if p <= 0.0 or p >= 1.0:
+        return np.full(shape, p >= 1.0)
+    threshold = math.ceil(math.ldexp(p, 53))
+    top, low = threshold >> 45, threshold & ((1 << 45) - 1)
+    count = math.prod(shape)
+    words = rng.bit_generator.random_raw(-(-count // 8))
+    key = words.astype("<u8", copy=False).view(np.uint8)[:count]
+    coins = key < top
+    tied = np.flatnonzero(key == top)
+    if len(tied):
+        coins[tied] = rng.bit_generator.random_raw(len(tied)) >> 19 < low
+    return coins.reshape(shape)
+
+
 def check_table(values: np.ndarray, probs: np.ndarray, name: str) -> None:
     """The check of every user-given probability table: one probability per
     value row, finite values, and finite, non-negative probabilities that
@@ -95,8 +126,9 @@ def check_table(values: np.ndarray, probs: np.ndarray, name: str) -> None:
         raise ValidationError(f"{name} probabilities sum to {total}, expected 1")
 
 
-def _validate_atoms(atoms, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Check one discrete marginal given as (value, probability) pairs."""
+def _parse_atoms(atoms, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Values and probabilities of one discrete marginal given as (value,
+    probability) pairs; ``JointModel`` checks the table they form."""
     try:
         pairs = [(float(v), float(p)) for v, p in atoms]
     except (TypeError, ValueError) as exc:
@@ -105,7 +137,6 @@ def _validate_atoms(atoms, name: str) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError(f"{name} must contain at least one atom")
     values = np.array([v for v, _ in pairs], dtype=np.float64)
     probs = np.array([p for _, p in pairs], dtype=np.float64)
-    check_table(values, probs, name)
     return values, probs
 
 
@@ -188,7 +219,7 @@ class JointModel:
         for j, key in enumerate(zip(map(id, factor_values), map(id, factor_probs))):
             if key not in checked:  # a table passed for several factors is checked once
                 checked.add(key)
-                check_table(self._fvals[j], self._fprobs[j], f"{self.kind} factor {j}")
+                check_table(self._fvals[j], self._fprobs[j], self._factor_name(j))
         starts = np.cumsum([0] + [fv.shape[1] for fv in self._fvals])
         self._vmap = np.asarray(vmap)
         if (self._vmap.shape != (n,) or self._vmap.dtype.kind not in "iu"
@@ -211,6 +242,10 @@ class JointModel:
         if unread:
             raise ValidationError(f"factors {unread} are read by no variable")
 
+    def _factor_name(self, j: int) -> str:
+        """How ``check_table`` messages name factor j."""
+        return f"{self.kind} factor {j}"
+
     @property
     def n(self) -> int:
         return self._n
@@ -230,8 +265,7 @@ class JointModel:
         """Fill the C-ordered (n, size) float64 ``out`` with ``size`` joint
         vectors, variable-major: column r of ``out`` is vector r.
 
-        The model's one sampling primitive.  It may use ``out``'s memory as
-        scratch for its uniforms, so ``out`` must own its whole extent.
+        The model's one sampling primitive.
         """
         self._gather([rng.choice(len(fv), size=out.shape[1], p=fp)
                       for fv, fp in zip(self._fvals, self._fprobs)], out)
@@ -415,16 +449,16 @@ class IndependentModel(JointModel):
         n = len(marginals)
         if n < 1:
             raise ValidationError("need at least one marginal")
-        values, probs = [], []
-        for i, marg in enumerate(marginals):
-            v, p = _validate_atoms(marg, f"marginals[{i}]")
-            values.append(v)
-            probs.append(p)
+        values, probs = zip(*(_parse_atoms(marg, f"marginals[{i}]")
+                              for i, marg in enumerate(marginals)))
         super().__init__(n, values, probs, vmap=range(n), atom_cap=atom_cap)
         self.marginals = [
             [(float(v), float(p)) for v, p in zip(vals, ps)]
             for vals, ps in zip(values, probs)
         ]
+
+    def _factor_name(self, j: int) -> str:
+        return f"marginals[{j}]"
 
 
 class BooleanIIDModel(JointModel):
@@ -438,11 +472,9 @@ class BooleanIIDModel(JointModel):
         self.p = float(p)
 
     def _draw(self, rng: np.random.Generator, out: np.ndarray) -> None:
-        # Stream order: the coins row by row, drawn into out's own memory.
-        # Comparing in that order and transposing the byte-sized coin table
-        # keeps every pass over the floats contiguous.
-        u = rng.random(out=out.reshape(out.shape[1], self._n))
-        np.copyto(out, np.less(u, self.p).T.copy())
+        # Stream order: the coins row by row.  Transposing the byte-sized
+        # coin table keeps the pass over the floats contiguous.
+        np.copyto(out, _coins(rng, self.p, (out.shape[1], self._n)).T.copy())
 
 
 class PlantedCliqueModel(JointModel):
@@ -488,14 +520,11 @@ class PlantedCliqueModel(JointModel):
         self.k = len(self.indices)
 
     def _draw(self, rng: np.random.Generator, out: np.ndarray) -> None:
-        # Stream order: every row's block coin, then the free coins row by
-        # row, drawn into a flat prefix of out's own memory.
+        # Stream order: every row's block coin, then the free coins row by row.
         size, factors = out.shape[1], len(self._fvals)
-        flat = out.reshape(-1)
         coins = np.empty((factors, size), dtype=bool)
-        np.less(rng.random(out=flat[:size]), self.p, out=coins[0])
-        free = rng.random(out=flat[size:size * factors].reshape(size, factors - 1))
-        coins[1:] = np.less(free, self.p).T
+        coins[0] = _coins(rng, self.p, (size,))
+        coins[1:] = _coins(rng, self.p, (size, factors - 1)).T
         np.copyto(out, coins.take(self._vmap, axis=0))
 
 
@@ -512,13 +541,16 @@ class ExchangeableMixtureModel(JointModel):
         rho = float(rho)
         if not 0.0 <= rho <= 1.0:
             raise ValidationError(f"rho must lie in [0, 1], got {rho}")
-        values, probs = _validate_atoms(atoms, "atoms")
+        values, probs = _parse_atoms(atoms, "atoms")
         n = check_positive_int("n", n)
         super().__init__(n, [values] * n, [probs] * n, vmap=range(n), atom_cap=atom_cap)
         self.rho = rho
         self._values = values
         self._probs = probs
         self._shared = JointModel(n, [values], [probs], [0] * n, atom_cap)
+
+    def _factor_name(self, j: int) -> str:
+        return "atoms"
 
     @classmethod
     def bernoulli(

@@ -16,8 +16,9 @@ prod_{i in I} Xtilde_i); only ``draw_round``, which returns Y, draws it.
 
 The round kernel ``_chunks`` works in one variable-major (n, rows) float64
 workspace per block, reused for every chunk: the model's ``_draw`` fills it
-(drawing its uniforms into the same memory), ``to_unit_cube`` checks the
-(rows, n) view and maps it (the identity map allocates nothing).
+(the 0/1 models from byte-sized coins, one random byte per coin; see
+``dist_models._coins``), ``to_unit_cube`` checks the (rows, n) view and maps
+it (the identity map allocates nothing).
 ``estimate_product`` forms the weight (lam xtilde + 1) - lam in place, and
 ``np.multiply.reduce`` over axis 0 folds each column.  That fold multiplies
 variables 0..n-1 left to right, as ``np.prod`` along a C-ordered row does,

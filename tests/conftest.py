@@ -4,6 +4,7 @@ row-major reference sampler the sampling and estimator tests pin against."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -90,17 +91,38 @@ def enumerate_atoms(model):
     return np.array(rows, dtype=np.float64).reshape(len(rows), model.n), np.array(probs)
 
 
+def reference_coins(rng, p, count):
+    """``count`` Bernoulli(p) coins in the order the 0/1 models draw them,
+    each decided as k < ceil(p 2^53) on its 53-bit integer k: coin i's top
+    byte is byte i % 8 (least significant first) of raw word i // 8, and a
+    coin whose top byte equals the threshold's takes its low 45 bits from
+    the top of one more raw word, in coin order, after all the byte words.
+    Draws the words through Generator.integers, not the bit generator."""
+    if p in (0.0, 1.0):
+        return np.full(count, p == 1.0)
+    threshold = math.ceil(Fraction(p) * 2**53)
+    words = rng.integers(0, 2**64, size=-(-count // 8), dtype=np.uint64)
+    shifts = np.arange(0, 64, 8, dtype=np.uint64)
+    top = ((words[:, None] >> shifts) & np.uint64(0xFF)).reshape(-1)[:count]
+    k = top << np.uint64(45)
+    tied = np.flatnonzero(top == threshold >> 45)
+    k[tied] |= rng.integers(0, 2**64, size=len(tied), dtype=np.uint64) >> np.uint64(19)
+    return k < np.uint64(threshold)
+
+
 def reference_sample_many(model, rng, size):
-    """Row-major sampling as each model kind drew it before ``_draw``: the
-    same generator calls, shapes and order, gathered into (size, n) rows."""
+    """Row-major sampling in each model's stream order, gathered into
+    (size, n) rows: the 0/1 models through ``reference_coins``, the others
+    with the generator calls, shapes and order they have always used."""
     if model.kind == "boolean_iid":
-        return (rng.random((size, model.n)) < model.p).astype(np.float64)
+        coins = reference_coins(rng, model.p, size * model.n)
+        return coins.reshape(size, model.n).astype(np.float64)
     if model.kind == "planted_clique":
         # every row's block coin, then the free coins row by row
         factors = len(model._fvals)
         coins = np.empty((size, factors), dtype=bool)
-        np.less(rng.random(size), model.p, out=coins[:, 0])
-        np.less(rng.random((size, factors - 1)), model.p, out=coins[:, 1:])
+        coins[:, 0] = reference_coins(rng, model.p, size)
+        coins[:, 1:] = reference_coins(rng, model.p, size * (factors - 1)).reshape(size, -1)
         return coins.take(model._vmap, axis=1).astype(np.float64)
     if model.kind == "exchangeable_mixture":
         values, probs = model._values, model._probs

@@ -312,6 +312,30 @@ class TestSimulate:
         assert json.loads(outputs[0])["result"]["exact"] is not None
         assert outputs.count(outputs[0]) == 4
 
+    @pytest.mark.parametrize("mode", [[], ["--conditional"]], ids=["plain", "conditional"])
+    def test_planted_report_independent_of_blas_threads_and_workers(self, tmp_path, mode):
+        # Planted n=50 draws its rows through the byte-per-coin sampler, in
+        # several blocks: neither BLAS threading nor --workers may move it.
+        spec = tmp_path / "planted50.json"
+        spec.write_text(json.dumps({"kind": "planted_clique", "n": 50,
+                                    "params": {"p": 0.5, "k": 5}}))
+        src = str(Path(chbound.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            for workers in ("1", "2"):
+                env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+                env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+                proc = subprocess.run(
+                    [sys.executable, "-m", "chbound.cli", "simulate", "--spec", str(spec),
+                     "--c", "0.5", "--t", "0.1", "--samples", "30000", "--seed", "5",
+                     "--workers", workers, *mode],
+                    env=env, capture_output=True, timeout=300, check=False,
+                )
+                assert proc.returncode == 0, proc.stderr
+                outputs.append(proc.stdout)
+        assert json.loads(outputs[0])["result"]["conditional_on_tail"] == bool(mode)
+        assert outputs.count(outputs[0]) == 4
+
 
 class TestDetect:
     def test_shared_bit_model_found(self, specs, capsys):

@@ -361,19 +361,19 @@ class TestVectorisedTally:
     def test_pinned_reports(self):
         # Exact reports frozen from the kernel that scores each search round
         # by prod_{i in I} x_i and confirms with the merged mean and standard
-        # error of prod_{i in S} x_i; block_size 3000 leaves a partial last
-        # block in both phases.
+        # error of prod_{i in S} x_i, with 0/1 models drawing one random byte
+        # per coin; block_size 3000 leaves a partial last block in both phases.
         found = cb.find_dependent_set(
             cb.PlantedCliqueModel(10, 0.7, k=10), WP_10, seed=0, block_size=3000
         )
         assert found == cb.WitnessReport(
-            "found", (1, 2, 3, 5, 6), 0.69865, 0.010240000000000003,
-            0.003244600937983335, 70_000, 835,
+            "found", (2, 3, 4, 5, 7), 0.6981, 0.010240000000000003,
+            0.003246281937435636, 70_000, 841,
         )
         null = cb.find_dependent_set(cb.BooleanIIDModel(10, 0.4), WP_10, seed=2, block_size=3000)
         assert null == cb.WitnessReport(
-            "not_found", (), 0.02435, 0.025600000000000005, 0.001089914340975259, 70_000, 823,
-            note="best candidate [4, 5, 8, 9] (search excess 0.307733) did not clear "
+            "not_found", (), 0.02575, 0.025600000000000005, 0.0011200042836881357, 70_000, 836,
+            note="best candidate [2, 6, 8, 9] (search excess 0.1744) did not clear "
             "c^|S| + margin = 0.0256 on fresh samples",
         )
 
