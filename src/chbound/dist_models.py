@@ -80,32 +80,44 @@ def _coin(p) -> tuple[np.ndarray, np.ndarray]:
     return np.array([0.0, 1.0]), np.array([1.0 - p, p])
 
 
+# Bit generators whose raw output is one full 64-bit word, the word
+# ``Generator.integers(0, 2**64, dtype=np.uint64)`` returns.  MT19937's raw
+# outputs are 32-bit.
+_RAW64 = (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64)
+
+
+def _words(rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` random 64-bit words, those ``rng.integers(0, 2**64, size,
+    dtype=np.uint64)`` returns.  On a 64-bit bit generator they are read
+    from ``random_raw``, which releases the GIL while it fills them
+    (``integers`` does not), so worker threads draw in parallel."""
+    if isinstance(rng.bit_generator, _RAW64):
+        return rng.bit_generator.random_raw(size)
+    return rng.integers(0, 2**64, size, dtype=np.uint64)
+
+
 def _coins(rng: np.random.Generator, p: float, shape: tuple[int, ...]) -> np.ndarray:
     """Bernoulli(p) coins, a bool array of ``shape``, with exactly the law
     of ``rng.random(shape) < p``.
 
     NumPy's uniform is k 2^-53 for a 53-bit integer k, so that coin is
     k < T with T = ceil(p 2^53).  Each coin's k starts with one random byte,
-    read little-endian from 64-bit words, which decides the coin unless it
-    equals T's top byte; only then (probability 1/256) does the coin draw
-    k's low 45 bits, the top 45 bits of one more word.  p = 0 and p = 1
-    (whose top byte would be 256) draw nothing.
-
-    The words are those ``rng.integers(0, 2**64, dtype=np.uint64)`` returns,
-    taken from ``random_raw``, which releases the GIL while it fills them
-    (``integers`` does not), so worker threads draw in parallel.
+    read little-endian from 64-bit words (``_words``), which decides the
+    coin unless it equals T's top byte; only then (probability 1/256) does
+    the coin draw k's low 45 bits, the top 45 bits of one more word.
+    p = 0 and p = 1 (whose top byte would be 256) draw nothing.
     """
     if p <= 0.0 or p >= 1.0:
         return np.full(shape, p >= 1.0)
     threshold = math.ceil(math.ldexp(p, 53))
     top, low = threshold >> 45, threshold & ((1 << 45) - 1)
     count = math.prod(shape)
-    words = rng.bit_generator.random_raw(-(-count // 8))
+    words = _words(rng, -(-count // 8))
     key = words.astype("<u8", copy=False).view(np.uint8)[:count]
     coins = key < top
     tied = np.flatnonzero(key == top)
     if len(tied):
-        coins[tied] = rng.bit_generator.random_raw(len(tied)) >> 19 < low
+        coins[tied] = _words(rng, len(tied)) >> 19 < low
     return coins.reshape(shape)
 
 

@@ -8,13 +8,19 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chbound as cb
 from chbound import dist_models
 from chbound.cli import main
-from conftest import enumerate_atoms, make_violating_pair, make_zoo, reference_sample_many
+from conftest import (
+    enumerate_atoms,
+    make_violating_pair,
+    make_zoo,
+    reference_coins,
+    reference_sample_many,
+)
 
 ZOO = make_zoo()
 ZOO_IDS = [name for name, _, _ in ZOO]
@@ -558,34 +564,11 @@ class TestJointModelValidation:
         assert calls == ["marginals[0]", "marginals[1]", "marginals[2]"]
         with pytest.raises(cb.ValidationError, match=r"^marginals\[1\] probabilities sum to 1.1"):
             cb.IndependentModel([[(0.0, 0.6), (1.0, 0.4)], [(0.0, 0.5), (1.0, 0.6)]])
+        # every marginal is parsed before any table is checked
+        with pytest.raises(cb.ValidationError, match=r"^marginals\[1\] must be a list"):
+            cb.IndependentModel([[(0.0, 0.5), (1.0, 0.6)], "junk"])
         with pytest.raises(cb.ValidationError, match="^atoms has negative"):
             cb.ExchangeableMixtureModel(3, 0.2, [(0.0, 1.1), (1.0, -0.1)])
-
-
-def _replayed_coins(seed: int, p: float, count: int) -> tuple[list[bool], int]:
-    """The coins ``_coins`` must give from ``default_rng(seed)``, replayed one
-    by one in Python integers from the words ``Generator.integers`` draws,
-    and how many of them tied.  Asserts on the way that a coin whose top
-    byte does not tie is the same for every value of its low 45 bits."""
-    threshold = math.ceil(Fraction(p) * 2**53)
-    rng = np.random.default_rng(seed)
-
-    def raw(size):
-        return rng.integers(0, 2**64, size=size, dtype=np.uint64).tolist()
-
-    words = raw(-(-count // 8))
-    tops = [(words[i // 8] >> (8 * (i % 8))) & 0xFF for i in range(count)]
-    tied = [i for i, top in enumerate(tops) if top == threshold >> 45]
-    tie_bits = dict(zip(tied, (w >> 19 for w in raw(len(tied)))))
-    coins = []
-    for i, top in enumerate(tops):
-        if i in tie_bits:
-            coins.append((top << 45 | tie_bits[i]) < threshold)
-        else:
-            low, high = top << 45, top << 45 | (1 << 45) - 1
-            assert (low < threshold) == (high < threshold), (p, i, top)
-            coins.append(low < threshold)
-    return coins, len(tied)
 
 
 # p = 0 and 1 draw nothing; 2^-1074 and 1 - 2^-53 are the extreme thresholds
@@ -593,33 +576,34 @@ def _replayed_coins(seed: int, p: float, count: int) -> tuple[list[bool], int]:
 # 0.5 -+ 2^-40 tie on bytes 127 and 128 with low bits near the top and bottom.
 COIN_EDGES = [0.0, 1.0, 2.0**-1074, 1.0 - 2.0**-53, 1 / 256, 0.5, 179 / 256, 255 / 256,
               0.5 - 2.0**-40, 0.5 + 2.0**-40]
+# MT19937's raw outputs are 32-bit, the others' 64-bit.
+BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64,
+                  np.random.PCG64DXSM]
+
+
+def _with_examples(examples):
+    def decorate(test):
+        for args in examples:
+            test = example(*args)(test)
+        return test
+    return decorate
 
 
 class TestCoins:
-    """``dist_models._coins`` against a by-hand replay of the raw words."""
-
-    @pytest.mark.parametrize("p", COIN_EDGES)
-    def test_edge_probabilities_replay(self, p):
-        rng = np.random.default_rng(5)
-        coins = dist_models._coins(rng, p, (64, 70))
-        want, ties = _replayed_coins(5, p, 64 * 70)
-        assert coins.dtype == bool and coins.shape == (64, 70)
-        assert coins.ravel().tolist() == want
-        if 0.0 < p < 1.0:
-            assert ties > 0
-            left = np.random.default_rng(5)
-            left.bit_generator.random_raw(-(-64 * 70 // 8) + ties)
-            assert rng.random() == left.random()  # nothing drawn past the ties
-        else:
-            assert rng.random() == np.random.default_rng(5).random()
-            assert coins.all() == (p == 1.0) and coins.any() == (p == 1.0)
+    """``dist_models._coins`` against ``conftest.reference_coins``."""
 
     @settings(max_examples=150, deadline=None)
-    @given(st.floats(0.0, 1.0), st.integers(1, 40), st.integers(1, 90), st.integers(0, 2**32))
-    def test_any_probability_replays(self, p, rows, cols, seed):
-        coins = dist_models._coins(np.random.default_rng(seed), p, (rows, cols))
-        assert coins.shape == (rows, cols)
-        assert coins.ravel().tolist() == _replayed_coins(seed, p, rows * cols)[0]
+    @given(st.floats(0.0, 1.0), st.integers(1, 40), st.integers(1, 90), st.integers(0, 2**32),
+           st.sampled_from(BIT_GENERATORS))
+    @_with_examples([(p, 64, 70, 5, bg) for p in COIN_EDGES for bg in BIT_GENERATORS[:2]])
+    def test_matches_reference(self, p, rows, cols, seed, bit_generator):
+        rng, ref = np.random.Generator(bit_generator(seed)), np.random.Generator(bit_generator(seed))
+        coins = dist_models._coins(rng, p, (rows, cols))
+        assert coins.dtype == bool and coins.shape == (rows, cols)
+        assert coins.ravel().tolist() == reference_coins(ref, p, rows * cols).tolist()
+        # the generator is left where the reference leaves it
+        assert rng.integers(0, 2**64, 2, dtype=np.uint64).tolist() == (
+            ref.integers(0, 2**64, 2, dtype=np.uint64).tolist())
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(0.0, 1.0), st.integers(-1, 1))
@@ -631,36 +615,47 @@ class TestCoins:
         assert (k * 2.0**-53 < p) == (k < threshold)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.booleans())
-    def test_coin_flips_exactly_at_the_threshold(self, p, at_threshold):
-        # Feed the one integer k = T - 1 (coin 1) or k = T (coin 0) through
-        # words chosen by hand: its top byte in byte 0 of the first word and,
-        # on a tie, its low 45 bits at the top of the second.
+    @given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           st.integers(-1, 1) | st.integers(-2**53, 2**53))
+    @_with_examples([(p, offset) for p in COIN_EDGES[2:] for offset in (-1, 0)])
+    def test_coin_is_k_below_the_threshold(self, p, offset):
+        # Feed one integer k near T = ceil(p 2^53) through words chosen by
+        # hand: its top byte in byte 0 of the first word and its low 45 bits
+        # at the top of the second, which only a tied coin reads.
         threshold = math.ceil(Fraction(p) * 2**53)
-        k = threshold if at_threshold else threshold - 1
+        k = min(max(threshold + offset, 0), 2**53 - 1)
         words = [k >> 45, (k & (1 << 45) - 1) << 19]
 
-        class Words:
-            def random_raw(self, size):
-                return np.array([words.pop(0) for _ in range(size)], dtype=np.uint64)
+        def integers(low, high, size, dtype):
+            return np.array([words.pop(0) for _ in range(size)], dtype=dtype)
 
-        coin = dist_models._coins(SimpleNamespace(bit_generator=Words()), p, (1,))
-        assert coin.tolist() == [not at_threshold]
+        rng = SimpleNamespace(bit_generator=None, integers=integers)
+        assert dist_models._coins(rng, p, (1,)).tolist() == [k < threshold]
+        # a coin whose byte does not tie is decided without its low 45 bits
         assert len(words) == (0 if k >> 45 == threshold >> 45 else 1)
 
     def test_numpy_draws_are_raw_words(self):
-        # The uniform is k 2^-53 with k the top 53 bits of one raw word, and
-        # integers over [0, 2^64) are the raw words themselves.
+        # The uniform is k 2^-53 with k the top 53 bits of one raw word.
         raw = np.random.default_rng(3).bit_generator.random_raw(64)
         assert np.random.default_rng(3).random(64).tolist() == [
             (int(w) >> 11) * 2.0**-53 for w in raw
         ]
-        words = np.random.default_rng(3).integers(0, 2**64, size=64, dtype=np.uint64)
-        assert words.tolist() == raw.tolist()
 
-    def test_large_sample_frequency(self):
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    def test_words_are_integers_draws(self, bit_generator):
+        # ``_words`` reads the raw words only where they are what integers
+        # over [0, 2^64) returns; MT19937's would leave bytes 4-7 at zero.
+        want = np.random.Generator(bit_generator(3)).integers(0, 2**64, 64, dtype=np.uint64)
+        assert dist_models._words(np.random.Generator(bit_generator(3)), 64).tolist() == (
+            want.tolist())
+        raw = bit_generator(3).random_raw(64)
+        assert (raw.tolist() == want.tolist()) == (bit_generator is not np.random.MT19937)
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    def test_large_sample_frequency(self, bit_generator):
         p, count = 0.4, 4_000_000
         exact = math.ceil(p * 2**53) / 2**53
-        hits = int(np.count_nonzero(dist_models._coins(np.random.default_rng(11), p, (count,))))
+        rng = np.random.Generator(bit_generator(11))
+        hits = int(np.count_nonzero(dist_models._coins(rng, p, (count,))))
         z = (hits - count * exact) / math.sqrt(count * exact * (1.0 - exact))
         assert abs(z) < 4.0, z
