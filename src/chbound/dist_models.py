@@ -80,18 +80,15 @@ def _coin(p) -> tuple[np.ndarray, np.ndarray]:
     return np.array([0.0, 1.0]), np.array([1.0 - p, p])
 
 
-# Bit generators whose raw output is one full 64-bit word, the word
-# ``Generator.integers(0, 2**64, dtype=np.uint64)`` returns.  MT19937's raw
-# outputs are 32-bit.
-_RAW64 = (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64)
-
-
 def _words(rng: np.random.Generator, size: int) -> np.ndarray:
     """``size`` random 64-bit words, those ``rng.integers(0, 2**64, size,
     dtype=np.uint64)`` returns.  On a 64-bit bit generator they are read
     from ``random_raw``, which releases the GIL while it fills them
-    (``integers`` does not), so worker threads draw in parallel."""
-    if isinstance(rng.bit_generator, _RAW64):
+    (``integers`` does not), so worker threads draw in parallel.  MT19937's
+    raw outputs are 32-bit.  (Named here, not at import, which would load
+    ``numpy.random`` into runs that sample nothing.)"""
+    if isinstance(rng.bit_generator, (np.random.PCG64, np.random.PCG64DXSM,
+                                      np.random.Philox, np.random.SFC64)):
         return rng.bit_generator.random_raw(size)
     return rng.integers(0, 2**64, size, dtype=np.uint64)
 
@@ -147,8 +144,7 @@ def _parse_atoms(atoms, name: str) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError(f"{name} must be a list of [value, prob] pairs") from exc
     if not pairs:
         raise ValidationError(f"{name} must contain at least one atom")
-    values = np.array([v for v, _ in pairs], dtype=np.float64)
-    probs = np.array([p for _, p in pairs], dtype=np.float64)
+    values, probs = np.array(pairs, dtype=np.float64).T.copy()
     return values, probs
 
 
@@ -203,7 +199,8 @@ class JointModel:
     several variables may read one column (the planted block does), and
     every factor is read by some variable (the range check of an unread
     factor would see no columns).  The constructor checks each factor with
-    ``check_table``, the column map, and that every factor is read.
+    ``check_table`` (unless ``check`` is false), the column map, and that
+    every factor is read.
     """
 
     kind = "factor_table"
@@ -215,6 +212,7 @@ class JointModel:
         factor_probs: Sequence[np.ndarray],
         vmap: Sequence[int],
         atom_cap: int = DEFAULT_ATOM_CAP,
+        *, check: bool = True,
     ):
         self._n = check_positive_int("n", n)
         self._atom_cap = check_positive_int("atom_cap", atom_cap)
@@ -229,7 +227,7 @@ class JointModel:
             raise ValidationError("factor_values and factor_probs must list the same factors")
         checked = set()
         for j, key in enumerate(zip(map(id, factor_values), map(id, factor_probs))):
-            if key not in checked:  # a table passed for several factors is checked once
+            if check and key not in checked:  # a table passed for several factors is checked once
                 checked.add(key)
                 check_table(self._fvals[j], self._fprobs[j], self._factor_name(j))
         starts = np.cumsum([0] + [fv.shape[1] for fv in self._fvals])
@@ -334,19 +332,19 @@ class JointModel:
     def _factor_atoms(self, params: BoundParams | None = None) -> list[tuple]:
         """Per factor: its (m_j, k_j) atom rows over the k_j variables reading
         it, their probabilities, and, given ``params``, the range-checked
-        unit-cube image of the rows (else None)."""
+        unit-cube image of the rows and whether it was clipped (else None, False)."""
         out = []
         for fv, fp, (variables, cols) in zip(self._fvals, self._fprobs, self._freads):
             atoms = fv.take(cols, axis=1)
-            xt = None if params is None else to_unit_cube(atoms, params, fp, variables)
-            out.append((atoms, fp, xt))
+            image = (None, False) if params is None else to_unit_cube(atoms, params, fp, variables)
+            out.append((atoms, fp, *image))
         return out
 
     def _fold_factors(self, params: BoundParams | None, lam: float) -> tuple[np.ndarray, ...]:
         # Factor by factor: every (state, row) pair adds the row's sum and
         # multiplies the row's mass (and weighted mass) in; equal sums merge.
         law = None
-        for atoms, probs, xt in self._factor_atoms(params):
+        for atoms, probs, xt, _ in self._factor_atoms(params):
             step = [atoms.sum(axis=1), probs]
             if xt is not None:
                 step.append(probs * _row_weights(xt, lam))
@@ -368,11 +366,11 @@ class JointModel:
         return _merge(*(np.concatenate([w * law[k] if k else law[k] for w, law in laws])
                         for k in range(len(laws[0][1]))))
 
-    def _check_range(self, params: BoundParams) -> None:
-        """Raise unless every positive-probability atom lies in [a_i, a_i + b]."""
-        for w, part in self._parts():
-            if w > 0.0:
-                part._factor_atoms(params)
+    def _check_range(self, params: BoundParams) -> bool:
+        """Raise unless every positive-probability atom lies in [a_i, a_i + b];
+        return whether sampled values need clipping to [0, 1]."""
+        return any([clipped for w, part in self._parts() if w > 0.0  # a list: check all
+                    for *_, clipped in part._factor_atoms(params)])
 
     def _factor_moments(
         self, j: int, max_size: int, chain: tuple[int, ...] | None
@@ -464,10 +462,7 @@ class IndependentModel(JointModel):
         values, probs = zip(*(_parse_atoms(marg, f"marginals[{i}]")
                               for i, marg in enumerate(marginals)))
         super().__init__(n, values, probs, vmap=range(n), atom_cap=atom_cap)
-        self.marginals = [
-            [(float(v), float(p)) for v, p in zip(vals, ps)]
-            for vals, ps in zip(values, probs)
-        ]
+        self.marginals = [list(zip(v.tolist(), p.tolist())) for v, p in zip(values, probs)]
 
     def _factor_name(self, j: int) -> str:
         return f"marginals[{j}]"
@@ -559,7 +554,7 @@ class ExchangeableMixtureModel(JointModel):
         self.rho = rho
         self._values = values
         self._probs = probs
-        self._shared = JointModel(n, [values], [probs], [0] * n, atom_cap)
+        self._shared = JointModel(n, [values], [probs], [0] * n, atom_cap, check=False)
 
     def _factor_name(self, j: int) -> str:
         return "atoms"
@@ -730,18 +725,17 @@ def to_unit_cube(
     params: BoundParams,
     probs: np.ndarray | None = None,
     variables: Sequence[int] | None = None,
-) -> np.ndarray:
-    """Map (m, k) atoms to [0, 1] by x -> (x - a_i) / b, clipped; the one range check.
+) -> tuple[np.ndarray, bool]:
+    """(image, whether clipped) of (m, k) atoms under x -> (x - a_i) / b,
+    clipped to [0, 1]; the one range check.
 
     Column c holds variable ``variables[c]`` (default: variable c, k = n).
     Raises unless every atom (with ``probs``, every atom of positive
     probability) lies in [a_i, a_i + b] up to ``slack(b)``.  Under the
-    identity map (a = 0, b = 1) with every value in [0, 1], returns
+    identity map (a = 0, b = 1) with every value in [0, 1], the image is
     ``values`` itself.
     """
-    a = np.asarray(params.a)
-    if variables is not None:
-        a = a[variables]
+    a = np.asarray(params.a if variables is None else [params.a[v] for v in variables])
     xt = values if params.b == 1.0 and not a.any() else (values - a) / params.b
     tol = slack(params.b) / params.b
     lo, hi = xt.min(), xt.max()
@@ -756,7 +750,8 @@ def to_unit_cube(
                 f"values leave [a_i, a_i + b]: variable {var} takes value "
                 f"{values[row, col]} outside [{params.a[var]}, {params.a[var] + params.b}]"
             )
-    return np.clip(xt, 0.0, 1.0) if lo < 0.0 or hi > 1.0 else xt
+    clipped = bool(lo < 0.0 or hi > 1.0)
+    return (np.clip(xt, 0.0, 1.0) if clipped else xt), clipped
 
 
 def check_support_range(model: JointModel, params: BoundParams) -> None:

@@ -17,17 +17,16 @@ prod_{i in I} Xtilde_i); only ``draw_round``, which returns Y, draws it.
 The round kernel ``_chunks`` works in one variable-major (n, rows) float64
 workspace per block, reused for every chunk: the model's ``_draw`` fills it
 (the 0/1 models from byte-sized coins, one random byte per coin; see
-``dist_models._coins``), ``to_unit_cube`` checks the (rows, n) view and maps
-it (the identity map allocates nothing).
+``dist_models._coins``), and a second one holds xtilde unless that is x.
+The kernel checks no range: ``estimate_product`` and the witness check the
+factor rows once per call, before any draw, and ``draw_round`` its one row.
 ``estimate_product`` forms the weight (lam xtilde + 1) - lam in place, and
 ``np.multiply.reduce`` over axis 0 folds each column.  That fold multiplies
 variables 0..n-1 left to right, as ``np.prod`` along a C-ordered row does,
 so the weights keep the bits of the row-major kernel
-(``dist_models._row_weights``) while vectorising across rows.  Sums are
-different: NumPy adds a contiguous row pairwise, which an axis-0 fold does
-not reproduce, so conditional mode copies each chunk back to C-ordered rows
-for the tail test, and then weighs only the kept rows.  The range check
-still covers every drawn row.
+(``dist_models._row_weights``) while vectorising across rows.  Conditional
+mode tests the tail on sums in that order too (orders differ by ulps, inside
+``tail_cutoff``'s slack), then weighs only the kept rows.
 
 Reproducibility contract: every sampler draws its rows through the one
 round kernel ``_chunks`` and schedules its blocks through the one block
@@ -112,17 +111,18 @@ def _run_blocks(
 
     Blocks hold ``block_size`` rounds (the last one the remainder), block b
     draws from ``block_rng(seed, tag, b)``, and results come in block order.
-    One thread pool at most per call, with two blocks per thread in flight;
-    if the consumer stops early, blocks not yet started are cancelled.
+    One thread pool at most per call, two blocks per thread in flight, their
+    generators made here (so numpy.random never loads in a pool thread); if
+    the consumer stops early, blocks not yet started are cancelled.
     """
     n_blocks = -(-total // block_size)
 
-    def run(b: int) -> object:
-        return fn(block_rng(seed, tag, b), min(block_size, total - b * block_size))
+    def args(b: int) -> tuple[np.random.Generator, int]:
+        return block_rng(seed, tag, b), min(block_size, total - b * block_size)
 
     workers = _pool_size(workers, n_blocks)
     if workers == 1:
-        yield from map(run, range(n_blocks))
+        yield from (fn(*args(b)) for b in range(n_blocks))
         return
     from concurrent.futures import ThreadPoolExecutor
 
@@ -130,7 +130,7 @@ def _run_blocks(
         pending: deque = deque()
         try:
             for b in range(n_blocks):
-                pending.append(pool.submit(run, b))
+                pending.append(pool.submit(fn, *args(b)))
                 if len(pending) == 2 * workers:
                     yield pending.popleft().result()
             while pending:
@@ -146,23 +146,31 @@ def _workspace(n: int, m: int) -> np.ndarray:
 
 
 def _chunks(
-    model: JointModel, params: BoundParams, rng: np.random.Generator, m: int
+    model: JointModel, params: BoundParams, rng: np.random.Generator, m: int, clip: bool
 ) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
     """The round kernel: m rows from one generator, a chunk at a time, as
     (the chunk's slice of the m rows, x, xtilde), both variable-major.
 
-    ``_draw`` fills a flat prefix of one workspace per block, so each chunk
-    (and xtilde, which the identity map leaves as x itself) lives only until
-    the next one.  Draws the consumer makes in between follow the chunk's.
+    xtilde is (x - a_i) / b, clipped to [0, 1] if ``clip`` (from
+    ``JointModel._check_range``).  ``_draw`` fills a per-block workspace, so
+    each chunk (and xtilde, x itself under the unclipped identity map) lives
+    only until the next; the consumer's draws in between follow the chunk's.
     """
     n = model.n
     work = _workspace(n, m)
     rows = len(work) // n
+    image = _workspace(n, m) if clip or params.b != 1.0 or any(params.a) else None
+    a = None if image is None else np.asarray(params.a)[:, None]
     for start in range(0, m, rows):
         stop = min(start + rows, m)
         x = work[: n * (stop - start)].reshape(n, -1)
         model._draw(rng, x)
-        yield slice(start, stop), x, to_unit_cube(x.T, params).T
+        xt = x if image is None else image[: x.size].reshape(x.shape)
+        if xt is not x:  # the operations of to_unit_cube
+            np.divide(np.subtract(x, a, out=xt), params.b, out=xt)
+            if clip:
+                np.clip(xt, 0.0, 1.0, out=xt)
+        yield slice(start, stop), x, xt
 
 
 def _mean_and_se(blocks: Iterable[np.ndarray], limit: int) -> tuple[int, float, float]:
@@ -223,7 +231,8 @@ def draw_round(
     (the empty product is 1).
     """
     lam = _check_round_args(model, params, lam)
-    ((_, x, xt),) = _chunks(model, params, rng, 1)
+    ((_, x, _),) = _chunks(model, params, rng, 1, clip=False)
+    xt = to_unit_cube(x.T, params)[0].T  # checks the one drawn row, not every factor
     y = rng.random(xt.shape) < xt
     member = rng.random(xt.shape) < lam
     return SamplingRound(
@@ -268,18 +277,16 @@ def estimate_product(
         check_positive_int("max_proposals", max_proposals)
         total = max(1, math.ceil(max_proposals / block_size)) * block_size
     cutoff = tail_cutoff(params.threshold)
-    n = model.n
+    clip = model._check_range(params)
 
     def block(rng: np.random.Generator, m: int) -> np.ndarray:
-        rowwise = _workspace(n, m) if conditional else None
         weights = np.empty(m)
         kept = 0
-        for _, x, xt in _chunks(model, params, rng, m):
+        for _, x, xt in _chunks(model, params, rng, m, clip):
             if conditional:
-                # Tail sums of C-ordered rows, bit for bit those of sample_many.
-                xr = rowwise[: x.size].reshape(x.shape[::-1])
-                np.copyto(xr, x.T)
-                xt = xt[:, xr.sum(axis=1) >= cutoff]
+                # variables added left to right (NumPy sums a lone column pairwise)
+                sums = np.add.reduce(x, axis=0) if x.shape[1] > 1 else np.cumsum(x)[-1:]
+                xt = xt[:, sums >= cutoff]
             np.multiply(xt, lam, out=xt)  # the operations of _row_weights
             np.add(xt, 1.0, out=xt)
             np.subtract(xt, lam, out=xt)
@@ -378,10 +385,7 @@ class ChainReport:
         return self.failed_links == ("certified_moments_vs_process",) and not self.hypothesis_ok
 
     def link(self, name: str) -> ChainLink:
-        for item in self.links:
-            if item.name == name:
-                return item
-        raise KeyError(name)
+        return {item.name: item for item in self.links}[name]
 
 
 def verify_chain(

@@ -283,6 +283,7 @@ def find_dependent_set(
         check_positive_int(name, value)
     n = model.n
     identity = BoundParams.boolean(n, 1.0, 0.0)
+    clip = model._check_range(identity)
 
     def search_tally(rng: np.random.Generator, m: int) -> tuple:
         # After each chunk's rows, a uniform per row and variable draws their
@@ -290,7 +291,7 @@ def find_dependent_set(
         uniforms = _workspace(n, m)
         member = np.empty((m, n), dtype=bool)
         weights = np.empty(m)
-        for rows, _, xt in _chunks(model, identity, rng, m):
+        for rows, _, xt in _chunks(model, identity, rng, m, clip):
             u = rng.random(out=uniforms[: xt.size].reshape(-1, n))
             np.less(u, wp.lam, out=member[rows])
             np.multiply.reduce(xt, axis=0, where=member[rows].T, initial=1.0, out=weights[rows])
@@ -320,7 +321,7 @@ def find_dependent_set(
 
     def confirm_weights(rng: np.random.Generator, m: int) -> np.ndarray:
         weights = np.empty(m)
-        for rows, _, xt in _chunks(model, identity, rng, m):
+        for rows, _, xt in _chunks(model, identity, rng, m, clip):
             np.multiply.reduce(xt, axis=0, where=chosen, initial=1.0, out=weights[rows])
         return weights
 

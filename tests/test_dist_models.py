@@ -570,6 +570,25 @@ class TestJointModelValidation:
         with pytest.raises(cb.ValidationError, match="^atoms has negative"):
             cb.ExchangeableMixtureModel(3, 0.2, [(0.0, 1.1), (1.0, -0.1)])
 
+    def test_mixture_atoms_are_checked_once(self, monkeypatch):
+        # The shared-atom table reads the same atoms, which are not checked again.
+        calls = []
+        real = dist_models.check_table
+
+        def counting(values, probs, name):
+            calls.append(name)
+            real(values, probs, name)
+
+        monkeypatch.setattr(dist_models, "check_table", counting)
+        cb.ExchangeableMixtureModel(5, 0.3, [(0.0, 0.5), (0.5, 0.25), (1.0, 0.25)])
+        assert calls == ["atoms"]
+        cb.ExchangeableMixtureModel.bernoulli(4, 0.2, 0.3)
+        assert calls == ["atoms", "atoms"]
+        with pytest.raises(cb.ValidationError, match=r"^atoms probabilities sum to 1.1"):
+            cb.ExchangeableMixtureModel(3, 0.2, [(0.0, 0.5), (1.0, 0.6)])
+        with pytest.raises(cb.ValidationError, match="^atoms has non-finite values"):
+            cb.ExchangeableMixtureModel(3, 0.2, [(float("nan"), 0.5), (1.0, 0.5)])
+
 
 # p = 0 and 1 draw nothing; 2^-1074 and 1 - 2^-53 are the extreme thresholds
 # 1 and 2^53 - 1; on j/256 every coin whose byte is j ties and comes out 0;

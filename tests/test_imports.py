@@ -14,8 +14,8 @@ import pytest
 import chbound
 from chbound.cli import build_parser
 
-HEAVY = ("numpy", "chbound.dist_models", "chbound.mc_engine", "chbound.witness",
-         "concurrent.futures")
+HEAVY = ("numpy", "numpy.random", "chbound.dist_models", "chbound.mc_engine",
+         "chbound.witness", "concurrent.futures")
 
 # Run ``python -m chbound.cli`` in this process, then list which of HEAVY it loaded.
 CHILD = """
@@ -55,12 +55,14 @@ class TestImportFootprint:
         ["simulate", "--samples", "1000", "--workers", "1"],
     ])
     def test_exact_and_single_worker_runs_load_no_witness_and_no_pool(self, tmp_path, command):
+        # Only a run that samples loads numpy.random.
+        sampler = {"numpy.random"} if command[0] == "simulate" else set()
         spec = tmp_path / "b4.json"
         spec.write_text(json.dumps({"kind": "boolean_iid", "n": 4, "params": {"p": 0.5}}))
         code, loaded = loaded_by(tmp_path, command[0], "--spec", str(spec),
                                  "--c", "0.5", "--t", "0.25", *command[1:])
         assert code == 0
-        assert loaded == {"numpy", "chbound.dist_models", "chbound.mc_engine"}
+        assert loaded == {"numpy", "chbound.dist_models", "chbound.mc_engine"} | sampler
 
 
 # chbound.__all__ before the package loaded its layers lazily.

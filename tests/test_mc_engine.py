@@ -180,7 +180,7 @@ def _exact_conditional_product(model, params, lam):
     """E[prod (lam xtilde + 1 - lam) | sum X >= threshold] by enumeration."""
     values, probs = enumerate_atoms(model)
     tail = values.sum(axis=1) >= tail_cutoff(params.threshold)
-    weights = np.prod(lam * to_unit_cube(values, params, probs) + 1.0 - lam, axis=1)
+    weights = np.prod(lam * to_unit_cube(values, params, probs)[0] + 1.0 - lam, axis=1)
     return math.fsum(probs[tail] * weights[tail]) / math.fsum(probs[tail])
 
 
@@ -223,7 +223,7 @@ def _block_weights(model, params, lam, seed, block_size, total):
         m = min(block_size, total - b * block_size)
         chunks = [model.sample_many(rng, min(rows, m - s)) for s in range(0, m, rows)]
         blocks.append(np.concatenate(
-            [np.prod(lam * to_unit_cube(x, params) + 1.0 - lam, axis=1) for x in chunks]
+            [np.prod(lam * to_unit_cube(x, params)[0] + 1.0 - lam, axis=1) for x in chunks]
         ))
     return blocks
 
@@ -282,8 +282,9 @@ class TestRaoBlackwellEstimate:
 def _reference_estimate(model, params, lam, n_samples, *, conditional, seed, workers,
                         block_size, max_proposals):
     """estimate_product with the row-major chunk kernel it had before the
-    variable-major workspace: pre-_draw samplers, np.prod row weights, and
-    tail sums of the C-ordered rows.  None when the proposal budget runs out."""
+    variable-major workspace: pre-_draw samplers, a range check and map per
+    chunk, np.prod row weights, and tail sums that add each row's values in
+    index order.  None when the proposal budget runs out."""
     total = n_samples
     if conditional:
         total = max(1, math.ceil(max_proposals / block_size)) * block_size
@@ -294,8 +295,8 @@ def _reference_estimate(model, params, lam, n_samples, *, conditional, seed, wor
         kept = []
         for start in range(0, m, rows):
             x = reference_sample_many(model, rng, min(rows, m - start))
-            w = np.prod(lam * to_unit_cube(x, params) + 1.0 - lam, axis=1)
-            kept.append(w[x.sum(axis=1) >= cutoff] if conditional else w)
+            w = np.prod(lam * to_unit_cube(x, params)[0] + 1.0 - lam, axis=1)
+            kept.append(w[np.cumsum(x, axis=1)[:, -1] >= cutoff] if conditional else w)
         return np.concatenate(kept)
 
     count, mean, m2 = 0, 0.0, 0.0
@@ -384,10 +385,12 @@ class TestChunkKernel:
     def test_numpy_reduction_orders(self):
         # The kernel's row product reduces the variable-major (n, rows)
         # chunk over axis 0; the reference multiplies along each C-ordered
-        # row.  Both must fold left to right.  The tail sums stay on
-        # C-ordered rows, copied back from the chunk, because NumPy sums a
-        # contiguous row pairwise while an axis-0 fold does not.  If a NumPy
-        # release changes either order, reported bits move: this says so.
+        # row.  Both must fold left to right.  The tail sums reduce the chunk
+        # over axis 0 too, which adds the variables left to right, as a
+        # running sum along the row does.  A one-row chunk is the exception:
+        # it is one contiguous run, which NumPy sums pairwise like a row, so
+        # the kernel takes a running sum there.  If a NumPy release changes
+        # any of these orders, reported bits move: this says so.
         rng = np.random.default_rng(2024)
         for n in range(1, 131):
             for rows in (1, 7, 1310):
@@ -396,9 +399,9 @@ class TestChunkKernel:
                 product = np.empty(rows)
                 np.multiply.reduce(chunk, axis=0, out=product)
                 assert product.tobytes() == np.prod(w, axis=1).tobytes(), (n, rows)
-                rowwise = np.empty((rows, n))
-                np.copyto(rowwise, chunk.T)
-                assert rowwise.sum(axis=1).tobytes() == w.sum(axis=1).tobytes(), (n, rows)
+                fold = np.add.reduce(chunk, axis=0).tobytes()
+                in_order = np.cumsum(w, axis=1)[:, -1].tobytes()
+                assert fold == (w.sum(axis=1).tobytes() if rows == 1 else in_order), (n, rows)
 
     def test_identity_chunk_allocates_only_the_workspace(self):
         # One block of planted n=50 under the identity map: the (n, rows)
@@ -442,6 +445,136 @@ class TestRangeCheckBelowTheTail:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and self.MESSAGE in captured.err
+
+
+class TestTailSumOrder:
+    """Conditional mode adds each row's values left to right, in variable
+    order, before it compares the sum with tail_cutoff."""
+
+    # Atoms of 12 values whose pairwise sum (NumPy's sum of a contiguous
+    # row) and left-to-right sum straddle the cutoff of (c, t) = (C, 0).
+    KEPT = ([0.04, 0.53, 0.48, 0.83, 0.02, 0.56, 0.49, 0.6, 0.73, 0.52, 0.56, 0.49],
+            0.48750000000048754)
+    DROPPED = ([0.89, 0.15, 0.81, 0.04, 0.84, 0.7, 0.47, 0.48, 0.22, 0.93, 0.27, 0.26],
+               0.5050000000005049)
+
+    @staticmethod
+    def _case(atom, c):
+        model = cb.ExplicitTableModel([(atom, 0.5), ([0.0] * 12, 0.5)])
+        params = cb.BoundParams.uniform(12, 0.0, 1.0, c, 0.0)
+        cutoff = tail_cutoff(params.threshold)
+        pairwise = float(np.array([atom]).sum(axis=1)[0])
+        in_order = 0.0
+        for v in atom:
+            in_order += v
+        return model, params, cutoff, pairwise, in_order
+
+    @pytest.mark.parametrize("block_size", [1, 1000])
+    def test_atom_kept_by_the_left_to_right_sum(self, block_size):
+        model, params, cutoff, pairwise, in_order = self._case(*self.KEPT)
+        assert pairwise < cutoff <= in_order
+        lam = 0.5
+        est = cb.estimate_product(model, params, lam, 50, conditional=True, seed=3,
+                                  block_size=block_size, max_proposals=2000)
+        weight = math.prod(lam * v + 1.0 - lam for v in self.KEPT[0])
+        assert est.mean == pytest.approx(weight, rel=1e-12) and est.n_samples == 50
+
+    @pytest.mark.parametrize("block_size", [1, 1000])
+    def test_atom_dropped_by_the_left_to_right_sum(self, block_size):
+        model, params, cutoff, pairwise, in_order = self._case(*self.DROPPED)
+        assert in_order < cutoff <= pairwise
+        with pytest.raises(cb.RejectionBudgetError, match="got 0 acceptances"):
+            cb.estimate_product(model, params, 0.5, 50, conditional=True, seed=3,
+                                block_size=block_size, max_proposals=2000)
+
+
+class TestRangeCheckedOncePerCall:
+    """estimate_product and find_dependent_set check the model's factor rows
+    before they draw anything; the kernel itself checks nothing."""
+
+    # Variable 1 reaches 1.5 with probability 1e-9: never drawn, still refused.
+    BAD = [[(0.0, 0.5), (1.0, 0.5)], [(0.0, 1.0 - 1e-9), (1.5, 1e-9)], [(0.25, 1.0)]]
+    # 7.0 has probability 0, so it is never drawn and is accepted.
+    ZERO = [[(0.0, 0.5), (1.0, 0.5)], [(0.0, 0.6), (7.0, 0.0), (1.0, 0.4)], [(0.25, 1.0)]]
+    WITHOUT_ZERO = [[(0.0, 0.5), (1.0, 0.5)], [(0.0, 0.6), (1.0, 0.4)], [(0.25, 1.0)]]
+
+    @staticmethod
+    def _spied(marginals, monkeypatch):
+        model = cb.IndependentModel(marginals)
+        draws = []
+        real = model._draw
+        monkeypatch.setattr(model, "_draw", lambda rng, out: draws.append(out.shape) or real(rng, out))
+        return model, draws
+
+    @staticmethod
+    def _witness_params(n=3):
+        return cb.WitnessParams(n=n, c=0.4, t=0.3, alpha=0.5, lam=0.7, m_search=2000,
+                                m_confirm=2000, margin_threshold=0.01)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("conditional", [False, True])
+    def test_estimate_raises_before_any_draw(self, workers, conditional, monkeypatch):
+        model, draws = self._spied(self.BAD, monkeypatch)
+        params = cb.BoundParams.boolean(3, 0.5, 0.1)
+        with pytest.raises(cb.ValidationError, match=re.escape(
+                "variable 1 takes value 1.5 outside [0.0, 1.0]")):
+            cb.estimate_product(model, params, 0.5, 100, conditional=conditional,
+                                seed=0, workers=workers, block_size=10, max_proposals=1000)
+        assert draws == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_witness_raises_before_any_draw(self, workers, monkeypatch):
+        model, draws = self._spied(self.BAD, monkeypatch)
+        with pytest.raises(cb.ValidationError, match=re.escape(
+                "variable 1 takes value 1.5 outside [0.0, 1.0]")):
+            cb.find_dependent_set(model, self._witness_params(), seed=0, workers=workers,
+                                  block_size=100)
+        assert draws == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_zero_probability_atom_is_accepted(self, workers):
+        params = cb.BoundParams.boolean(3, 0.5, 0.1)
+        wp = self._witness_params()
+        model, plain = cb.IndependentModel(self.ZERO), cb.IndependentModel(self.WITHOUT_ZERO)
+        for conditional in (False, True):
+            kwargs = dict(conditional=conditional, seed=2, workers=workers, block_size=300)
+            assert (cb.estimate_product(model, params, 0.5, 1000, **kwargs)
+                    == cb.estimate_product(plain, params, 0.5, 1000, **kwargs))
+        kwargs = dict(seed=2, workers=workers, block_size=100)
+        assert (cb.find_dependent_set(model, wp, **kwargs)
+                == cb.find_dependent_set(plain, wp, **kwargs))
+
+    # Estimates of models with a value 1e-13 outside [a_i, a_i + b], inside
+    # the tolerance: the kernel clips it to the boundary.  The bits are those
+    # of the kernel that range-checked and clipped each chunk.
+    IN_BAND = [
+        ("identity", [(0.0, 0.3), (0.5, 0.2), (1 + 1e-13, 0.5)], (0.0, 1.0), False,
+         "0x1.558d2ffecb4cbp-2", "0x1.2bdb7a8a10eadp-8"),
+        ("identity", [(0.0, 0.3), (0.5, 0.2), (1 + 1e-13, 0.5)], (0.0, 1.0), True,
+         "0x1.30ba1f4b1ee26p-1", "0x1.03a8fab6ab2cdp-8"),
+        ("mapped", [(-0.5 - 1e-13, 0.3), (0.5, 0.2), (1.5 + 1e-13, 0.5)], (-0.5, 2.0), False,
+         "0x1.558d2ffecb4cbp-2", "0x1.2bdb7a8a10eadp-8"),
+        ("mapped", [(-0.5 - 1e-13, 0.3), (0.5, 0.2), (1.5 + 1e-13, 0.5)], (-0.5, 2.0), True,
+         "0x1.f4dd2f1a9fbe7p-2", "0x1.103634074c543p-8"),
+    ]
+
+    @pytest.mark.parametrize("name,atoms,ab,conditional,mean,std_error", IN_BAND,
+                             ids=[f"{c[0]}-{'cond' if c[3] else 'all'}" for c in IN_BAND])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_values_inside_the_tolerance_keep_their_bits(
+        self, name, atoms, ab, conditional, mean, std_error, workers
+    ):
+        model = cb.IndependentModel([atoms] * 4)
+        params = cb.BoundParams.uniform(4, ab[0], ab[1], ab[0] + 0.5 * ab[1], 0.25)
+        est = cb.estimate_product(model, params, 0.6, 3000, conditional=conditional, seed=5,
+                                  block_size=1000, workers=workers)
+        assert (est.mean.hex(), est.std_error.hex()) == (mean, std_error)
+
+    def test_detect_clips_values_inside_the_tolerance(self):
+        model = cb.IndependentModel([[(0.0, 0.3), (0.5, 0.2), (1 + 1e-13, 0.5)]] * 4)
+        report = cb.find_dependent_set(model, self._witness_params(4), seed=3)
+        assert (report.empirical_moment.hex(), report.confirm_std_error.hex()) == (
+            "0x1.38f5c28f5c28fp-1", "0x1.3b0456f5563f6p-7")
 
 
 class TestExactProductExpectation:
