@@ -369,9 +369,13 @@ def _report(command: str, config: dict, result: dict) -> dict:
     }
 
 
-def _add_common(sub, seed: bool = False) -> None:
+def _add_common(sub, seed: bool = False, exact: bool = False) -> None:
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--out", default=None, help="write the report to this file")
+    if exact:
+        sub.add_argument("--atom-cap", dest="atom_cap", type=int, default=None,
+                         help="largest step of the exact fold, in partial sums x factor "
+                         "rows; exit code 4 when a step needs more")
     if seed:
         sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
         sub.add_argument("--workers", type=int, default=1)
@@ -405,8 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_bound_flags(p, need_n=False)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--max-subset-size", dest="max_subset_size", type=int, default=None)
-    p.add_argument("--atom-cap", dest="atom_cap", type=int, default=None)
-    _add_common(p)
+    _add_common(p, exact=True)
     p.set_defaults(handler=cmd_verify)
 
     p = subs.add_parser("simulate", help="Monte Carlo estimate of the round product")
@@ -418,8 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="condition on the tail event via rejection")
     p.add_argument("--max-proposals", dest="max_proposals", type=int,
                    default=DEFAULT_MAX_PROPOSALS)
-    p.add_argument("--atom-cap", dest="atom_cap", type=int, default=None)
-    _add_common(p, seed=True)
+    _add_common(p, seed=True, exact=True)
     p.set_defaults(handler=cmd_simulate)
 
     p = subs.add_parser("detect", help="search for a moment-violating subset")
@@ -451,8 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=21)
     p.add_argument("--spec", default=None,
                    help="optional model spec for exact tails along the sweep")
-    p.add_argument("--atom-cap", dest="atom_cap", type=int, default=None)
-    _add_common(p)
+    _add_common(p, exact=True)
     p.set_defaults(handler=cmd_sweep)
 
     return parser

@@ -18,11 +18,10 @@ moment is the product of per-factor moments.  Only a factor read by several
 variables (an explicit table, the planted block, the shared atoms) is
 walked row by row.
 
-The exact routines run only while the support has at most ``atom_cap``
-atoms; larger models stay usable for sampling but exact routines raise
-``SupportTooLargeError`` up front.  Sums and products run in
-a fixed order through NumPy reductions, never threaded BLAS dot products, so
-exact results are bit-reproducible.
+``atom_cap`` bounds one fold step, states x factor rows, which the fold
+checks before it allocates (``SupportTooLargeError``).  Sums and products
+run in a fixed order through NumPy reductions, never threaded BLAS dot
+products, so exact results are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -199,8 +198,7 @@ class JointModel:
     several variables may read one column (the planted block does), and
     every factor is read by some variable (the range check of an unread
     factor would see no columns).  The constructor checks each factor with
-    ``check_table`` (unless ``check`` is false), the column map, and that
-    every factor is read.
+    ``check_table``, the column map, and that every factor is read.
     """
 
     kind = "factor_table"
@@ -212,22 +210,23 @@ class JointModel:
         factor_probs: Sequence[np.ndarray],
         vmap: Sequence[int],
         atom_cap: int = DEFAULT_ATOM_CAP,
-        *, check: bool = True,
     ):
         self._n = check_positive_int("n", n)
         self._atom_cap = check_positive_int("atom_cap", atom_cap)
-        self._sum_cache: tuple[np.ndarray, np.ndarray] | None = None
+        self._sum_cache: tuple[np.ndarray, np.ndarray] | SupportTooLargeError | None = None
         # lists keep every table alive, so the ids below stay distinct
         factor_values, factor_probs = list(factor_values), list(factor_probs)
         if not all(len(v) for v in factor_values):
             raise ValidationError("every factor needs at least one value row")
-        self._fvals = [np.asarray(v, dtype=np.float64).reshape(len(v), -1) for v in factor_values]
+        arrays = {}  # one array per table, however many factors it serves
+        self._fvals = [arrays.setdefault(id(v), np.asarray(v, dtype=np.float64).reshape(len(v), -1))
+                       for v in factor_values]
         self._fprobs = [np.asarray(p, dtype=np.float64) for p in factor_probs]
         if len(self._fvals) != len(self._fprobs):
             raise ValidationError("factor_values and factor_probs must list the same factors")
         checked = set()
         for j, key in enumerate(zip(map(id, factor_values), map(id, factor_probs))):
-            if check and key not in checked:  # a table passed for several factors is checked once
+            if key not in checked:  # a table passed for several factors is checked once
                 checked.add(key)
                 check_table(self._fvals[j], self._fprobs[j], self._factor_name(j))
         starts = np.cumsum([0] + [fv.shape[1] for fv in self._fvals])
@@ -239,7 +238,6 @@ class JointModel:
                 f"[0, {starts[-1]}), got {vmap!r}"
             )
         self._vmap = self._vmap.astype(np.int64)
-        self._total = math.prod(len(v) for v in self._fvals)
         # (factor, column within it) of the global column each variable reads
         owner = np.searchsorted(starts, self._vmap, side="right") - 1
         self._reads = list(zip(owner.tolist(), (self._vmap - starts[owner]).tolist()))
@@ -266,10 +264,12 @@ class JointModel:
 
     @property
     def enumerable(self) -> bool:
-        return self.support_size() <= self._atom_cap
-
-    def support_size(self) -> int:
-        return self._total
+        """Whether ``sum_support()`` succeeds: no fold step exceeds ``atom_cap``."""
+        try:
+            self.sum_support()
+        except SupportTooLargeError:
+            return False
+        return True
 
     def _draw(self, rng: np.random.Generator, out: np.ndarray) -> None:
         """Fill the C-ordered (n, size) float64 ``out`` with ``size`` joint
@@ -289,24 +289,20 @@ class JointModel:
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return self.sample_many(rng, 1)[0]
 
-    def _require_enumerable(self, what: str) -> None:
-        size = self.support_size()
-        if size > self._atom_cap:
-            raise SupportTooLargeError(
-                f"{what} needs exact enumeration, but this {self.kind} model has "
-                f"{size} atoms (atom_cap={self._atom_cap}); use sampling instead "
-                f"or raise atom_cap"
-            )
-
     def sum_support(self) -> tuple[np.ndarray, np.ndarray]:
         """Exact distribution of the coordinate sum: (sums, probs) arrays.
 
         ``sums`` holds the distinct atom sums in ascending order and
-        ``probs`` their probabilities; the result is cached on the model.
+        ``probs`` their probabilities.  The outcome is cached on the model,
+        a ``SupportTooLargeError`` included.
         """
         if self._sum_cache is None:
-            self._require_enumerable("sum_support")
-            self._sum_cache = self._fold()
+            try:
+                self._sum_cache = self._fold()
+            except SupportTooLargeError as exc:
+                self._sum_cache = exc
+        if isinstance(self._sum_cache, SupportTooLargeError):
+            raise self._sum_cache.with_traceback(None)
         return self._sum_cache
 
     def _check_columns(self, columns: Iterable[int]) -> tuple[int, ...]:
@@ -332,26 +328,37 @@ class JointModel:
     def _factor_atoms(self, params: BoundParams | None = None) -> list[tuple]:
         """Per factor: its (m_j, k_j) atom rows over the k_j variables reading
         it, their probabilities, and, given ``params``, the range-checked
-        unit-cube image of the rows and whether it was clipped (else None, False)."""
-        out = []
+        unit-cube image of the rows and whether it was clipped (else None, False).
+        Factors alike in table, columns and readers' a_i share one entry."""
+        out, seen = [], {}
         for fv, fp, (variables, cols) in zip(self._fvals, self._fprobs, self._freads):
-            atoms = fv.take(cols, axis=1)
-            image = (None, False) if params is None else to_unit_cube(atoms, params, fp, variables)
-            out.append((atoms, fp, *image))
+            a = None if params is None else tuple(params.a[v] for v in variables)
+            key = (id(fv), id(fp), tuple(cols), a)
+            if key not in seen:
+                atoms = fv.take(cols, axis=1)
+                seen[key] = (atoms, fp, *((None, False) if a is None
+                                          else to_unit_cube(atoms, params, fp, variables)))
+            out.append(seen[key])
         return out
 
     def _fold_factors(self, params: BoundParams | None, lam: float) -> tuple[np.ndarray, ...]:
-        # Factor by factor: every (state, row) pair adds the row's sum and
-        # multiplies the row's mass (and weighted mass) in; equal sums merge.
-        law = None
-        for atoms, probs, xt, _ in self._factor_atoms(params):
-            step = [atoms.sum(axis=1), probs]
-            if xt is not None:
-                step.append(probs * _row_weights(xt, lam))
-            if law is not None:
-                step = [np.add.outer(law[0], step[0]).ravel(),
-                        *(np.multiply.outer(a, b).ravel() for a, b in zip(law[1:], step[1:]))]
-            law = _merge(*step)
+        # Factor by factor, each step checked against atom_cap before it is
+        # formed: every (state, row) pair adds the row's values to the sum
+        # column by column, so variables in factor order, left to right, as
+        # draw_round and the kernel's tail sums add; masses multiply in.
+        law = (np.zeros(1), *np.ones((1 if params is None else 2, 1)))
+        for j, (atoms, probs, xt, _) in enumerate(self._factor_atoms(params)):
+            if len(law[0]) * len(probs) > self._atom_cap:
+                raise SupportTooLargeError(
+                    f"the exact fold of this {self.kind} model needs {len(law[0])} sums x "
+                    f"{len(probs)} rows of factor {j}, over atom_cap={self._atom_cap}; "
+                    f"use sampling instead or raise atom_cap")
+            sums = np.add.outer(law[0], atoms[:, 0])
+            for column in atoms.T[1:]:
+                sums += column
+            masses = (probs,) if xt is None else (probs, probs * _row_weights(xt, lam))
+            law = _merge(sums.ravel(), *(np.multiply.outer(a, b).ravel()
+                                         for a, b in zip(law[1:], masses)))
         return law
 
     def _fold(
@@ -554,7 +561,7 @@ class ExchangeableMixtureModel(JointModel):
         self.rho = rho
         self._values = values
         self._probs = probs
-        self._shared = JointModel(n, [values], [probs], [0] * n, atom_cap, check=False)
+        self._shared = JointModel(n, [values], [probs], [0] * n, atom_cap)
 
     def _factor_name(self, j: int) -> str:
         return "atoms"
@@ -564,9 +571,6 @@ class ExchangeableMixtureModel(JointModel):
         cls, n: int, rho: float, p: float, atom_cap: int = DEFAULT_ATOM_CAP
     ) -> "ExchangeableMixtureModel":
         return cls(n, rho, list(zip(*_coin(p))), atom_cap=atom_cap)
-
-    def support_size(self) -> int:
-        return len(self._values) + self._total
 
     def _parts(self):
         return ((self.rho, self._shared), (1.0 - self.rho, self))
@@ -602,10 +606,6 @@ class ExplicitTableModel(JointModel):
             table, probs = self._parse(atoms)
         n = table.shape[1]
         super().__init__(n, [table], [probs], vmap=range(n), atom_cap=atom_cap)
-        if len(probs) > atom_cap:
-            raise ValidationError(
-                f"explicit_table has {len(probs)} atoms, exceeding atom_cap={atom_cap}"
-            )
 
     @staticmethod
     def _parse(atoms: list) -> tuple[np.ndarray, list[float]]:
@@ -653,7 +653,6 @@ def exact_moment(model: JointModel, subset: Iterable[int]) -> float:
     cols = tuple(sorted(model._check_columns(subset)))
     if not cols:
         return 1.0
-    model._require_enumerable("exact_moment")
     return model._moments(len(cols), chain=cols)[1][-1]
 
 
@@ -709,7 +708,6 @@ def certify_moments(
             f"certifying subsets up to size {max_size} of n={model.n} needs {count} "
             f"subsets, exceeding subset_budget={subset_budget}"
         )
-    model._require_enumerable("certify_moments")
     subsets, moments = model._moments(max_size)
     c = params.c
     bounds = [b for _, b in _lex_walk(model.n, max_size, 1.0, lambda b, i: b * c[i])]
@@ -763,7 +761,6 @@ def check_support_range(model: JointModel, params: BoundParams) -> None:
     """
     if params.n != model.n:
         raise ValidationError(f"params.n={params.n} does not match model n={model.n}")
-    model._require_enumerable("check_support_range")
     model._check_range(params)
 
 

@@ -6,7 +6,7 @@ index set I by including each i independently with probability lambda, and
 record the product prod_{i in I} Y_i together with whether the sum cleared
 the tail threshold.  Averaging that product links the certified moments to
 the tail probability through a four-step inequality chain; ``verify_chain``
-evaluates every step exactly on an enumerable model.
+evaluates every step exactly while each fold step fits under ``atom_cap``.
 
 Given X the round product is Bernoulli(prod_i (lam Xtilde_i + 1 - lam)), so
 ``estimate_product`` integrates Y and I out: it draws only X and averages
@@ -25,8 +25,9 @@ factor rows once per call, before any draw, and ``draw_round`` its one row.
 variables 0..n-1 left to right, as ``np.prod`` along a C-ordered row does,
 so the weights keep the bits of the row-major kernel
 (``dist_models._row_weights``) while vectorising across rows.  Conditional
-mode tests the tail on sums in that order too (orders differ by ulps, inside
-``tail_cutoff``'s slack), then weighs only the kept rows.
+mode tests the tail on sums in that order too, then weighs only the kept
+rows; ``draw_round`` and the exact fold add in the same order, so an atom
+near ``tail_cutoff`` falls on the same side for all three.
 
 Reproducibility contract: every sampler draws its rows through the one
 round kernel ``_chunks`` and schedules its blocks through the one block
@@ -241,7 +242,7 @@ def draw_round(
         y=y[:, 0].astype(np.int8),
         subset=tuple(int(i) for i in np.flatnonzero(member)),
         product=int(np.all(y | ~member)),
-        sum_exceeds=bool(x.sum() >= tail_cutoff(params.threshold)),
+        sum_exceeds=bool(np.cumsum(x)[-1] >= tail_cutoff(params.threshold)),  # left to right
     )
 
 
@@ -323,7 +324,6 @@ def exact_product_expectation(
     """
     params = BoundParams.boolean(model.n, 1.0, 0.0) if params is None else params
     lam = _check_round_args(model, params, lam)
-    model._require_enumerable("exact_product_expectation")
     return float(model._fold(params, lam)[2].sum())
 
 
@@ -400,18 +400,17 @@ def verify_chain(
     All expectations are exact sums over the folded law of the coordinate
     sum (see ``JointModel._fold``), so a failed link is an exact statement
     about the model, not sampling noise.  The moment certificates cover
-    subsets up to ``max_subset_size`` (default: all).
+    subsets up to ``max_subset_size`` (default: all), walked after the fold.
     """
-    lam = float(lam)
-    if not 0.0 <= lam < 1.0:
+    lam = _check_round_args(model, params, lam)
+    if lam == 1.0:
         raise ValidationError(f"verify_chain needs lam in [0, 1), got {lam}")
     norm = normalize(params)
-    model._require_enumerable("verify_chain")
+    sums, mass, weighted = model._fold(params, lam)
     kwargs = {} if subset_budget is None else {"subset_budget": subset_budget}
     certificates = tuple(certify_moments(model, params, max_subset_size, **kwargs))
     hypothesis_ok = all(cert.satisfied for cert in certificates)
 
-    sums, mass, weighted = model._fold(params, lam)
     tails = sums >= tail_cutoff(params.threshold)
     expected_product = float(weighted.sum())
     expected_on_tail = float(weighted[tails].sum())

@@ -79,6 +79,13 @@ def make_violating_pair():
     return cb.PlantedCliqueModel(2, 0.5, k=2), cb.BoundParams.boolean(2, 0.5, 0.25)
 
 
+def distinct_sums_model(n, **kwargs):
+    """Independent {0, 2^-i} coins: all 2^n atom sums are distinct and exact
+    in float64 (n <= 53), so the exact fold keeps one state per atom and its
+    last step forms 2^(n-1) sums x 2 rows."""
+    return cb.IndependentModel([[(0.0, 0.5), (2.0**-i, 0.5)] for i in range(n)], **kwargs)
+
+
 def enumerate_atoms(model):
     """Every atom of the model, brute force: one per combination of factor
     rows in each weighted part, factor 0 most significant.  Returns the

@@ -14,6 +14,7 @@ import pytest
 import chbound
 from chbound.cli import main
 from chbound.entropy_core import BoundParams, chernoff_bound, kl_div
+from conftest import distinct_sums_model
 
 BOUND_N20 = 0.19288568522336422  # mpmath oracle for exp(-20 D(0.7 || 0.5))
 
@@ -181,18 +182,43 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--spec", str(bad), "--c", "0.5", "--t", "0.25")
         assert code == 2 and "not valid JSON" in err
 
-    def test_large_support_needs_atom_cap(self, specs, capsys):
-        code, _, err = run(
-            capsys, "verify", "--spec", specs["b20"], "--c", "0.5", "--t", "0.2"
-        )
-        assert code == 4 and "support" in err
+    def test_large_support_needs_atom_cap(self, tmp_path, capsys):
+        # 2^20 distinct atom sums: the fold's last step pairs 2^19 sums with 2 rows
+        spec = tmp_path / "distinct20.json"
+        spec.write_text(json.dumps({"kind": "independent", "n": 20, "params": {
+            "marginals": distinct_sums_model(20).marginals}}))
+        code, out, err = run(capsys, "verify", "--spec", str(spec), "--c", "0.5", "--t", "0.2")
+        assert code == 4 and not out and "over atom_cap=1000000" in err
         code, doc = run_json(
-            capsys, "verify", "--spec", specs["b20"], "--c", "0.5", "--t", "0.2",
-            "--atom-cap", str(1 << 21), "--max-subset-size", "1",
+            capsys, "verify", "--spec", str(spec), "--c", "0.5", "--t", "0.2",
+            "--atom-cap", str(1 << 20), "--max-subset-size", "1",
         )
-        assert code == 0
+        assert code == 0 and doc["config"]["atom_cap"] == 1 << 20
         assert doc["result"]["all_passed"]
         assert doc["result"]["bound"] == pytest.approx(BOUND_N20, rel=1e-13)
+
+    def test_table_rows_over_atom_cap(self, tmp_path, capsys):
+        spec = tmp_path / "table11.json"
+        spec.write_text(json.dumps({"kind": "explicit_table", "params": {
+            "support": [{"x": [i / 10], "p": 1 / 11} for i in range(11)]}}))
+        argv = ["--spec", str(spec), "--c", "0.5", "--t", "0.2"]
+        code, out, err = run(capsys, "verify", *argv, "--atom-cap", "10")
+        assert code == 4 and not out and "11 rows of factor 0, over atom_cap=10" in err
+        code, doc = run_json(capsys, "verify", *argv, "--atom-cap", "11")
+        assert code == 0 and doc["result"]["all_passed"]
+        # sampling still runs; the exact fields stay empty
+        code, doc = run_json(capsys, "simulate", *argv, "--atom-cap", "10", "--samples", "100")
+        assert code == 0 and doc["result"]["exact"] is None and doc["result"]["abs_z"] is None
+
+    def test_boolean_n200_at_default_cap(self, tmp_path, capsys):
+        # 2^200 atoms, but the fold holds at most 201 sums
+        spec = tmp_path / "b200.json"
+        spec.write_text(json.dumps({"kind": "boolean_iid", "n": 200, "params": {"p": 0.4}}))
+        code, doc = run_json(capsys, "verify", "--spec", str(spec), "--c", "0.4", "--t", "0.1",
+                             "--max-subset-size", "2")
+        assert code == 0 and doc["config"]["atom_cap"] == 10**6
+        assert doc["result"]["tail_le_bound"] is True and doc["result"]["all_passed"]
+        assert doc["result"]["certificates_total"] == 1 + 200 + 200 * 199 // 2
 
     def test_report_independent_of_blas_threads(self, tmp_path):
         # OpenBLAS splits dot products of 16384+ elements across threads,

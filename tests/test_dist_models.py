@@ -1,9 +1,13 @@
 """Exact enumeration, moments, tails, certificates, and spec parsing."""
 
+import inspect
 import itertools
 import json
 import math
+import re
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +19,7 @@ import chbound as cb
 from chbound import dist_models
 from chbound.cli import main
 from conftest import (
+    distinct_sums_model,
     enumerate_atoms,
     make_violating_pair,
     make_zoo,
@@ -363,19 +368,62 @@ class TestFactorTables:
 
 
 class TestEnumerabilityCap:
+    """atom_cap bounds one step of the exact fold: the partial sums times the
+    rows of the factor folded in, checked before the step is formed."""
+
     def test_large_support_fails_fast_but_samples(self):
-        model = cb.BooleanIIDModel(25, 0.5)
+        # 2^25 atoms, but 26 fold states: boolean n = 25 is exact at the default cap
+        assert cb.BooleanIIDModel(25, 0.5).enumerable
+        model = distinct_sums_model(25)
         assert not model.enumerable
-        assert model.support_size() == 2**25
-        with pytest.raises(cb.SupportTooLargeError):
-            cb.exact_moment(model, (0,))
-        with pytest.raises(cb.SupportTooLargeError):
+        with pytest.raises(cb.SupportTooLargeError,
+                           match=r"524288 sums x 2 rows of factor 19, over atom_cap=1000000"):
             cb.exact_tail(model, 20.0)
+        # the moment routines walk factor rows, not the fold: ungated
+        assert cb.exact_moment(model, (0, 3)) == 0.5 * 2.0**-4
+        cb.check_support_range(model, cb.BoundParams.boolean(25, 0.5, 0.1))
         assert model.sample_many(np.random.default_rng(0), 8).shape == (8, 25)
 
     def test_cap_is_configurable(self):
-        assert not cb.BooleanIIDModel(20, 0.5).enumerable
-        assert cb.BooleanIIDModel(20, 0.5, atom_cap=1 << 21).enumerable
+        # boolean n = 20: the last step pairs 20 sums with 2 rows
+        assert cb.BooleanIIDModel(20, 0.5, atom_cap=40).enumerable
+        assert not cb.BooleanIIDModel(20, 0.5, atom_cap=39).enumerable
+        assert not distinct_sums_model(20).enumerable
+        assert distinct_sums_model(20, atom_cap=1 << 20).enumerable
+
+    def test_failure_is_cached(self, monkeypatch):
+        model = distinct_sums_model(21)
+        folds = []
+        real = model._fold
+        monkeypatch.setattr(model, "_fold", lambda *a: folds.append(a) or real(*a))
+        for _ in range(3):
+            assert not model.enumerable
+            with pytest.raises(cb.SupportTooLargeError):
+                model.sum_support()
+        assert len(folds) == 1
+
+    def test_over_cap_fold_stops_before_it_allocates(self):
+        # Without the check, the fold of 2^40 distinct sums would not fit in memory.
+        model = distinct_sums_model(40)
+        tracemalloc.start()
+        try:
+            with pytest.raises(cb.SupportTooLargeError):
+                cb.exact_tail(model, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+    def test_one_site_raises_the_cap(self):
+        # The size limit lives in the fold, not in per-routine gates.
+        src = Path(cb.__file__).parent
+        sites = [f"{path.name}:{i + 1}" for path in sorted(src.glob("*.py"))
+                 for i, line in enumerate(path.read_text().splitlines())
+                 if re.search(r"(?<!class )\bSupportTooLargeError\(", line)]
+        assert len(sites) == 1 and sites[0].startswith("dist_models.py:")
+        assert "SupportTooLargeError(" in inspect.getsource(cb.JointModel._fold_factors)
+        for name in ("_require_enumerable", "support_size"):
+            assert not hasattr(cb.JointModel, name)
 
 
 class TestCheckSupportRange:
@@ -401,6 +449,36 @@ class TestCheckSupportRange:
         spec.write_text(json.dumps({"kind": "explicit_table", "params": {"support": atoms}}))
         assert main(["verify", "--spec", str(spec), "--c", "0.5", "--t", "0"]) == 0
         assert json.loads(capsys.readouterr().out)["result"]["all_passed"]
+
+    @staticmethod
+    def _count_maps(monkeypatch):
+        calls = []
+        real = dist_models.to_unit_cube
+        monkeypatch.setattr(dist_models, "to_unit_cube",
+                            lambda *args: calls.append(args[3]) or real(*args))
+        return calls
+
+    def test_each_distinct_table_is_mapped_once(self, monkeypatch):
+        calls = self._count_maps(monkeypatch)
+        assert cb.BooleanIIDModel(1000, 0.5)._check_range(cb.BoundParams.boolean(1000, 0.5, 0.1)) is False
+        assert calls == [[0]]
+        # the planted block and the free coins read the table differently
+        calls.clear()
+        cb.PlantedCliqueModel(6, 0.5, k=3)._check_range(cb.BoundParams.boolean(6, 0.5, 0.1))
+        assert calls == [[0, 1, 2], [3]]
+        # a_i is part of the key: each distinct a_i maps again
+        calls.clear()
+        params = cb.BoundParams(n=4, a=(0.0, -1.0, 0.0, -1.0), b=2.0, c=(0.5,) * 4, t=0.1)
+        cb.BooleanIIDModel(4, 0.5)._check_range(params)
+        assert calls == [[0], [1]]
+
+    def test_shared_table_error_names_the_first_bad_variable(self):
+        # variables 0-2 read the coin table inside [0, 1]; variable 3's a_i
+        # puts its 1 above the range, and the error names it
+        params = cb.BoundParams(n=5, a=(0.0, 0.0, 0.0, -0.5, -0.5), b=1.0, c=(0.25,) * 5, t=0.1)
+        with pytest.raises(cb.ValidationError, match=re.escape(
+                "variable 3 takes value 1.0 outside [-0.5, 0.5]")):
+            cb.check_support_range(cb.BooleanIIDModel(5, 0.5), params)
 
 
 class TestModelFromSpec:
@@ -491,8 +569,9 @@ class TestModelFromSpec:
 
     def test_atom_cap_override(self):
         doc = {"kind": "boolean_iid", "n": 20, "params": {"p": 0.5}}
-        assert not cb.model_from_spec(doc).enumerable
-        assert cb.model_from_spec(doc, atom_cap=1 << 21).enumerable
+        assert cb.model_from_spec(doc).enumerable
+        assert not cb.model_from_spec(doc, atom_cap=39).enumerable
+        assert cb.model_from_spec(doc, atom_cap=40).enumerable
 
 
 class TestValidation:
@@ -570,8 +649,9 @@ class TestJointModelValidation:
         with pytest.raises(cb.ValidationError, match="^atoms has negative"):
             cb.ExchangeableMixtureModel(3, 0.2, [(0.0, 1.1), (1.0, -0.1)])
 
-    def test_mixture_atoms_are_checked_once(self, monkeypatch):
-        # The shared-atom table reads the same atoms, which are not checked again.
+    def test_mixture_atoms_are_checked_as_atoms_first(self, monkeypatch):
+        # The shared-atom table reads the same atoms and checks them again,
+        # after they were checked under their own name, which errors give.
         calls = []
         real = dist_models.check_table
 
@@ -581,9 +661,9 @@ class TestJointModelValidation:
 
         monkeypatch.setattr(dist_models, "check_table", counting)
         cb.ExchangeableMixtureModel(5, 0.3, [(0.0, 0.5), (0.5, 0.25), (1.0, 0.25)])
-        assert calls == ["atoms"]
+        assert calls == ["atoms", "factor_table factor 0"]
         cb.ExchangeableMixtureModel.bernoulli(4, 0.2, 0.3)
-        assert calls == ["atoms", "atoms"]
+        assert calls == ["atoms", "factor_table factor 0"] * 2
         with pytest.raises(cb.ValidationError, match=r"^atoms probabilities sum to 1.1"):
             cb.ExchangeableMixtureModel(3, 0.2, [(0.0, 0.5), (1.0, 0.6)])
         with pytest.raises(cb.ValidationError, match="^atoms has non-finite values"):

@@ -18,7 +18,9 @@ from chbound.cli import main
 from chbound.dist_models import tail_cutoff, to_unit_cube
 from chbound.entropy_core import TOL, normalize
 from chbound.mc_engine import ChainLink
-from conftest import enumerate_atoms, make_violating_pair, make_zoo, reference_sample_many
+from conftest import (
+    distinct_sums_model, enumerate_atoms, make_violating_pair, make_zoo, reference_sample_many,
+)
 
 ZOO = make_zoo()
 ZOO_IDS = [name for name, _, _ in ZOO]
@@ -448,8 +450,9 @@ class TestRangeCheckBelowTheTail:
 
 
 class TestTailSumOrder:
-    """Conditional mode adds each row's values left to right, in variable
-    order, before it compares the sum with tail_cutoff."""
+    """Conditional mode, draw_round and the exact fold all add each row's
+    values left to right, in variable order, before they compare the sum
+    with tail_cutoff."""
 
     # Atoms of 12 values whose pairwise sum (NumPy's sum of a contiguous
     # row) and left-to-right sum straddle the cutoff of (c, t) = (C, 0).
@@ -486,6 +489,17 @@ class TestTailSumOrder:
         with pytest.raises(cb.RejectionBudgetError, match="got 0 acceptances"):
             cb.estimate_product(model, params, 0.5, 50, conditional=True, seed=3,
                                 block_size=block_size, max_proposals=2000)
+
+    @pytest.mark.parametrize("case,kept", [(KEPT, True), (DROPPED, False)], ids=["kept", "dropped"])
+    def test_exact_and_single_rounds_agree(self, case, kept):
+        model, params, *_ = self._case(*case)
+        assert cb.exact_tail(model, params.threshold) == (0.5 if kept else 0.0)
+        assert cb.verify_chain(model, params, 0.5).tail_probability == (0.5 if kept else 0.0)
+        rng = np.random.default_rng(5)
+        rounds = [cb.draw_round(model, params, 0.5, rng) for _ in range(40)]
+        on_atom = [r.sum_exceeds for r in rounds if r.x.any()]
+        assert on_atom and set(on_atom) == {kept}
+        assert not any(r.sum_exceeds for r in rounds if not r.x.any())
 
 
 class TestRangeCheckedOncePerCall:
@@ -592,8 +606,8 @@ class TestExactProductExpectation:
         )
 
     def test_requires_enumerable(self):
-        with pytest.raises(cb.SupportTooLargeError):
-            cb.exact_product_expectation(cb.BooleanIIDModel(25, 0.5), 0.5)
+        with pytest.raises(cb.SupportTooLargeError, match="over atom_cap"):
+            cb.exact_product_expectation(distinct_sums_model(25), 0.5)
 
 
 class TestConditionalLayerIdentity:
