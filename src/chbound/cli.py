@@ -7,8 +7,9 @@ moment-violating subset), and ``sweep`` (tabulate bound quantities over a
 grid of t or lambda).
 
 Reports are JSON (default) or CSV, embed ``schema_version`` plus the fully
-resolved configuration, and are byte-identical for a fixed seed regardless
-of ``--workers``.  Exit codes: 0 success, 2 invalid input, 3 detection
+resolved configuration, and are byte-identical for a fixed seed.
+``--workers`` is accepted for compatibility and validated; blocks run in
+order on one thread.  Exit codes: 0 success, 2 invalid input, 3 detection
 found nothing, 4 budget exceeded; 1 is reserved for a chain inequality
 failing without an explaining certificate violation, which indicates an
 internal inconsistency rather than a property of the inputs.
@@ -39,7 +40,7 @@ from .entropy_core import (
     proof_case,
     slack,
 )
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, SupportTooLargeError, ValidationError
 
 if TYPE_CHECKING:
     from .dist_models import JointModel
@@ -226,10 +227,14 @@ def cmd_simulate(args) -> tuple[dict, int]:
     )
     exact = None
     abs_z = None
-    if not args.conditional and model.enumerable:
-        exact = exact_product_expectation(model, lam, params)
-        if estimate.std_error > 0.0:
-            abs_z = abs(estimate.mean - exact) / estimate.std_error
+    if not args.conditional:
+        try:
+            exact = exact_product_expectation(model, lam, params)
+        except SupportTooLargeError:  # some fold step exceeds atom_cap
+            pass
+        else:
+            if estimate.std_error > 0.0:
+                abs_z = abs(estimate.mean - exact) / estimate.std_error
     result = {
         "mean": estimate.mean,
         "std_error": estimate.std_error,
@@ -378,7 +383,8 @@ def _add_common(sub, seed: bool = False, exact: bool = False) -> None:
                          "rows; exit code 4 when a step needs more")
     if seed:
         sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        sub.add_argument("--workers", type=int, default=1)
+        sub.add_argument("--workers", type=int, default=1,
+                         help="accepted for compatibility; blocks run in order on one thread")
         sub.add_argument("--block-size", dest="block_size", type=int,
                          default=DEFAULT_BLOCK_SIZE)
 

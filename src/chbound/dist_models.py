@@ -82,10 +82,11 @@ def _coin(p) -> tuple[np.ndarray, np.ndarray]:
 def _words(rng: np.random.Generator, size: int) -> np.ndarray:
     """``size`` random 64-bit words, those ``rng.integers(0, 2**64, size,
     dtype=np.uint64)`` returns.  On a 64-bit bit generator they are read
-    from ``random_raw``, which releases the GIL while it fills them
-    (``integers`` does not), so worker threads draw in parallel.  MT19937's
-    raw outputs are 32-bit.  (Named here, not at import, which would load
-    ``numpy.random`` into runs that sample nothing.)"""
+    from ``random_raw``, which is faster on one thread: 31-38 against 45-54
+    us per 7400 words, and 2.5 against 13 us per 160 tie words (timeit,
+    NumPy 2.4.6, 2-CPU Xeon VM).  MT19937's raw outputs are 32-bit.  (Named
+    here, not at import, which would load ``numpy.random`` into runs that
+    sample nothing.)"""
     if isinstance(rng.bit_generator, (np.random.PCG64, np.random.PCG64DXSM,
                                       np.random.Philox, np.random.SFC64)):
         return rng.bit_generator.random_raw(size)

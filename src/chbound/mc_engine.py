@@ -34,17 +34,16 @@ round kernel ``_chunks`` and schedules its blocks through the one block
 scheduler ``_run_blocks``; means and standard errors merge per-block results
 in ``_mean_and_se``.  Samplers are seeded by an integer, rounds are
 partitioned into fixed-size blocks, and block b uses the generator derived
-from ``SeedSequence(entropy=seed, spawn_key=(tag, b))``.  Workers only
-decide who computes a block, never what the block contains, and per-block
-results are consumed in block order, so results are byte-identical for any
-worker count.
+from ``SeedSequence(entropy=seed, spawn_key=(tag, b))``.  Blocks run in
+order on the calling thread, so results depend only on (seed, block size).
+The ``workers`` keyword is accepted for compatibility and changes nothing;
+a thread pool over the blocks ran slower at two threads than at one on a
+2-CPU host (see the README).
 """
 
 from __future__ import annotations
 
 import math
-import os
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -99,46 +98,19 @@ def _check_round_args(model: JointModel, params: BoundParams, lam: float) -> flo
     return lam
 
 
-def _pool_size(workers: int, n_blocks: int) -> int:
-    """Threads worth starting: no more than requested, CPUs, or blocks."""
-    return max(1, min(workers, os.cpu_count() or 1, n_blocks))
-
-
 def _run_blocks(
-    seed: int, tag: int, total: int, block_size: int, workers: int,
+    seed: int, tag: int, total: int, block_size: int,
     fn: Callable[[np.random.Generator, int], object],
 ) -> Iterator:
     """The block scheduler: yield fn(rng, rounds) per block of ``total`` rounds.
 
     Blocks hold ``block_size`` rounds (the last one the remainder), block b
     draws from ``block_rng(seed, tag, b)``, and results come in block order.
-    One thread pool at most per call, two blocks per thread in flight, their
-    generators made here (so numpy.random never loads in a pool thread); if
-    the consumer stops early, blocks not yet started are cancelled.
+    A block is computed only when the consumer asks for it, so one that stops
+    early draws no further block.
     """
-    n_blocks = -(-total // block_size)
-
-    def args(b: int) -> tuple[np.random.Generator, int]:
-        return block_rng(seed, tag, b), min(block_size, total - b * block_size)
-
-    workers = _pool_size(workers, n_blocks)
-    if workers == 1:
-        yield from (fn(*args(b)) for b in range(n_blocks))
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending: deque = deque()
-        try:
-            for b in range(n_blocks):
-                pending.append(pool.submit(fn, *args(b)))
-                if len(pending) == 2 * workers:
-                    yield pending.popleft().result()
-            while pending:
-                yield pending.popleft().result()
-        finally:
-            for future in pending:
-                future.cancel()
+    for b in range(-(-total // block_size)):
+        yield fn(block_rng(seed, tag, b), min(block_size, total - b * block_size))
 
 
 def _workspace(n: int, m: int) -> np.ndarray:
@@ -268,7 +240,8 @@ def estimate_product(
     vectors (rounded up to whole blocks) are exhausted first it raises
     ``RejectionBudgetError``.  Per-block (count, mean, centred sum of
     squares) merge in block order, so results depend only on
-    (seed, block_size, n_samples), never on ``workers``.
+    (seed, block_size, n_samples).  ``workers`` is accepted for
+    compatibility and validated; blocks run in order on one thread.
     """
     lam = _check_round_args(model, params, lam)
     for name, value in (("n_samples", n_samples), ("workers", workers), ("block_size", block_size)):
@@ -296,7 +269,7 @@ def estimate_product(
             kept += k
         return weights[:kept]
 
-    blocks = _run_blocks(seed, PRODUCT_STREAM_TAG, total, block_size, workers, block)
+    blocks = _run_blocks(seed, PRODUCT_STREAM_TAG, total, block_size, block)
     count, mean, std_error = _mean_and_se(blocks, n_samples)
     if count < n_samples:
         raise RejectionBudgetError(

@@ -273,8 +273,9 @@ def find_dependent_set(
     "found" iff that estimate exceeds c^|S| + margin_threshold by at least
     ``CONFIRM_Z`` standard errors.
 
-    Like ``estimate_product``, the result depends on (seed, block_size) but
-    never on ``workers``.
+    Like ``estimate_product``, the result depends on (seed, block_size);
+    ``workers`` is accepted for compatibility and validated, and blocks run
+    in order on one thread.
     """
     if model.n != wp.n:
         raise ValidationError(f"wp.n={wp.n} does not match model n={model.n}")
@@ -297,9 +298,7 @@ def find_dependent_set(
             np.multiply.reduce(xt, axis=0, where=member[rows].T, initial=1.0, out=weights[rows])
         return _tally(member, np.ones(m), weights)
 
-    blocks = list(
-        _run_blocks(seed, WITNESS_SEARCH_TAG, wp.m_search, block_size, workers, search_tally)
-    )
+    blocks = list(_run_blocks(seed, WITNESS_SEARCH_TAG, wp.m_search, block_size, search_tally))
     candidates, score, best = _best_candidate(blocks, wp.c, min_rounds_per_subset)
     if not candidates:
         return WitnessReport(
@@ -325,8 +324,7 @@ def find_dependent_set(
             np.multiply.reduce(xt, axis=0, where=chosen, initial=1.0, out=weights[rows])
         return weights
 
-    blocks = _run_blocks(seed, WITNESS_CONFIRM_TAG, wp.m_confirm, block_size, workers,
-                         confirm_weights)
+    blocks = _run_blocks(seed, WITNESS_CONFIRM_TAG, wp.m_confirm, block_size, confirm_weights)
     _, estimate, std_error = _mean_and_se(blocks, wp.m_confirm)
     threshold = wp.c ** len(best) + wp.margin_threshold
     outcome = dict(empirical_moment=estimate, threshold=threshold, confirm_std_error=std_error,

@@ -300,6 +300,23 @@ class TestSimulate:
         )
         assert code == 4 and not out and "error:" in err
 
+    @pytest.mark.parametrize("doc,parts", [
+        ({"kind": "planted_clique", "n": 10, "params": {"p": 0.7, "k": 3}}, 1),
+        ({"kind": "exchangeable_mixture", "n": 6, "params": {"rho": 0.3, "p": 0.4}}, 2),
+    ])
+    def test_exact_field_folds_each_part_once(self, tmp_path, capsys, monkeypatch, doc, parts):
+        # The weighted fold answers both whether the model fits and its exact mean.
+        calls = []
+        fold = chbound.JointModel._fold_factors
+        monkeypatch.setattr(chbound.JointModel, "_fold_factors",
+                            lambda self, *args: calls.append(self) or fold(self, *args))
+        spec = tmp_path / "model.json"
+        spec.write_text(json.dumps(doc))
+        code, report = run_json(capsys, "simulate", "--spec", str(spec), "--c", "0.5",
+                                "--t", "0.1", "--samples", "1000")
+        assert code == 0 and report["result"]["exact"] is not None
+        assert len(calls) == len({id(part) for part in calls}) == parts
+
     def test_worker_count_is_invisible_in_output(self, specs, capsys, tmp_path):
         outs = []
         for w in ("1", "2"):

@@ -64,6 +64,19 @@ class TestImportFootprint:
         assert code == 0
         assert loaded == {"numpy", "chbound.dist_models", "chbound.mc_engine"} | sampler
 
+    @pytest.mark.parametrize("command,exit_code", [
+        (["simulate", "--samples", "20000"], 0),
+        (["detect", "--alpha", "0.1", "--m-search", "2000"], 3),
+    ])
+    def test_two_worker_runs_start_no_thread_pool(self, tmp_path, command, exit_code):
+        spec = tmp_path / "b4.json"
+        spec.write_text(json.dumps({"kind": "boolean_iid", "n": 4, "params": {"p": 0.5}}))
+        code, loaded = loaded_by(tmp_path, command[0], "--spec", str(spec), "--c", "0.5",
+                                 "--t", "0.25", "--block-size", "1000", "--workers", "2",
+                                 *command[1:])
+        assert code == exit_code
+        assert "numpy.random" in loaded and "concurrent.futures" not in loaded
+
 
 # chbound.__all__ before the package loaded its layers lazily.
 PUBLIC_API = [

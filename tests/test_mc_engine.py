@@ -1,6 +1,5 @@
 """Coupled-process sampling, estimators, and exact chain verification."""
 
-import concurrent.futures
 import itertools
 import json
 import math
@@ -116,14 +115,16 @@ class TestEstimateProduct:
         ]
         assert runs[0] == runs[1] == runs[2]
 
-    def test_pool_size_is_capped_by_cpus_and_blocks(self, monkeypatch):
-        monkeypatch.setattr(mc_engine.os, "cpu_count", lambda: 4)
-        assert mc_engine._pool_size(1200, 1200) == 4
-        assert mc_engine._pool_size(1200, 3) == 3
-        assert mc_engine._pool_size(2, 1200) == 2
-        assert mc_engine._pool_size(8, 0) == 1
-        monkeypatch.setattr(mc_engine.os, "cpu_count", lambda: None)
-        assert mc_engine._pool_size(8, 8) == 1
+    def test_consumer_at_its_limit_draws_no_further_block(self):
+        drawn = []
+
+        def block(rng, m):
+            drawn.append(m)
+            return np.full(m, 0.5)
+
+        blocks = mc_engine._run_blocks(0, mc_engine.PRODUCT_STREAM_TAG, 1000, 300, block)
+        assert mc_engine._mean_and_se(blocks, 450) == (450, 0.5, 0.0)
+        assert drawn == [300, 300]  # of blocks 300, 300, 300, 100
 
     def test_seed_changes_result(self):
         model = cb.BooleanIIDModel(5, 0.4)
@@ -281,8 +282,8 @@ class TestRaoBlackwellEstimate:
         assert abs(math.sqrt(naive / (total - 1) / total) / ref_se - 1.0) > 1e-6
 
 
-def _reference_estimate(model, params, lam, n_samples, *, conditional, seed, workers,
-                        block_size, max_proposals):
+def _reference_estimate(model, params, lam, n_samples, *, conditional, seed, block_size,
+                        max_proposals):
     """estimate_product with the row-major chunk kernel it had before the
     variable-major workspace: pre-_draw samplers, a range check and map per
     chunk, np.prod row weights, and tail sums that add each row's values in
@@ -302,9 +303,7 @@ def _reference_estimate(model, params, lam, n_samples, *, conditional, seed, wor
         return np.concatenate(kept)
 
     count, mean, m2 = 0, 0.0, 0.0
-    blocks = mc_engine._run_blocks(
-        seed, mc_engine.PRODUCT_STREAM_TAG, total, block_size, workers, block
-    )
+    blocks = mc_engine._run_blocks(seed, mc_engine.PRODUCT_STREAM_TAG, total, block_size, block)
     for weights in blocks:
         kept = weights[: n_samples - count]
         if len(kept):
@@ -375,14 +374,15 @@ class TestChunkKernel:
         self, case, lam, conditional, n_samples, block_size, workers, seed
     ):
         model, params = case
-        kwargs = dict(conditional=conditional, seed=seed, workers=workers,
-                      block_size=block_size, max_proposals=20_000)
+        kwargs = dict(conditional=conditional, seed=seed, block_size=block_size,
+                      max_proposals=20_000)
         want = _reference_estimate(model, params, lam, n_samples, **kwargs)
         if want is None:
             with pytest.raises(cb.RejectionBudgetError):
-                cb.estimate_product(model, params, lam, n_samples, **kwargs)
+                cb.estimate_product(model, params, lam, n_samples, workers=workers, **kwargs)
         else:
-            assert cb.estimate_product(model, params, lam, n_samples, **kwargs) == want
+            got = cb.estimate_product(model, params, lam, n_samples, workers=workers, **kwargs)
+            assert got == want
 
     def test_numpy_reduction_orders(self):
         # The kernel's row product reduces the variable-major (n, rows)
@@ -741,27 +741,6 @@ class TestStreamPinning:
             workers=workers,
         )
         assert est == cb.Estimate(0.5992, 0.002820188414368534, 5_000, True)
-
-    def test_conditional_estimate_builds_one_pool(self, monkeypatch):
-        # About 23 blocks of 700 proposals are needed, so two workers take
-        # many rounds of blocks; all of them must share a single pool.
-        built = []
-
-        class CountingPool(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                built.append(kwargs.get("max_workers"))
-                super().__init__(*args, **kwargs)
-
-        # _run_blocks imports the pool class when it first needs one
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
-        monkeypatch.setattr(mc_engine.os, "cpu_count", lambda: 2)
-        model = cb.BooleanIIDModel(4, 0.5)
-        params = cb.BoundParams.boolean(4, 0.5, 0.25)
-        est = cb.estimate_product(
-            model, params, 0.5, 5_000, conditional=True, seed=5, block_size=700, workers=2
-        )
-        assert built == [2]
-        assert est.mean == 0.5992
 
 
 class TestEstimateType:
