@@ -742,6 +742,26 @@ class TestStreamPinning:
         )
         assert est == cb.Estimate(0.5992, 0.002820188414368534, 5_000, True)
 
+    # The two lambdas of the benchmark's mc jobs, where a one's factor
+    # (lam * 1.0 + 1.0) - lam is exactly 1.0.
+    def test_planted_estimate_over_blocks(self):
+        # 1310 rows per chunk: blocks of 3000 end in a partial chunk, and
+        # the last block holds only 1000 rows.
+        model = cb.PlantedCliqueModel(50, 0.5, k=5)
+        params = cb.BoundParams.boolean(50, 0.5, 0.1)
+        est = cb.estimate_product(model, params, 0.33333333333333337, 10_000, seed=3,
+                                  block_size=3000)
+        assert est.mean.hex() == "0x1.3bf7f9cf9d3b6p-13"
+        assert est.std_error.hex() == "0x1.ecefc2c77c4e0p-19"
+
+    def test_boolean_conditional_estimate(self):
+        model = cb.BooleanIIDModel(20, 0.5)
+        params = cb.BoundParams.boolean(20, 0.5, 0.15)
+        est = cb.estimate_product(model, params, 0.4615384615384615, 3000, conditional=True,
+                                  seed=6, block_size=2000)
+        assert est.mean.hex() == "0x1.7fdd24c70745bp-6"
+        assert est.std_error.hex() == "0x1.7ab1e78011bc1p-12"
+
 
 class TestEstimateType:
     def test_rejects_inconsistent_values(self):
