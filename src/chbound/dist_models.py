@@ -3,9 +3,9 @@
 Every model here is a finite-support joint law on R^n exposing two views:
 
 * sampling (``sample`` / ``sample_many``) against a numpy ``Generator``, all
-  through one primitive per model, ``_draw``; the 0/1 models draw their
-  coins through ``_coins``, one random byte per coin and 45 more bits on a
-  tie, with exactly the law of comparing a uniform against p, and
+  through one primitive per model, ``_draw``; the 0/1 models' one coin stream
+  (``_coin_rows``, also read by ``_ones``) draws one random byte per coin and
+  45 more bits on a tie (``_coins``), the law of a uniform compared with p, and
 * exact computation (``sum_support``, ``exact_moment``, ``exact_tail``,
   ``certify_moments``, ``check_support_range``) without enumerating atoms.
 
@@ -118,6 +118,12 @@ def _coins(rng: np.random.Generator, p: float, shape: tuple[int, ...]) -> np.nda
     return coins.reshape(shape)
 
 
+def _row_counts(coins: np.ndarray) -> np.ndarray:
+    """Trues per row of a (rows, w) bool array; einsum adds bytes in uint8, 255 at a time."""
+    return sum(np.einsum("ij->i", coins[:, s:s + 255].view(np.uint8)).astype(np.intp)
+               for s in range(0, coins.shape[1], 255))
+
+
 def check_table(values: np.ndarray, probs: np.ndarray, name: str) -> None:
     """The check of every user-given probability table: one probability per
     value row, finite values, and finite, non-negative probabilities that
@@ -219,9 +225,9 @@ class JointModel:
         factor_values, factor_probs = list(factor_values), list(factor_probs)
         if not all(len(v) for v in factor_values):
             raise ValidationError("every factor needs at least one value row")
-        arrays = {}  # one array per table, however many factors it serves
-        self._fvals = [arrays.setdefault(id(v), np.asarray(v, dtype=np.float64).reshape(len(v), -1))
-                       for v in factor_values]
+        arrays = {id(v): v for v in factor_values}  # one per table, however many factors it serves
+        arrays = {k: np.asarray(v, dtype=np.float64).reshape(len(v), -1) for k, v in arrays.items()}
+        self._fvals = [arrays[id(v)] for v in factor_values]
         self._fprobs = [np.asarray(p, dtype=np.float64) for p in factor_probs]
         if len(self._fvals) != len(self._fprobs):
             raise ValidationError("factor_values and factor_probs must list the same factors")
@@ -250,6 +256,11 @@ class JointModel:
         unread = [j for j, (variables, _) in enumerate(self._freads) if not variables]
         if unread:
             raise ValidationError(f"factors {unread} are read by no variable")
+        groups: dict[tuple, list[int]] = {}  # factors alike in table, probabilities and columns
+        for j, (fv, fp, (_, cols)) in enumerate(zip(self._fvals, self._fprobs, self._freads)):
+            groups.setdefault((id(fv), id(fp), tuple(cols)), []).append(j)
+        self._groups = [(np.array(g), np.array([self._freads[j][0] for j in g]))  # with readers
+                        for g in groups.values()]
 
     def _factor_name(self, j: int) -> str:
         """How ``check_table`` messages name factor j."""
@@ -331,16 +342,21 @@ class JointModel:
         it, their probabilities, and, given ``params``, the range-checked
         unit-cube image of the rows and whether it was clipped (else None, False).
         Factors alike in table, columns and readers' a_i share one entry."""
-        out, seen = [], {}
-        for fv, fp, (variables, cols) in zip(self._fvals, self._fprobs, self._freads):
-            a = None if params is None else tuple(params.a[v] for v in variables)
-            key = (id(fv), id(fp), tuple(cols), a)
-            if key not in seen:
-                atoms = fv.take(cols, axis=1)
-                seen[key] = (atoms, fp, *((None, False) if a is None
-                                          else to_unit_cube(atoms, params, fp, variables)))
-            out.append(seen[key])
-        return out
+        a = np.zeros(self._n) if params is None else np.asarray(params.a)
+        alike = []
+        for factors, readers in self._groups:
+            rows = a[readers]
+            while len(factors):  # one pass per distinct row of the readers' a_i
+                same = (rows == rows[0]).all(axis=1)
+                alike.append(factors[same])
+                factors, rows = factors[~same], rows[~same]
+        out = {}
+        for factors in sorted(alike, key=lambda f: f[0]):
+            (variables, cols), fp = self._freads[factors[0]], self._fprobs[factors[0]]
+            atoms = self._fvals[factors[0]].take(cols, axis=1)
+            out.update(dict.fromkeys(factors.tolist(), (atoms, fp, *(
+                (None, False) if params is None else to_unit_cube(atoms, params, fp, variables)))))
+        return [out[j] for j in range(len(self._fvals))]
 
     def _fold_factors(self, params: BoundParams | None, lam: float) -> tuple[np.ndarray, ...]:
         # Factor by factor, each step checked against atom_cap before it is
@@ -486,10 +502,17 @@ class BooleanIIDModel(JointModel):
         super().__init__(n, [values] * n, [probs] * n, vmap=range(n), atom_cap=atom_cap)
         self.p = float(p)
 
+    def _coin_rows(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """The model's stream: ``size`` rows of n coins, drawn row by row."""
+        return _coins(rng, self.p, (size, self._n))
+
     def _draw(self, rng: np.random.Generator, out: np.ndarray) -> None:
-        # Stream order: the coins row by row.  Transposing the byte-sized
-        # coin table keeps the pass over the floats contiguous.
-        np.copyto(out, _coins(rng, self.p, (out.shape[1], self._n)).T.copy())
+        # Transposing the byte-sized coin table keeps the pass over the floats contiguous.
+        np.copyto(out, self._coin_rows(rng, out.shape[1]).T.copy())
+
+    def _ones(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """The number of ones in each of ``size`` rows, from ``_draw``'s stream."""
+        return _row_counts(self._coin_rows(rng, size))
 
 
 class PlantedCliqueModel(JointModel):
@@ -534,13 +557,18 @@ class PlantedCliqueModel(JointModel):
         self.indices = tuple(sorted(indices))
         self.k = len(self.indices)
 
+    def _coin_rows(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """The model's stream: every row's block coin, then the free coins row by row."""
+        return _coins(rng, self.p, (size,)), _coins(rng, self.p, (size, len(self._fvals) - 1))
+
     def _draw(self, rng: np.random.Generator, out: np.ndarray) -> None:
-        # Stream order: every row's block coin, then the free coins row by row.
-        size, factors = out.shape[1], len(self._fvals)
-        coins = np.empty((factors, size), dtype=bool)
-        coins[0] = _coins(rng, self.p, (size,))
-        coins[1:] = _coins(rng, self.p, (size, factors - 1)).T
-        np.copyto(out, coins.take(self._vmap, axis=0))
+        block, free = self._coin_rows(rng, out.shape[1])
+        np.copyto(out, np.vstack([block, free.T]).take(self._vmap, axis=0))
+
+    def _ones(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """The number of ones in each of ``size`` rows, from ``_draw``'s stream."""
+        block, free = self._coin_rows(rng, size)
+        return self.k * block + _row_counts(free)
 
 
 class ExchangeableMixtureModel(JointModel):

@@ -16,8 +16,8 @@ prod_{i in I} Xtilde_i); only ``draw_round``, which returns Y, draws it.
 
 The round kernel ``_chunks`` works in one variable-major (n, rows) float64
 workspace per block, reused for every chunk: the model's ``_draw`` fills it
-(the 0/1 models from byte-sized coins, one random byte per coin; see
-``dist_models._coins``), and a second one holds xtilde unless that is x.
+(the 0/1 models from byte-sized coins, ``dist_models._coins``), and a second
+one holds xtilde unless that is x.
 The kernel checks no range: ``estimate_product`` and the witness check the
 factor rows once per call, before any draw, and ``draw_round`` its one row.
 ``estimate_product`` forms the weight (lam xtilde + 1) - lam in place, and
@@ -29,16 +29,21 @@ mode tests the tail on sums in that order too, then weighs only the kept
 rows; ``draw_round`` and the exact fold add in the same order, so an atom
 near ``tail_cutoff`` falls on the same side for all three.
 
+``estimate_product`` gives Boolean and planted models under the identity map
+a count kernel where a one's factor (lam 1.0 + 1.0) - lam is exactly 1.0: a
+row's weight, 1.0 - lam multiplied in once per zero, left to right, is read
+from a table by the count of ones ``_ones`` takes from ``_draw``'s coins.
+
 Reproducibility contract: every sampler draws its rows through the one
-round kernel ``_chunks`` and schedules its blocks through the one block
-scheduler ``_run_blocks``; means and standard errors merge per-block results
-in ``_mean_and_se``.  Samplers are seeded by an integer, rounds are
-partitioned into fixed-size blocks, and block b uses the generator derived
-from ``SeedSequence(entropy=seed, spawn_key=(tag, b))``.  Blocks run in
-order on the calling thread, so results depend only on (seed, block size).
-The ``workers`` keyword is accepted for compatibility and changes nothing;
-a thread pool over the blocks ran slower at two threads than at one on a
-2-CPU host (see the README).
+round kernel ``_chunks`` (or its count kernel) and schedules its blocks
+through the one block scheduler ``_run_blocks``; means and standard errors
+merge per-block results in ``_mean_and_se``.  Samplers are seeded by an
+integer, rounds are partitioned into fixed-size blocks, and block b uses the
+generator derived from ``SeedSequence(entropy=seed, spawn_key=(tag, b))``.
+Blocks run in order on the calling thread, so results depend only on (seed,
+block size).  The ``workers`` keyword is accepted for compatibility and
+changes nothing; a thread pool over the blocks ran slower at two threads
+than at one on a 2-CPU host (see the README).
 """
 
 from __future__ import annotations
@@ -252,8 +257,15 @@ def estimate_product(
         total = max(1, math.ceil(max_proposals / block_size)) * block_size
     cutoff = tail_cutoff(params.threshold)
     clip = model._check_range(params)
+    counted = (hasattr(model, "_ones") and not clip and params.b == 1.0 and not any(params.a)
+               and (lam * 1.0 + 1.0) - lam == 1.0)
+    by_ones = np.multiply.accumulate([1.0] + [(lam * 0.0 + 1.0) - lam] * model.n)[::-1]
 
     def block(rng: np.random.Generator, m: int) -> np.ndarray:
+        if counted:  # the count kernel, in the chunk shapes of _chunks
+            step = max(1, ESTIMATE_CHUNK // model.n)
+            ones = np.concatenate([model._ones(rng, min(step, m - s)) for s in range(0, m, step)])
+            return by_ones[ones[ones >= cutoff] if conditional else ones]
         weights = np.empty(m)
         kept = 0
         for _, x, xt in _chunks(model, params, rng, m, clip):

@@ -379,6 +379,28 @@ class TestSimulate:
         assert json.loads(outputs[0])["result"]["conditional_on_tail"] == bool(mode)
         assert outputs.count(outputs[0]) == 4
 
+    def test_boolean_conditional_report_independent_of_blas_threads_and_workers(self, tmp_path):
+        # Boolean n=20 in conditional mode weighs its rows by their count of
+        # ones, in several blocks: neither BLAS threading nor --workers may move it.
+        spec = tmp_path / "boolean20.json"
+        spec.write_text(json.dumps({"kind": "boolean_iid", "n": 20, "params": {"p": 0.5}}))
+        src = str(Path(chbound.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            for workers in ("1", "2"):
+                env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+                env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+                proc = subprocess.run(
+                    [sys.executable, "-m", "chbound.cli", "simulate", "--spec", str(spec),
+                     "--c", "0.5", "--t", "0.15", "--samples", "5000", "--seed", "5",
+                     "--block-size", "4096", "--conditional", "--workers", workers],
+                    env=env, capture_output=True, timeout=300, check=False,
+                )
+                assert proc.returncode == 0, proc.stderr
+                outputs.append(proc.stdout)
+        assert json.loads(outputs[0])["result"]["conditional_on_tail"]
+        assert outputs.count(outputs[0]) == 4
+
 
 class TestDetect:
     def test_shared_bit_model_found(self, specs, capsys):

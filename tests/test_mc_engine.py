@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import chbound as cb
 from chbound import mc_engine
 from chbound.cli import main
-from chbound.dist_models import tail_cutoff, to_unit_cube
+from chbound.dist_models import _row_weights, tail_cutoff, to_unit_cube
 from chbound.entropy_core import TOL, normalize
 from chbound.mc_engine import ChainLink
 from conftest import (
@@ -409,10 +409,104 @@ class TestChunkKernel:
         # One block of planted n=50 under the identity map: the (n, rows)
         # workspace, the block's weights and byte-sized coin tables (an
         # eighth of a chunk each), but no second chunk-sized float array.
+        # At lam = 0.4 a one's factor is not 1.0, so this is the float kernel.
         model = cb.PlantedCliqueModel(50, 0.5, k=5)
         params = cb.BoundParams.boolean(50, 0.5, 0.1)
         rows = mc_engine.ESTIMATE_CHUNK // model.n
         chunk_bytes = 8 * model.n * rows
+        assert (0.4 * 1.0 + 1.0) - 0.4 != 1.0
+        cb.estimate_product(model, params, 0.4, 100, seed=1)
+        tracemalloc.start()
+        try:
+            cb.estimate_product(model, params, 0.4, 8192, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chunk_bytes <= peak < 2 * chunk_bytes, (peak, chunk_bytes)
+
+
+def _float_kernel_estimate(model, params, lam, n_samples, *, conditional, seed, block_size,
+                           max_proposals):
+    """estimate_product through the float kernel alone: the rows of _chunks,
+    tail sums added left to right, and _row_weights.  None when the proposal
+    budget runs out."""
+    total = n_samples
+    if conditional:
+        total = max(1, math.ceil(max_proposals / block_size)) * block_size
+    cutoff = tail_cutoff(params.threshold)
+
+    def block(rng, m):
+        kept = []
+        for _, x, xt in mc_engine._chunks(model, params, rng, m, clip=False):
+            w = _row_weights(xt.T, lam)
+            kept.append(w[np.cumsum(x.T, axis=1)[:, -1] >= cutoff] if conditional else w)
+        return np.concatenate(kept)
+
+    blocks = mc_engine._run_blocks(seed, mc_engine.PRODUCT_STREAM_TAG, total, block_size, block)
+    count, mean, se = mc_engine._mean_and_se(blocks, n_samples)
+    return cb.Estimate(mean, se, n_samples, conditional) if count == n_samples else None
+
+
+@st.composite
+def _coin_models(draw):
+    """A Boolean or planted model, n in 1..80, p including 0 and 1."""
+    n = draw(st.integers(1, 80))
+    p = draw(st.sampled_from([0.0, 0.1, 0.37, 0.5, 0.8, 1.0]))
+    if draw(st.booleans()):
+        return cb.BooleanIIDModel(n, p)
+    if draw(st.booleans()):
+        return cb.PlantedCliqueModel(n, p, k=draw(st.integers(1, n)))
+    order = draw(st.permutations(range(n)))
+    return cb.PlantedCliqueModel(n, p, indices=order[: draw(st.integers(1, n))])
+
+
+# a one's factor (lam * 1.0 + 1.0) - lam is 1.0 at the first four, not at the last two
+COUNT_LAMBDAS = [0.0, 0.3, 0.33333333333333337, 1.0, 0.4, 0.7]
+
+
+class TestCountKernel:
+    """The count kernel of the 0/1 models gives the float kernel's bits."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        _coin_models(), st.one_of(st.sampled_from(COUNT_LAMBDAS), st.floats(0.0, 1.0)),
+        st.booleans(), st.integers(1, 4000), st.integers(100, 2500),
+        st.floats(0.05, 0.95), st.integers(0, 2**20),
+    )
+    def test_matches_float_kernel(self, model, lam, conditional, n_samples, block_size, c,
+                                  seed):
+        params = cb.BoundParams.boolean(model.n, c, min(0.1, 1.0 - c))
+        kwargs = dict(conditional=conditional, seed=seed, block_size=block_size,
+                      max_proposals=20_000)
+        want = _float_kernel_estimate(model, params, lam, n_samples, **kwargs)
+        if want is None:
+            with pytest.raises(cb.RejectionBudgetError):
+                cb.estimate_product(model, params, lam, n_samples, **kwargs)
+        else:
+            got = cb.estimate_product(model, params, lam, n_samples, **kwargs)
+            assert (got.mean.hex(), got.std_error.hex()) == (want.mean.hex(), want.std_error.hex())
+            assert got == want
+
+    @pytest.mark.parametrize("model", [
+        cb.BooleanIIDModel(20, 0.5), cb.BooleanIIDModel(300, 0.3),
+        cb.PlantedCliqueModel(50, 0.5, k=5), cb.PlantedCliqueModel(600, 0.4, indices=[3, 1, 7]),
+        cb.PlantedCliqueModel(4, 0.6, k=4),
+    ], ids=["boolean20", "boolean300", "planted50", "planted600", "planted_all"])
+    def test_one_chunk_leaves_the_generator_where_draw_does(self, model):
+        rows = max(1, mc_engine.ESTIMATE_CHUNK // model.n)
+        drawn, counted = np.random.default_rng(7), np.random.default_rng(7)
+        x = np.empty((model.n, rows))
+        model._draw(drawn, x)
+        ones = model._ones(counted, rows)
+        assert drawn.bit_generator.state == counted.bit_generator.state
+        assert ones.tolist() == np.add.reduce(x, axis=0).tolist()
+
+    def test_count_kernel_allocates_no_float_chunk(self):
+        # At lam = 0.3 a one's factor is 1.0: the count kernel weighs each
+        # row from byte-sized coin tables and never forms a float chunk.
+        model = cb.PlantedCliqueModel(50, 0.5, k=5)
+        params = cb.BoundParams.boolean(50, 0.5, 0.1)
+        chunk_bytes = 8 * model.n * (mc_engine.ESTIMATE_CHUNK // model.n)
         cb.estimate_product(model, params, 0.3, 100, seed=1)
         tracemalloc.start()
         try:
@@ -420,7 +514,7 @@ class TestChunkKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert chunk_bytes <= peak < 2 * chunk_bytes, (peak, chunk_bytes)
+        assert peak < chunk_bytes, (peak, chunk_bytes)
 
 
 class TestRangeCheckBelowTheTail:
