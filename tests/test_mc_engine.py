@@ -461,7 +461,7 @@ def _coin_models(draw):
 
 
 # a one's factor (lam * 1.0 + 1.0) - lam is 1.0 at the first four, not at the last two
-COUNT_LAMBDAS = [0.0, 0.3, 0.33333333333333337, 1.0, 0.4, 0.7]
+COUNT_LAMBDAS = [0.0, 0.3, 0.33333333333333337, 1.0, 0.4, 0.9]
 
 
 class TestCountKernel:
