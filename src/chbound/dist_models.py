@@ -124,6 +124,16 @@ def _row_counts(coins: np.ndarray) -> np.ndarray:
                for s in range(0, coins.shape[1], 255))
 
 
+def _distinct(keys: list) -> tuple[list[int], np.ndarray]:
+    """For a list of hashable keys: where each distinct key first occurs, in
+    order, and for every key the rank of its distinct key in that order.
+    (Dicts, not ``np.unique``, whose code would add about 0.4 MB to the
+    resident size of runs that call nothing else of it.)"""
+    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))  # the last write wins
+    rank = dict(zip(dict.fromkeys(keys), range(len(keys))))
+    return sorted(first.values()), np.array(list(map(rank.__getitem__, keys)), dtype=np.intp)
+
+
 def check_table(values: np.ndarray, probs: np.ndarray, name: str) -> None:
     """The check of every user-given probability table: one probability per
     value row, finite values, and finite, non-negative probabilities that
@@ -221,22 +231,25 @@ class JointModel:
         self._n = check_positive_int("n", n)
         self._atom_cap = check_positive_int("atom_cap", atom_cap)
         self._sum_cache: tuple[np.ndarray, np.ndarray] | SupportTooLargeError | None = None
-        # lists keep every table alive, so the ids below stay distinct
+        # Each distinct table and probability vector is converted once, however
+        # many factors it serves; the lists keep them alive, so their ids stay distinct.
         factor_values, factor_probs = list(factor_values), list(factor_probs)
-        if not all(len(v) for v in factor_values):
-            raise ValidationError("every factor needs at least one value row")
-        arrays = {id(v): v for v in factor_values}  # one per table, however many factors it serves
-        arrays = {k: np.asarray(v, dtype=np.float64).reshape(len(v), -1) for k, v in arrays.items()}
-        self._fvals = [arrays[id(v)] for v in factor_values]
-        self._fprobs = [np.asarray(p, dtype=np.float64) for p in factor_probs]
-        if len(self._fvals) != len(self._fprobs):
+        if len(factor_values) != len(factor_probs):
             raise ValidationError("factor_values and factor_probs must list the same factors")
-        checked = set()
-        for j, key in enumerate(zip(map(id, factor_values), map(id, factor_probs))):
-            if key not in checked:  # a table passed for several factors is checked once
-                checked.add(key)
-                check_table(self._fvals[j], self._fprobs[j], self._factor_name(j))
-        starts = np.cumsum([0] + [fv.shape[1] for fv in self._fvals])
+        (vfirst, vof), (pfirst, pof) = (_distinct(list(map(id, f)))
+                                        for f in (factor_values, factor_probs))
+        tables = [np.asarray(factor_values[j], dtype=np.float64) for j in vfirst]
+        if not all(len(v) for v in tables):
+            raise ValidationError("every factor needs at least one value row")
+        tables = [v.reshape(len(v), -1) for v in tables]
+        probs = [np.asarray(factor_probs[j], dtype=np.float64) for j in pfirst]
+        self._fvals = list(map(tables.__getitem__, vof.tolist()))
+        self._fprobs = list(map(probs.__getitem__, pof.tolist()))
+        # per factor, which pair of table and probabilities it was passed
+        checked, pair = _distinct(list(zip(vof.tolist(), pof.tolist())))
+        for j in checked:  # each pair once, named by its first factor
+            check_table(self._fvals[j], self._fprobs[j], self._factor_name(j))
+        starts = np.cumsum([0] + np.array([v.shape[1] for v in tables])[vof].tolist())
         self._vmap = np.asarray(vmap)
         if (self._vmap.shape != (n,) or self._vmap.dtype.kind not in "iu"
                 or not np.all((self._vmap >= 0) & (self._vmap < starts[-1]))):
@@ -247,20 +260,31 @@ class JointModel:
         self._vmap = self._vmap.astype(np.int64)
         # (factor, column within it) of the global column each variable reads
         owner = np.searchsorted(starts, self._vmap, side="right") - 1
-        self._reads = list(zip(owner.tolist(), (self._vmap - starts[owner]).tolist()))
-        # per factor, the variables reading it (ascending) and their columns
-        self._freads = [([], []) for _ in self._fvals]
-        for i, (j, c) in enumerate(self._reads):
-            self._freads[j][0].append(i)
-            self._freads[j][1].append(c)
-        unread = [j for j, (variables, _) in enumerate(self._freads) if not variables]
-        if unread:
+        cols = self._vmap - starts[owner]
+        self._reads = list(zip(owner.tolist(), cols.tolist()))
+        counts = np.bincount(owner, minlength=len(self._fvals))
+        if not counts.all():
+            unread = np.flatnonzero(counts == 0).tolist()
             raise ValidationError(f"factors {unread} are read by no variable")
-        groups: dict[tuple, list[int]] = {}  # factors alike in table, probabilities and columns
-        for j, (fv, fp, (_, cols)) in enumerate(zip(self._fvals, self._fprobs, self._freads)):
-            groups.setdefault((id(fv), id(fp), tuple(cols)), []).append(j)
-        self._groups = [(np.array(g), np.array([self._freads[j][0] for j in g]))  # with readers
-                        for g in groups.values()]
+        # The variables reading each factor, ascending, side by side in factor
+        # order (``_factor_reads``), and the columns they read: a stable sort
+        # by factor, through ``sorted`` for the reason ``_distinct`` gives.
+        self._readers = np.array(sorted(range(n), key=owner.tolist().__getitem__), dtype=np.intp)
+        self._rcols = cols[self._readers]
+        self._first, self._counts = np.cumsum(counts) - counts, counts
+        # Factors alike in table, probabilities and columns, in order of their
+        # first factor, each with its factors' readers.
+        self._groups = []
+        for k in np.flatnonzero(np.bincount(counts)).tolist():  # one pass per reader count
+            alike = np.flatnonzero(counts == k)
+            reads = self._readers[self._first[alike, None] + np.arange(k)]
+            keys = np.column_stack([pair[alike], cols[reads]])
+            order = np.lexsort(keys.T[::-1])  # stable: a group's factors stay ascending
+            alike, reads, keys = alike[order], reads[order], keys[order]
+            bounds = [0, *(np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1).tolist(),
+                      len(alike)]
+            self._groups += [(alike[a:b], reads[a:b]) for a, b in zip(bounds, bounds[1:])]
+        self._groups.sort(key=lambda group: group[0][0])
 
     def _factor_name(self, j: int) -> str:
         """How ``check_table`` messages name factor j."""
@@ -317,6 +341,11 @@ class JointModel:
             raise self._sum_cache.with_traceback(None)
         return self._sum_cache
 
+    def _factor_reads(self, j: int) -> tuple[list[int], list[int]]:
+        """The variables reading factor j, ascending, and the columns they read."""
+        reads = slice(self._first[j], self._first[j] + self._counts[j])
+        return self._readers[reads].tolist(), self._rcols[reads].tolist()
+
     def _check_columns(self, columns: Iterable[int]) -> tuple[int, ...]:
         cols = tuple(int(i) for i in columns)
         if any(i < 0 or i >= self._n for i in cols):
@@ -352,7 +381,7 @@ class JointModel:
                 factors, rows = factors[~same], rows[~same]
         out = {}
         for factors in sorted(alike, key=lambda f: f[0]):
-            (variables, cols), fp = self._freads[factors[0]], self._fprobs[factors[0]]
+            (variables, cols), fp = self._factor_reads(factors[0]), self._fprobs[factors[0]]
             atoms = self._fvals[factors[0]].take(cols, axis=1)
             out.update(dict.fromkeys(factors.tolist(), (atoms, fp, *(
                 (None, False) if params is None else to_unit_cube(atoms, params, fp, variables)))))
@@ -403,7 +432,7 @@ class JointModel:
         walk visits (T indexes factor j's variable list).  Each T's row
         products are its prefix's times one column of a variable-major copy
         of the factor, summed per CERTIFY_CHUNK rows and then in row order."""
-        variables, cols = self._freads[j]
+        variables, cols = self._factor_reads(j)
         columns = np.ascontiguousarray(self._fvals[j].take(cols, axis=1).T)
         probs = self._fprobs[j]
         table: dict[tuple[int, ...], float] = {}
@@ -430,13 +459,15 @@ class JointModel:
         # subset's prefix; the moments of the joint factors (read by several
         # variables) are multiplied in after the means, in factor order.
         owner = [j for j, _ in self._reads]
-        pos = [self._freads[j][0].index(i) for i, j in enumerate(owner)]
-        joint = [j for j, (variables, _) in enumerate(self._freads) if len(variables) > 1]
+        pos = np.empty(self._n, dtype=np.intp)  # each variable's place among its factor's readers
+        pos[self._readers] = np.arange(self._n) - np.repeat(self._first, self._counts)
+        pos, counts = pos.tolist(), self._counts.tolist()
+        joint = [j for j, k in enumerate(counts) if k > 1]
         rank = {j: r for r, j in enumerate(joint)}
         tables = []
-        for j, (variables, _) in enumerate(self._freads):
+        for j, k in enumerate(counts):
             sub = None if chain is None else tuple(pos[i] for i in chain if owner[i] == j)
-            tables.append(self._factor_moments(j, min(max_size, len(variables)), sub)
+            tables.append(self._factor_moments(j, min(max_size, k), sub)
                           if sub is None or sub else {})
         means = [None if j in rank else tables[j].get((0,)) for j in owner]
 
@@ -548,9 +579,9 @@ class PlantedCliqueModel(JointModel):
             raise ValidationError(f"indices must be non-empty and distinct, got {indices}")
         if any(i < 0 or i >= n for i in indices):
             raise ValidationError(f"indices must lie in [0, n), got {indices}")
-        free = tuple(i for i in range(n) if i not in indices)
+        free = sorted(set(range(n)).difference(indices))
         vmap = np.zeros(n, dtype=np.int64)
-        vmap[list(free)] = np.arange(1, len(free) + 1)
+        vmap[free] = np.arange(1, len(free) + 1)
         factors = 1 + len(free)
         super().__init__(n, [values] * factors, [probs] * factors, vmap, atom_cap)
         self.p = float(p)

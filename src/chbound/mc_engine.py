@@ -15,9 +15,9 @@ The witness integrates out Y alone (E[prod_{i in I} Y_i | X, I] =
 prod_{i in I} Xtilde_i); only ``draw_round``, which returns Y, draws it.
 
 The round kernel ``_chunks`` works in one variable-major (n, rows) float64
-workspace per block, reused for every chunk: the model's ``_draw`` fills it
-(the 0/1 models from byte-sized coins, ``dist_models._coins``), and a second
-one holds xtilde unless that is x.
+workspace per call, reused for every chunk of every block: the model's
+``_draw`` fills it (the 0/1 models from byte-sized coins,
+``dist_models._coins``), and a second one holds xtilde unless that is x.
 The kernel checks no range: ``estimate_product`` and the witness check the
 factor rows once per call, before any draw, and ``draw_round`` its one row.
 ``estimate_product`` forms the weight (lam xtilde + 1) - lam in place, and
@@ -123,28 +123,38 @@ def _workspace(n: int, m: int) -> np.ndarray:
     return np.empty(n * min(m, max(1, ESTIMATE_CHUNK // n)))
 
 
+def _rooms(model: JointModel, params: BoundParams, m: int, clip: bool) -> list[np.ndarray]:
+    """The workspaces ``_chunks`` draws blocks of up to m rows into: x's, and
+    xtilde's unless xtilde is x.  One call's blocks share them."""
+    image = clip or params.b != 1.0 or any(params.a)
+    return [_workspace(model.n, m) for _ in range(1 + image)]
+
+
 def _chunks(
-    model: JointModel, params: BoundParams, rng: np.random.Generator, m: int, clip: bool
+    model: JointModel, params: BoundParams, rng: np.random.Generator, m: int, clip: bool,
+    rooms: list[np.ndarray] | None = None,
 ) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
     """The round kernel: m rows from one generator, a chunk at a time, as
     (the chunk's slice of the m rows, x, xtilde), both variable-major.
 
     xtilde is (x - a_i) / b, clipped to [0, 1] if ``clip`` (from
-    ``JointModel._check_range``).  ``_draw`` fills a per-block workspace, so
-    each chunk (and xtilde, x itself under the unclipped identity map) lives
-    only until the next; the consumer's draws in between follow the chunk's.
+    ``JointModel._check_range``).  ``_draw`` fills ``rooms`` (from ``_rooms``,
+    for blocks of at least m rows; by default fresh ones), so each chunk (and
+    xtilde, x itself under the unclipped identity map) lives only until the
+    next, and the consumer may overwrite it; the consumer's draws in between
+    follow the chunk's.  A chunk holds ESTIMATE_CHUNK // n rows, however
+    large the rooms.
     """
     n = model.n
-    work = _workspace(n, m)
-    rows = len(work) // n
-    image = _workspace(n, m) if clip or params.b != 1.0 or any(params.a) else None
-    a = None if image is None else np.asarray(params.a)[:, None]
+    work, *image = rooms or _rooms(model, params, m, clip)
+    rows = min(m, max(1, ESTIMATE_CHUNK // n))
+    a = np.asarray(params.a)[:, None] if image else None
     for start in range(0, m, rows):
         stop = min(start + rows, m)
         x = work[: n * (stop - start)].reshape(n, -1)
         model._draw(rng, x)
-        xt = x if image is None else image[: x.size].reshape(x.shape)
-        if xt is not x:  # the operations of to_unit_cube
+        xt = image[0][: x.size].reshape(x.shape) if image else x
+        if image:  # the operations of to_unit_cube
             np.divide(np.subtract(x, a, out=xt), params.b, out=xt)
             if clip:
                 np.clip(xt, 0.0, 1.0, out=xt)
@@ -260,6 +270,7 @@ def estimate_product(
     counted = (hasattr(model, "_ones") and not clip and params.b == 1.0 and not any(params.a)
                and (lam * 1.0 + 1.0) - lam == 1.0)
     by_ones = np.multiply.accumulate([1.0] + [(lam * 0.0 + 1.0) - lam] * model.n)[::-1]
+    rooms = None if counted else _rooms(model, params, min(block_size, total), clip)
 
     def block(rng: np.random.Generator, m: int) -> np.ndarray:
         if counted:  # the count kernel, in the chunk shapes of _chunks
@@ -268,7 +279,7 @@ def estimate_product(
             return by_ones[ones[ones >= cutoff] if conditional else ones]
         weights = np.empty(m)
         kept = 0
-        for _, x, xt in _chunks(model, params, rng, m, clip):
+        for _, x, xt in _chunks(model, params, rng, m, clip, rooms):
             if conditional:
                 # variables added left to right (NumPy sums a lone column pairwise)
                 sums = np.add.reduce(x, axis=0) if x.shape[1] > 1 else np.cumsum(x)[-1:]

@@ -12,6 +12,17 @@ selection bias of picking the best-looking set cannot manufacture a finding.
 A subset is reported only when the confirmation estimate clears the margin
 threshold by at least two standard errors.
 
+The search keys each round's index set by its bits, column 0 the top bit of
+a native uint64 word (one more word per 64 further variables), and merges
+equal keys with one sort of the word per block, then once more across
+blocks, there only for the sets whose hash bucket was drawn often enough to
+hold a candidate; counts and scores add in round order, then in block
+order.  A
+round's score is the plain left-to-right product of its row with the
+variables outside the set replaced by 1.0, which has the bits of the product
+over the members alone.  The confirm phase multiplies the candidate's rows
+only.  Both phases reuse one set of buffers, allocated once per call.
+
 Why this works when the variables are dependent enough: if the tail
 P(mean >= c + t) carries probability alpha while the certified bound says it
 should be below exp(-n D(c+t || c)), some drawn subset must have an inflated
@@ -38,8 +49,8 @@ from .mc_engine import (
     WITNESS_SEARCH_TAG,
     _chunks,
     _mean_and_se,
+    _rooms,
     _run_blocks,
-    _workspace,
 )
 
 # Hard ceilings for the closed-form budgets.  The formulas grow like
@@ -207,49 +218,73 @@ class WitnessReport:
             raise ValidationError("a not_found verdict must not name a subset")
 
 
-def _tally(rows: np.ndarray, counts: np.ndarray, hits: np.ndarray) -> tuple:
-    """Merge equal rows of a boolean matrix, summing their counts and hits.
+def _pack(bits: np.ndarray, out: np.ndarray) -> None:
+    """Write the index-set keys of the rows of ``bits``, a C-ordered (m, 64 w)
+    bool array, into the word-major (w, m) uint64 ``out``: column 0 is the
+    top bit of word 0, so numeric order, word 0 first, is row order."""
+    np.copyto(out.T, np.packbits(bits.reshape(-1)).view(">u8").reshape(len(bits), -1))
 
-    Returns the distinct rows in lexicographic order (column 0 first, False
-    before True) with their summed counts and hits.  Each row is sorted as a
-    bit-packed key: column 0 is the top bit of a big-endian 64-bit word, so
-    numeric word order is row order, for every n.
+
+def _bits(keys: np.ndarray) -> np.ndarray:
+    """The (m, 64 w) bool rows of word-major (w, m) keys; inverts ``_pack``."""
+    return np.unpackbits(keys.T.astype(">u8", order="C").view(np.uint8), axis=1).view(bool)
+
+
+def _tally(keys: np.ndarray, counts: np.ndarray, hits: np.ndarray) -> tuple:
+    """Merge equal index-set keys (word-major (w, m) uint64, from ``_pack``),
+    summing their counts and hits.
+
+    Returns the distinct keys in ascending order, which is the lexicographic
+    order of their rows, with their summed counts and hits; each sum adds its
+    rows in input order.  One native-word sort orders single-word keys; wider
+    ones (n > 64) go through ``np.lexsort``, word 0 as the primary key.
     """
-    m, n = rows.shape
-    packed = np.zeros((m, -(-n // 64) * 8), dtype=np.uint8)
-    packed[:, : -(-n // 8)] = np.packbits(rows, axis=1)
-    words = packed.view(">u8")
-    order = np.lexsort(words.T[::-1])
-    ordered = words[order]
-    start = np.ones(m, dtype=bool)
-    start[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
-    inverse = np.empty(m, dtype=np.intp)
-    inverse[order] = np.cumsum(start) - 1
-    keys = np.unpackbits(packed[order[start]], axis=1, count=n).view(bool)
-    return keys, np.bincount(inverse, weights=counts), np.bincount(inverse, weights=hits)
+    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
+    ordered = keys[:, order]
+    start = np.empty(len(order), dtype=bool)
+    start[:1] = True
+    np.any(ordered[:, 1:] != ordered[:, :-1], axis=0, out=start[1:])
+    group = np.cumsum(start)
+    group -= 1
+    inverse = np.empty_like(order)
+    inverse[order] = group
+    return (ordered[:, start], np.bincount(inverse, weights=counts),
+            np.bincount(inverse, weights=hits))
 
 
 def _best_candidate(
     blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]], c: float, min_rounds: int
 ) -> tuple[int, float, tuple[int, ...]]:
-    """Tally per-block (index-set rows, counts, hits); pick the search winner.
+    """Tally per-block (index-set keys, counts, hits); pick the search winner.
 
     Candidates are the non-empty sets drawn at least ``min_rounds`` times.
     Returns (candidate count, winner's excess hit/count - c^|S|, winner), or
     (0, 0.0, ()).  Ties break toward smaller, lexicographically earlier sets.
     """
-    rows, counts, hits = _tally(*(np.concatenate(part) for part in zip(*blocks)))
-    sizes = rows.sum(axis=1)
-    eligible = np.flatnonzero((sizes > 0) & (counts >= min_rounds))
+    keys, counts, hits = (np.concatenate(part, axis=-1) for part in zip(*blocks))
+    # All entries of a set share a hash bucket (Fibonacci hashing of its words,
+    # about one entry per bucket), so a set drawn min_rounds times lies in a
+    # bucket drawn at least that often: only those buckets are tallied.
+    bucket = np.zeros(len(counts), dtype=np.uint64)
+    for word in keys:
+        bucket ^= word
+        bucket *= np.uint64(0x9E3779B97F4A7C15)
+    bucket >>= np.uint64(64 - max(1, len(counts).bit_length() - 1))
+    bucket = bucket.view(np.int64)
+    heavy = (np.bincount(bucket, weights=counts) >= min_rounds)[bucket]
+    keys, counts, hits = _tally(keys[:, heavy], counts[heavy], hits[heavy])
+    eligible = np.flatnonzero((counts >= min_rounds) & keys.any(axis=0))
     if not len(eligible):
         return 0, 0.0, ()
+    keys, rows = keys[:, eligible], _bits(keys[:, eligible])
+    sizes = rows.sum(axis=1)
     powers = np.array([c**k for k in range(rows.shape[1] + 1)])
-    scores = hits[eligible] / counts[eligible] - powers[sizes[eligible]]
+    scores = hits[eligible] / counts[eligible] - powers[sizes]
     top = scores.max()
-    tied = eligible[scores == top]
+    tied = np.flatnonzero(scores == top)
     tied = tied[sizes[tied] == sizes[tied].min()]
-    # Among equal sizes, the earliest index tuple is the largest boolean row.
-    best = tied[np.lexsort(rows[tied].T[::-1])[-1]]
+    # Among equal sizes, the earliest index tuple has the largest key.
+    best = tied[np.lexsort(keys[::-1, tied])[-1]]
     return len(eligible), float(top), tuple(int(i) for i in np.flatnonzero(rows[best]))
 
 
@@ -286,17 +321,31 @@ def find_dependent_set(
     identity = BoundParams.boolean(n, 1.0, 0.0)
     clip = model._check_range(identity)
 
+    # Buffers for one block, shared by every block of both phases.
+    block = min(block_size, max(wp.m_search, wp.m_confirm))
+    rooms = _rooms(model, identity, block, clip)
+    rows = len(rooms[0]) // n  # per chunk
+    uniforms = np.empty((rows, n))
+    bits = np.zeros((rows, -(-n // 64) * 64), dtype=bool)  # the padding stays False
+    outside = np.empty((n, rows), dtype=bool)
+    keys = np.empty((bits.shape[1] // 64, block), dtype=np.uint64)
+    ones, weights = np.ones(block), np.empty(block)
+
     def search_tally(rng: np.random.Generator, m: int) -> tuple:
         # After each chunk's rows, a uniform per row and variable draws their
-        # index sets, into one buffer reused across the block.
-        uniforms = _workspace(n, m)
-        member = np.empty((m, n), dtype=bool)
-        weights = np.empty(m)
-        for rows, _, xt in _chunks(model, identity, rng, m, clip):
-            u = rng.random(out=uniforms[: xt.size].reshape(-1, n))
-            np.less(u, wp.lam, out=member[rows])
-            np.multiply.reduce(xt, axis=0, where=member[rows].T, initial=1.0, out=weights[rows])
-        return _tally(member, np.ones(m), weights)
+        # index sets.  A variable outside the set scores 1.0: every xtilde
+        # lies in [0, 1], so max(xtilde, 1.0) is 1.0, max(xtilde, 0.0) is
+        # xtilde (up to the sign of a zero, which sums that start at +0.0
+        # never show), and the plain product keeps the bits of the product
+        # over the members alone, since 1.0 x = x.
+        for part, _, xt in _chunks(model, identity, rng, m, clip, rooms):
+            r = xt.shape[1]
+            np.less(rng.random(out=uniforms[:r]), wp.lam, out=bits[:r, :n])
+            _pack(bits[:r], keys[:, part])
+            np.logical_not(bits[:r, :n].T, out=outside[:, :r])
+            np.maximum(xt, outside[:, :r], out=xt)
+            np.multiply.reduce(xt, axis=0, out=weights[part])
+        return _tally(keys[:, :m], ones[:m], weights[:m])
 
     blocks = list(_run_blocks(seed, WITNESS_SEARCH_TAG, wp.m_search, block_size, search_tally))
     candidates, score, best = _best_candidate(blocks, wp.c, min_rounds_per_subset)
@@ -315,14 +364,15 @@ def find_dependent_set(
             ),
         )
 
-    chosen = np.zeros((n, 1), dtype=bool)
-    chosen[list(best)] = True
+    chosen = np.array(best)
 
     def confirm_weights(rng: np.random.Generator, m: int) -> np.ndarray:
-        weights = np.empty(m)
-        for rows, _, xt in _chunks(model, identity, rng, m, clip):
-            np.multiply.reduce(xt, axis=0, where=chosen, initial=1.0, out=weights[rows])
-        return weights
+        # The product over the chosen rows alone, left to right, gathered
+        # into the search's uniforms buffer.
+        for part, _, xt in _chunks(model, identity, rng, m, clip, rooms):
+            picked = uniforms.reshape(-1)[: chosen.size * xt.shape[1]].reshape(chosen.size, -1)
+            np.multiply.reduce(xt.take(chosen, axis=0, out=picked), axis=0, out=weights[part])
+        return weights[:m]
 
     blocks = _run_blocks(seed, WITNESS_CONFIRM_TAG, wp.m_confirm, block_size, confirm_weights)
     _, estimate, std_error = _mean_and_se(blocks, wp.m_confirm)

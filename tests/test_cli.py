@@ -499,6 +499,45 @@ class TestDetect:
         assert outputs.count(outputs[0]) == 4
 
 
+_NULL_NOTE = "no non-empty subset was drawn at least 5 times in 50000 search rounds"
+
+
+class TestDetectBenchmarkShapes:
+    """``detect`` at the job shapes of the benchmark's detect workload, with
+    results frozen from the witness kernel before its tally took native
+    64-bit keys: planted n = 10 ends found, Boolean n = 30 draws no set five
+    times."""
+
+    PLANTED10 = {"kind": "planted_clique", "n": 10, "params": {"p": 0.7, "k": 10}}
+    BOOLEAN30 = {"kind": "boolean_iid", "n": 30, "params": {"p": 0.3}}
+
+    @pytest.mark.parametrize("doc,extra,seed,code,result", [
+        (PLANTED10, ["--m-search", "200000"], 3, 0, {
+            "verdict": "found", "subset": [2, 3, 5, 8], "empirical_moment": 0.6982,
+            "threshold": 0.025600000000000005, "confirm_std_error": 0.0032459767125228903,
+            "samples_used": 220000, "candidates": 992, "note": ""}),
+        (PLANTED10, ["--m-search", "200000"], 1234567, 0, {
+            "verdict": "found", "subset": [2, 4, 6, 9], "empirical_moment": 0.6978,
+            "threshold": 0.025600000000000005, "confirm_std_error": 0.0032471965161136635,
+            "samples_used": 220000, "candidates": 996, "note": ""}),
+        (BOOLEAN30, [], 3, 3, {
+            "verdict": "not_found", "subset": [], "empirical_moment": 0.0, "threshold": 0.0,
+            "confirm_std_error": 0.0, "samples_used": 50000, "candidates": 0,
+            "note": _NULL_NOTE}),
+        (BOOLEAN30, [], 1234567, 3, {
+            "verdict": "not_found", "subset": [], "empirical_moment": 0.0, "threshold": 0.0,
+            "confirm_std_error": 0.0, "samples_used": 50000, "candidates": 0,
+            "note": _NULL_NOTE}),
+    ])
+    def test_pinned_results(self, tmp_path, capsys, doc, extra, seed, code, result):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        got_code, report = run_json(capsys, "detect", "--spec", str(spec), "--c", "0.4",
+                                    "--t", "0.3", "--alpha", "0.16", *extra, "--seed", str(seed))
+        assert got_code == code
+        assert report["result"] == result
+
+
 class TestSweep:
     def test_t_sweep_is_monotone_and_dominates_exact_tail(self, specs, capsys):
         code, doc = run_json(

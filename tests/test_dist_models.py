@@ -366,6 +366,48 @@ class TestFactorTables:
         values = model.sample_many(np.random.default_rng(0), 9)
         assert values.dtype == np.float64 and values.flags["C_CONTIGUOUS"]
 
+    _COIN = (np.array([0.0, 1.0]), np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            cb.BooleanIIDModel(7, 0.3),
+            cb.PlantedCliqueModel(12, 0.5, indices=(9, 2, 5, 11)),
+            cb.ExchangeableMixtureModel(6, 0.3, [(0.2, 0.5), (0.9, 0.5)]),
+            cb.IndependentModel([[(0.0, 0.6), (1.0, 0.4)], [(0.5, 1.0)],
+                                 [(0.0, 0.6), (1.0, 0.4)]]),
+            cb.ExplicitTableModel([([0.0, 1.0, 0.5], 0.5), ([1.0, 0.0, 0.2], 0.5)]),
+            # two-column tables shared by three factors, read in a scattered order
+            cb.JointModel(7, [np.eye(2)] * 3 + [_COIN[0]], [_COIN[1]] * 4, [5, 0, 2, 3, 6, 1, 4]),
+            cb.JointModel(6, [np.eye(2)] * 3, [_COIN[1]] * 3, [1, 0, 2, 5, 4, 3]),
+        ],
+        ids=["boolean", "planted_scattered", "mixture", "independent", "table",
+             "shared_tables", "shared_reordered"],
+    )
+    def test_reader_structures_match_the_loops(self, model):
+        # The per-variable loops that built the reader structures before they
+        # were vectorised: (factor, column) per variable, each factor's readers
+        # and their columns, and the factors alike in table, probabilities and
+        # columns, in order of their first factor, with their readers.
+        starts = np.cumsum([0] + [fv.shape[1] for fv in model._fvals])
+        owner = np.searchsorted(starts, model._vmap, side="right") - 1
+        reads = list(zip(owner.tolist(), (model._vmap - starts[owner]).tolist()))
+        freads = [([], []) for _ in model._fvals]
+        for i, (j, c) in enumerate(reads):
+            freads[j][0].append(i)
+            freads[j][1].append(c)
+        alike: dict[tuple, list[int]] = {}
+        for j, (fv, fp, (_, cols)) in enumerate(zip(model._fvals, model._fprobs, freads)):
+            alike.setdefault((id(fv), id(fp), tuple(cols)), []).append(j)
+        groups = [(np.array(g), np.array([freads[j][0] for j in g])) for g in alike.values()]
+
+        assert model._reads == reads
+        assert [model._factor_reads(j) for j in range(len(freads))] == freads
+        assert len(model._groups) == len(groups)
+        for (factors, readers), (want_factors, want_readers) in zip(model._groups, groups):
+            assert factors.dtype == want_factors.dtype and readers.dtype == want_readers.dtype
+            assert np.array_equal(factors, want_factors) and np.array_equal(readers, want_readers)
+
 
 class TestEnumerabilityCap:
     """atom_cap bounds one step of the exact fold: the partial sums times the

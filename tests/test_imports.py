@@ -14,7 +14,9 @@ import pytest
 import chbound
 from chbound.cli import build_parser
 
-HEAVY = ("numpy", "numpy.random", "chbound.dist_models", "chbound.mc_engine",
+# numpy.ma is about a megabyte of peak RSS: plain ``np.unique(x)`` imports it
+# (NumPy 2.x), the forms that return indices do not.
+HEAVY = ("numpy", "numpy.random", "numpy.ma", "chbound.dist_models", "chbound.mc_engine",
          "chbound.witness", "concurrent.futures")
 
 # Run ``python -m chbound.cli`` in this process, then list which of HEAVY it loaded.
@@ -76,6 +78,7 @@ class TestImportFootprint:
                                  *command[1:])
         assert code == exit_code
         assert "numpy.random" in loaded and "concurrent.futures" not in loaded
+        assert "numpy.ma" not in loaded
 
 
 # chbound.__all__ before the package loaded its layers lazily.

@@ -13,7 +13,7 @@ import chbound as cb
 from chbound import mc_engine
 from chbound.entropy_core import DEFAULT_MIN_ROUNDS, kl_div
 from chbound.mc_engine import WITNESS_CONFIRM_TAG, WITNESS_SEARCH_TAG
-from chbound.witness import CONFIRM_Z, LAMBDA_CAP, _best_candidate, _tally
+from chbound.witness import CONFIRM_Z, LAMBDA_CAP, _best_candidate, _bits, _pack, _tally
 
 
 def _quiet_budgets(*args, **kwargs):
@@ -269,12 +269,28 @@ def _unique_tally_reference(rows, counts, hits):
             np.bincount(inverse, weights=hits, minlength=n))
 
 
+def _keys(rows):
+    """The word-major index-set keys of boolean rows, packed by ``_pack``
+    from a copy zero-padded to whole 64-bit words."""
+    m, n = rows.shape
+    bits = np.zeros((m, -(-n // 64) * 64), dtype=bool)
+    bits[:, :n] = rows
+    keys = np.empty((bits.shape[1] // 64, m), dtype=np.uint64)
+    _pack(bits, keys)
+    return keys
+
+
+def _key_blocks(blocks):
+    """Per-block (rows, counts, hits) with the rows replaced by their keys."""
+    return [(_keys(rows), counts, hits) for rows, counts, hits in blocks]
+
+
 @st.composite
 def _tally_inputs(draw):
     # Rows are drawn from a small pool of base rows with at most one flipped
     # column each, so equal rows and rows differing in one bit are common at
-    # every n up to 70 (two 64-bit key words).
-    n = draw(st.integers(min_value=1, max_value=70))
+    # every n up to 130 (three 64-bit key words).
+    n = draw(st.integers(min_value=1, max_value=130))
     pool = [
         [bool(key >> j & 1) for j in range(n)]
         for key in draw(st.lists(st.integers(0, 2**n - 1), min_size=1, max_size=4))
@@ -296,13 +312,14 @@ def _tally_inputs(draw):
 
 def _boundary_blocks(n):
     """Two blocks at width n of rows that differ from one base row in column
-    0, the last column, or columns 7, 8 or 63 (the edges of the first byte and
-    word), each row drawn three times."""
+    0, the last column, or columns 7, 8, 63, 64, 127 or 128 (the edges of the
+    first byte and of each word), each row drawn three times."""
     rng = np.random.default_rng(n)
     base = rng.random(n) < 0.5
-    rows = [base.copy() for _ in range(6)]
-    for row, col in zip(rows[1:], (0, n - 1, min(7, n - 1), min(8, n - 1), min(63, n - 1))):
-        row[col] = not row[col]
+    flips = (0, n - 1, 7, 8, 63, 64, 127, 128)
+    rows = [base.copy() for _ in range(len(flips) + 1)]
+    for row, col in zip(rows[1:], flips):
+        row[min(col, n - 1)] = not row[min(col, n - 1)]
     rows = np.array(rows * 3)
     counts = np.arange(1.0, len(rows) + 1)
     hits = np.minimum(counts, rng.integers(0, 7, len(rows)).astype(np.float64))
@@ -310,36 +327,53 @@ def _boundary_blocks(n):
     return [(rows[:half], counts[:half], hits[:half]), (rows[half:], counts[half:], hits[half:])]
 
 
-_TALLY_EXAMPLES = [_boundary_blocks(n) for n in (8, 9, 64, 65)]
+_TALLY_WIDTHS = (1, 8, 9, 63, 64, 65, 128, 129)
+_TALLY_EXAMPLES = [_boundary_blocks(n) for n in _TALLY_WIDTHS]
+
+
+def _with_boundary_examples(**fixed):
+    """Hypothesis ``@example`` decorators for each boundary width."""
+    def decorate(test):
+        for blocks in _TALLY_EXAMPLES:
+            test = example(blocks=blocks, **fixed)(test)
+        return test
+    return decorate
 
 
 class TestVectorisedTally:
+    @pytest.mark.parametrize("n", _TALLY_WIDTHS)
+    def test_keys_put_column_zero_at_the_top(self, n):
+        rows = np.random.default_rng(n).random((5, n)) < 0.5
+        keys = _keys(rows)
+        assert keys.dtype == np.uint64 and keys.shape == (-(-n // 64), 5)
+        for w, word in enumerate(keys):
+            for i, key in enumerate(word):
+                columns = range(64 * w, min(64 * w + 64, n))
+                assert int(key) == sum(1 << (63 - j % 64) for j in columns if rows[i, j])
+        assert np.array_equal(_bits(keys)[:, :n], rows) and not _bits(keys)[:, n:].any()
+
     @settings(max_examples=300, deadline=None)
-    @example(blocks=_TALLY_EXAMPLES[0], c=0.4, min_rounds=2)
-    @example(blocks=_TALLY_EXAMPLES[1], c=0.4, min_rounds=2)
-    @example(blocks=_TALLY_EXAMPLES[2], c=0.4, min_rounds=2)
-    @example(blocks=_TALLY_EXAMPLES[3], c=0.4, min_rounds=2)
+    @_with_boundary_examples(c=0.4, min_rounds=2)
     @given(
         _tally_inputs(),
         st.sampled_from([0.25, 0.4, 0.5, 0.7]),
         st.integers(min_value=1, max_value=8),
     )
     def test_matches_dict_tally(self, blocks, c, min_rounds):
-        got = _best_candidate(blocks, c, min_rounds)
+        got = _best_candidate(_key_blocks(blocks), c, min_rounds)
         assert got == _dict_tally_reference(blocks, c, min_rounds)
         assert all(type(i) is int for i in got[2])
 
     @settings(max_examples=300, deadline=None)
-    @example(blocks=_TALLY_EXAMPLES[0])
-    @example(blocks=_TALLY_EXAMPLES[1])
-    @example(blocks=_TALLY_EXAMPLES[2])
-    @example(blocks=_TALLY_EXAMPLES[3])
+    @_with_boundary_examples()
     @given(_tally_inputs())
     def test_packed_tally_matches_unique_rows(self, blocks):
         rows, counts, hits = (np.concatenate(part) for part in zip(*blocks))
-        got = _tally(rows, counts, hits)
-        want = _unique_tally_reference(rows, counts, hits)
-        for g, w in zip(got, want):
+        keys, *sums = _tally(_keys(rows), counts, hits)
+        want_rows, *want_sums = _unique_tally_reference(rows, counts, hits)
+        assert keys.dtype == np.uint64 and keys.shape == (-(-rows.shape[1] // 64), len(want_rows))
+        assert np.array_equal(_bits(keys)[:, : rows.shape[1]], want_rows)
+        for g, w in zip(sums, want_sums):
             assert g.dtype == w.dtype and g.shape == w.shape
             assert np.array_equal(g, w)
 
@@ -463,6 +497,19 @@ class TestRebuiltByHand:
         assert got == _rebuilt_report(model, wp, 7, 17_000, DEFAULT_MIN_ROUNDS)
         assert got.candidates == 15
         assert got.verdict == ("found" if shared else "not_found")
+
+    def test_two_word_keys_rebuilt_from_block_streams(self):
+        # n = 70 keys each index set by two 64-bit words.  The planted block
+        # 60..67 straddles the word boundary; lam = 2/70 draws each pair a few
+        # times in 30000 rounds.  Blocks of 7000 rows hold seven full chunks
+        # (936 rows at n = 70) and a partial one; the last block is partial.
+        model = cb.PlantedCliqueModel(70, 0.3, indices=range(60, 68))
+        wp = cb.WitnessParams(n=70, c=0.3, t=0.3, alpha=0.5, lam=2 / 70,
+                              m_search=30_000, m_confirm=5_000, margin_threshold=0.01)
+        got = cb.find_dependent_set(model, wp, seed=1, block_size=7_000, min_rounds_per_subset=3)
+        assert got == _rebuilt_report(model, wp, 1, 7_000, 3)
+        assert got.verdict == "found" and set(got.subset) <= set(range(60, 68))
+        assert min(got.subset) < 64 <= max(got.subset)
 
 
 def _bernoulli_form(report, m):
