@@ -16,7 +16,9 @@ of walking the support: the law of the coordinate sum folds factor by factor
 into a map from partial sum to mass, merging equal sums, and a product
 moment is the product of per-factor moments.  Only a factor read by several
 variables (an explicit table, the planted block, the shared atoms) is
-walked row by row.
+walked row by row.  The range check reads only each variable's least and
+greatest value of positive probability, as x -> (x - a_i) / b is monotone;
+rows of probability 0 go unchecked, and the weighted fold clips their image.
 
 ``atom_cap`` bounds one fold step, states x factor rows, which the fold
 checks before it allocates (``SupportTooLargeError``).  Sums and products
@@ -166,7 +168,7 @@ def _parse_atoms(atoms, name: str) -> tuple[np.ndarray, np.ndarray]:
 
 def _row_weights(xt: np.ndarray, lam: float) -> np.ndarray:
     """E[prod_{i in I} Y_i | x] = prod_i (lam xt_i + 1 - lam) for each row of xt."""
-    return np.prod(lam * xt + 1.0 - lam, axis=1)
+    return np.multiply.reduce(lam * xt + 1.0 - lam, axis=1)
 
 
 def _merge(sums: np.ndarray, *masses: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -266,25 +268,21 @@ class JointModel:
         if not counts.all():
             unread = np.flatnonzero(counts == 0).tolist()
             raise ValidationError(f"factors {unread} are read by no variable")
+        # Per pair, reduced in place (a copy of its rows raised peak RSS): the
+        # least and greatest value of positive probability each variable reads,
+        # for the range check, and whether some row has probability 0 (_fold).
+        live = [self._fprobs[j][:, None] > 0.0 for j in checked]
+        at = np.cumsum([0] + [self._fvals[j].shape[1] for j in checked])[pair[owner]] + cols
+        self._lo, self._hi = (np.concatenate([f.reduce(self._fvals[j], where=w, initial=end)
+                                              for j, w in zip(checked, live)])[at]
+                              for f, end in ((np.minimum, np.inf), (np.maximum, -np.inf)))
+        self._zero_rows = not np.concatenate([self._fprobs[j] for j in checked]).all()
         # The variables reading each factor, ascending, side by side in factor
         # order (``_factor_reads``), and the columns they read: a stable sort
         # by factor, through ``sorted`` for the reason ``_distinct`` gives.
         self._readers = np.array(sorted(range(n), key=owner.tolist().__getitem__), dtype=np.intp)
         self._rcols = cols[self._readers]
         self._first, self._counts = np.cumsum(counts) - counts, counts
-        # Factors alike in table, probabilities and columns, in order of their
-        # first factor, each with its factors' readers.
-        self._groups = []
-        for k in np.flatnonzero(np.bincount(counts)).tolist():  # one pass per reader count
-            alike = np.flatnonzero(counts == k)
-            reads = self._readers[self._first[alike, None] + np.arange(k)]
-            keys = np.column_stack([pair[alike], cols[reads]])
-            order = np.lexsort(keys.T[::-1])  # stable: a group's factors stay ascending
-            alike, reads, keys = alike[order], reads[order], keys[order]
-            bounds = [0, *(np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1).tolist(),
-                      len(alike)]
-            self._groups += [(alike[a:b], reads[a:b]) for a, b in zip(bounds, bounds[1:])]
-        self._groups.sort(key=lambda group: group[0][0])
 
     def _factor_name(self, j: int) -> str:
         """How ``check_table`` messages name factor j."""
@@ -341,10 +339,10 @@ class JointModel:
             raise self._sum_cache.with_traceback(None)
         return self._sum_cache
 
-    def _factor_reads(self, j: int) -> tuple[list[int], list[int]]:
+    def _factor_reads(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         """The variables reading factor j, ascending, and the columns they read."""
         reads = slice(self._first[j], self._first[j] + self._counts[j])
-        return self._readers[reads].tolist(), self._rcols[reads].tolist()
+        return self._readers[reads], self._rcols[reads]
 
     def _check_columns(self, columns: Iterable[int]) -> tuple[int, ...]:
         cols = tuple(int(i) for i in columns)
@@ -366,45 +364,38 @@ class JointModel:
             self._fvals[j][:, c].take(atoms[j], out=row)
         return out
 
-    def _factor_atoms(self, params: BoundParams | None = None) -> list[tuple]:
-        """Per factor: its (m_j, k_j) atom rows over the k_j variables reading
-        it, their probabilities, and, given ``params``, the range-checked
-        unit-cube image of the rows and whether it was clipped (else None, False).
-        Factors alike in table, columns and readers' a_i share one entry."""
-        a = np.zeros(self._n) if params is None else np.asarray(params.a)
-        alike = []
-        for factors, readers in self._groups:
-            rows = a[readers]
-            while len(factors):  # one pass per distinct row of the readers' a_i
-                same = (rows == rows[0]).all(axis=1)
-                alike.append(factors[same])
-                factors, rows = factors[~same], rows[~same]
-        out = {}
-        for factors in sorted(alike, key=lambda f: f[0]):
-            (variables, cols), fp = self._factor_reads(factors[0]), self._fprobs[factors[0]]
-            atoms = self._fvals[factors[0]].take(cols, axis=1)
-            out.update(dict.fromkeys(factors.tolist(), (atoms, fp, *(
-                (None, False) if params is None else to_unit_cube(atoms, params, fp, variables)))))
-        return [out[j] for j in range(len(self._fvals))]
+    def _factor_atoms(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """The variables reading factor j, ascending, and its (m_j, k_j) atom
+        rows over them."""
+        variables, cols = self._factor_reads(j)
+        return variables, self._fvals[j].take(cols, axis=1)
 
-    def _fold_factors(self, params: BoundParams | None, lam: float) -> tuple[np.ndarray, ...]:
+    def _fold_factors(
+        self, params: BoundParams | None, lam: float, clip: bool
+    ) -> tuple[np.ndarray, ...]:
         # Factor by factor, each step checked against atom_cap before it is
         # formed: every (state, row) pair adds the row's values to the sum
         # column by column, so variables in factor order, left to right, as
         # draw_round and the kernel's tail sums add; masses multiply in.
         law = (np.zeros(1), *np.ones((1 if params is None else 2, 1)))
-        for j, (atoms, probs, xt, _) in enumerate(self._factor_atoms(params)):
+        a = None if params is None else np.asarray(params.a)
+        affine = a is not None and (params.b != 1.0 or a.any())
+        for j, probs in enumerate(self._fprobs):
             if len(law[0]) * len(probs) > self._atom_cap:
                 raise SupportTooLargeError(
                     f"the exact fold of this {self.kind} model needs {len(law[0])} sums x "
                     f"{len(probs)} rows of factor {j}, over atom_cap={self._atom_cap}; "
                     f"use sampling instead or raise atom_cap")
+            variables, atoms = self._factor_atoms(j)
             sums = np.add.outer(law[0], atoms[:, 0])
             for column in atoms.T[1:]:
                 sums += column
-            masses = (probs,) if xt is None else (probs, probs * _row_weights(xt, lam))
-            law = _merge(sums.ravel(), *(np.multiply.outer(a, b).ravel()
-                                         for a, b in zip(law[1:], masses)))
+            masses = (probs,)
+            if params is not None:  # the image of to_unit_cube
+                xt = (atoms - a[variables]) / params.b if affine else atoms
+                masses += (probs * _row_weights(np.clip(xt, 0.0, 1.0) if clip else xt, lam),)
+            law = _merge(sums.ravel(), *(np.multiply.outer(m, w).ravel()
+                                         for m, w in zip(law[1:], masses)))
         return law
 
     def _fold(
@@ -412,18 +403,28 @@ class JointModel:
     ) -> tuple[np.ndarray, ...]:
         """Law of the coordinate sum: (ascending distinct sums, masses) and,
         given ``params``, the masses weighted by prod_i ((lam xtilde_i) + 1) - lam.
-        Range-checks every positive-probability atom against ``params``."""
-        laws = [(w, part._fold_factors(params, lam)) for w, part in self._parts() if w > 0.0]
+        Range-checks every positive-probability atom against ``params`` first."""
+        clip = params is not None and (self._check_range(params) or self._zero_rows)
+        laws = [(w, part._fold_factors(params, lam, clip)) for w, part in self._parts() if w > 0.0]
         if len(laws) == 1:  # its weight is 1
             return laws[0][1]
         return _merge(*(np.concatenate([w * law[k] if k else law[k] for w, law in laws])
                         for k in range(len(laws[0][1]))))
 
     def _check_range(self, params: BoundParams) -> bool:
-        """Raise unless every positive-probability atom lies in [a_i, a_i + b];
-        return whether sampled values need clipping to [0, 1]."""
-        return any([clipped for w, part in self._parts() if w > 0.0  # a list: check all
-                    for *_, clipped in part._factor_atoms(params)])
+        """Raise unless every positive-probability atom lies in [a_i, a_i + b]
+        up to slack(b); return whether one's image leaves [0, 1] and needs
+        clipping.  Each variable's least and greatest value decide (a mixture's
+        parts read the same); ``to_unit_cube`` words the error."""
+        a, tol = np.asarray(params.a), slack(params.b) / params.b
+        lo, hi = (self._lo - a) / params.b, (self._hi - a) / params.b  # as to_unit_cube maps
+        bad = (lo < -tol) | (hi > 1.0 + tol)
+        if bad.any():
+            part = next(part for w, part in self._parts() if w > 0.0)
+            j = min(part._reads[i][0] for i in np.flatnonzero(bad).tolist())
+            variables, atoms = part._factor_atoms(j)
+            to_unit_cube(atoms, params, part._fprobs[j], variables)  # raises
+        return bool(lo.min() < 0.0 or hi.max() > 1.0)
 
     def _factor_moments(
         self, j: int, max_size: int, chain: tuple[int, ...] | None
@@ -432,8 +433,8 @@ class JointModel:
         walk visits (T indexes factor j's variable list).  Each T's row
         products are its prefix's times one column of a variable-major copy
         of the factor, summed per CERTIFY_CHUNK rows and then in row order."""
-        variables, cols = self._factor_reads(j)
-        columns = np.ascontiguousarray(self._fvals[j].take(cols, axis=1).T)
+        variables, atoms = self._factor_atoms(j)
+        columns = np.ascontiguousarray(atoms.T)
         probs = self._fprobs[j]
         table: dict[tuple[int, ...], float] = {}
         # Walking DEFAULT_CHUNK rows per step, not CERTIFY_CHUNK, visits each
@@ -785,7 +786,7 @@ def to_unit_cube(
     variables: Sequence[int] | None = None,
 ) -> tuple[np.ndarray, bool]:
     """(image, whether clipped) of (m, k) atoms under x -> (x - a_i) / b,
-    clipped to [0, 1]; the one range check.
+    clipped to [0, 1]; it checks rows, and words the model check's errors.
 
     Column c holds variable ``variables[c]`` (default: variable c, k = n).
     Raises unless every atom (with ``probs``, every atom of positive
@@ -813,12 +814,8 @@ def to_unit_cube(
 
 
 def check_support_range(model: JointModel, params: BoundParams) -> None:
-    """Raise unless every positive-probability atom lies in [a_i, a_i + b].
-
-    Checks factor rows, not the atoms: an atom has positive
-    probability exactly when each of its factor rows does (in a mixture
-    part of positive weight).
-    """
+    """Raise unless every positive-probability atom lies in [a_i, a_i + b]
+    (``JointModel._check_range``)."""
     if params.n != model.n:
         raise ValidationError(f"params.n={params.n} does not match model n={model.n}")
     model._check_range(params)

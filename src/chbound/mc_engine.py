@@ -19,7 +19,7 @@ workspace per call, reused for every chunk of every block: the model's
 ``_draw`` fills it (the 0/1 models from byte-sized coins,
 ``dist_models._coins``), and a second one holds xtilde unless that is x.
 The kernel checks no range: ``estimate_product`` and the witness check the
-factor rows once per call, before any draw, and ``draw_round`` its one row.
+model once per call, before any draw, and ``draw_round`` its one row.
 ``estimate_product`` forms the weight (lam xtilde + 1) - lam in place, and
 ``np.multiply.reduce`` over axis 0 folds each column.  That fold multiplies
 variables 0..n-1 left to right, as ``np.prod`` along a C-ordered row does,
@@ -118,16 +118,17 @@ def _run_blocks(
         yield fn(block_rng(seed, tag, b), min(block_size, total - b * block_size))
 
 
-def _workspace(n: int, m: int) -> np.ndarray:
-    """Flat float64 room for one chunk of a block of m rows of n values."""
-    return np.empty(n * min(m, max(1, ESTIMATE_CHUNK // n)))
+def _chunk_rows(n: int, m: int) -> int:
+    """Rows per chunk of a block of m rows of n values: ESTIMATE_CHUNK // n,
+    at least 1 and at most m.  The count kernel's stream depends on it."""
+    return min(m, max(1, ESTIMATE_CHUNK // n))
 
 
 def _rooms(model: JointModel, params: BoundParams, m: int, clip: bool) -> list[np.ndarray]:
-    """The workspaces ``_chunks`` draws blocks of up to m rows into: x's, and
-    xtilde's unless xtilde is x.  One call's blocks share them."""
+    """The workspaces, a chunk each, ``_chunks`` draws blocks of up to m rows
+    into: x's, and xtilde's unless xtilde is x.  One call's blocks share them."""
     image = clip or params.b != 1.0 or any(params.a)
-    return [_workspace(model.n, m) for _ in range(1 + image)]
+    return [np.empty(model.n * _chunk_rows(model.n, m)) for _ in range(1 + image)]
 
 
 def _chunks(
@@ -140,14 +141,14 @@ def _chunks(
     xtilde is (x - a_i) / b, clipped to [0, 1] if ``clip`` (from
     ``JointModel._check_range``).  ``_draw`` fills ``rooms`` (from ``_rooms``,
     for blocks of at least m rows; by default fresh ones), so each chunk (and
-    xtilde, x itself under the unclipped identity map) lives only until the
-    next, and the consumer may overwrite it; the consumer's draws in between
-    follow the chunk's.  A chunk holds ESTIMATE_CHUNK // n rows, however
-    large the rooms.
+    xtilde, x itself under the unclipped identity map or given x's room
+    alone) lives only until the next, and the consumer may overwrite it; the
+    consumer's draws in between follow the chunk's.  A chunk holds
+    ``_chunk_rows`` rows, however large the rooms.
     """
     n = model.n
     work, *image = rooms or _rooms(model, params, m, clip)
-    rows = min(m, max(1, ESTIMATE_CHUNK // n))
+    rows = _chunk_rows(n, m)
     a = np.asarray(params.a)[:, None] if image else None
     for start in range(0, m, rows):
         stop = min(start + rows, m)
@@ -219,7 +220,7 @@ def draw_round(
     (the empty product is 1).
     """
     lam = _check_round_args(model, params, lam)
-    ((_, x, _),) = _chunks(model, params, rng, 1, clip=False)
+    ((_, x, _),) = _chunks(model, params, rng, 1, False, [np.empty(model.n)])  # x alone
     xt = to_unit_cube(x.T, params)[0].T  # checks the one drawn row, not every factor
     y = rng.random(xt.shape) < xt
     member = rng.random(xt.shape) < lam
@@ -274,7 +275,7 @@ def estimate_product(
 
     def block(rng: np.random.Generator, m: int) -> np.ndarray:
         if counted:  # the count kernel, in the chunk shapes of _chunks
-            step = max(1, ESTIMATE_CHUNK // model.n)
+            step = _chunk_rows(model.n, m)
             ones = np.concatenate([model._ones(rng, min(step, m - s)) for s in range(0, m, step)])
             return by_ones[ones[ones >= cutoff] if conditional else ones]
         weights = np.empty(m)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import chbound as cb
 from chbound import dist_models
 from chbound.cli import main
+from chbound.entropy_core import slack
 from conftest import (
     distinct_sums_model,
     enumerate_atoms,
@@ -386,9 +387,8 @@ class TestFactorTables:
     )
     def test_reader_structures_match_the_loops(self, model):
         # The per-variable loops that built the reader structures before they
-        # were vectorised: (factor, column) per variable, each factor's readers
-        # and their columns, and the factors alike in table, probabilities and
-        # columns, in order of their first factor, with their readers.
+        # were vectorised: (factor, column) per variable, and each factor's
+        # readers and their columns.
         starts = np.cumsum([0] + [fv.shape[1] for fv in model._fvals])
         owner = np.searchsorted(starts, model._vmap, side="right") - 1
         reads = list(zip(owner.tolist(), (model._vmap - starts[owner]).tolist()))
@@ -396,17 +396,10 @@ class TestFactorTables:
         for i, (j, c) in enumerate(reads):
             freads[j][0].append(i)
             freads[j][1].append(c)
-        alike: dict[tuple, list[int]] = {}
-        for j, (fv, fp, (_, cols)) in enumerate(zip(model._fvals, model._fprobs, freads)):
-            alike.setdefault((id(fv), id(fp), tuple(cols)), []).append(j)
-        groups = [(np.array(g), np.array([freads[j][0] for j in g])) for g in alike.values()]
 
         assert model._reads == reads
-        assert [model._factor_reads(j) for j in range(len(freads))] == freads
-        assert len(model._groups) == len(groups)
-        for (factors, readers), (want_factors, want_readers) in zip(model._groups, groups):
-            assert factors.dtype == want_factors.dtype and readers.dtype == want_readers.dtype
-            assert np.array_equal(factors, want_factors) and np.array_equal(readers, want_readers)
+        assert [tuple(part.tolist() for part in model._factor_reads(j))
+                for j in range(len(freads))] == freads
 
 
 class TestEnumerabilityCap:
@@ -468,7 +461,107 @@ class TestEnumerabilityCap:
             assert not hasattr(cb.JointModel, name)
 
 
+RANGE_A = (0.0, -0.25, -0.5)
+RANGE_B = (1.0, 1.5, 0.5)
+# where a value sits in [a_i, a_i + b]: inside, at the ends, in the slack
+# band (slack(b) / b = 1e-12 on either side), and beyond it
+INSIDE = (0.0, 1.0, 0.5, 0.25, -1e-13, 1.0 + 1e-13)
+BEYOND = (-1e-11, 1.0 + 1e-11, -0.5, 1.5)
+
+
+@st.composite
+def range_cases(draw):
+    """(model, params): factor tables, some shared and read through a
+    scattered column map, or a mixture with rho in {0, 0.3, 1}; a_i <= 0 and
+    b != 1; values inside [a_i, a_i + b], in its slack band and beyond it,
+    and rows of probability 0 anywhere, some far outside."""
+    b = draw(st.sampled_from(RANGE_B))
+    shifts = draw(st.lists(st.sampled_from(RANGE_A), min_size=1, max_size=2, unique=True))
+
+    def value(units):
+        return st.builds(lambda a, u: a + b * u, st.sampled_from(shifts), st.sampled_from(units))
+
+    live = value(INSIDE * 8 + BEYOND)
+    dead = st.one_of(value(INSIDE + BEYOND), st.sampled_from([1e200, -1e200]))
+
+    def rows(width):
+        weights = draw(st.lists(st.sampled_from([0, 1, 2, 3]), min_size=1, max_size=4)
+                       .filter(any))
+        table = [draw(st.lists(live if w else dead, min_size=width, max_size=width))
+                 for w in weights]
+        return np.array(table), np.array(weights) / sum(weights)
+
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 4))
+        values, probs = rows(1)
+        model = cb.ExchangeableMixtureModel(n, draw(st.sampled_from([0.0, 0.3, 1.0])),
+                                            list(zip(values[:, 0], probs)))
+    else:
+        tables, probs = [], []
+        for _ in range(draw(st.integers(1, 4))):
+            if tables and draw(st.booleans()):  # share an earlier factor's table
+                k = draw(st.integers(0, len(tables) - 1))
+                tables.append(tables[k])
+                probs.append(probs[k])
+            else:
+                for got, into in zip(rows(draw(st.integers(1, 3))), (tables, probs)):
+                    into.append(got)
+        width = sum(t.shape[1] for t in tables)
+        extra = draw(st.lists(st.integers(0, width - 1), max_size=3))
+        vmap = draw(st.permutations(list(range(width)) + extra))
+        n = len(vmap)
+        model = cb.JointModel(n, tables, probs, vmap)
+    a = tuple(draw(st.lists(st.sampled_from(shifts), min_size=n, max_size=n)))
+    return model, cb.BoundParams(n=n, a=a, b=b, c=tuple(ai + b / 2 for ai in a), t=0.0)
+
+
+def reference_range(model, params):
+    """(error message or None, whether clipped), walking every factor row of
+    positive probability and every variable reading it, in Python floats:
+    parts of positive weight in order, factors in order, rows in order and a
+    row's readers ascending.  Clipped: some such row's image leaves [0, 1]."""
+    tol = slack(params.b) / params.b
+    clipped = False
+    for weight, part in model._parts():
+        if weight == 0.0:
+            continue
+        for j, (table, probs) in enumerate(zip(part._fvals, part._fprobs)):
+            readers = [(i, c) for i, (f, c) in enumerate(part._reads) if f == j]
+            for row, p in zip(table.tolist(), probs.tolist()):
+                if p == 0.0:
+                    continue
+                for i, c in readers:
+                    x, a = row[c], params.a[i]
+                    xt = (x - a) / params.b
+                    if xt < -tol or xt > 1.0 + tol:
+                        return (f"values leave [a_i, a_i + b]: variable {i} takes value {x} "
+                                f"outside [{a}, {a + params.b}]"), None
+                    clipped = clipped or xt < 0.0 or xt > 1.0
+    return None, clipped
+
+
 class TestCheckSupportRange:
+    @settings(max_examples=400, deadline=None)
+    @given(range_cases())
+    def test_bounds_check_matches_the_row_walk(self, case):
+        model, params = case
+        message, clipped = reference_range(model, params)
+        lam = 0.5
+        if message is not None:
+            for check in (model._check_range, lambda p: cb.exact_product_expectation(model, lam, p)):
+                with pytest.raises(cb.ValidationError) as err:
+                    check(params)
+                assert str(err.value) == message
+            return
+        assert model._check_range(params) is clipped
+        # The fold weighs each atom of positive probability by its clipped
+        # image, and every other atom by 0, however far outside it lies.
+        values, probs = enumerate_atoms(model)
+        xt = np.clip((values - np.array(params.a)) / params.b, 0.0, 1.0)
+        want = math.fsum(p * math.prod(lam * v + 1.0 - lam for v in row)
+                         for row, p in zip(xt.tolist(), probs.tolist()) if p > 0.0)
+        assert cb.exact_product_expectation(model, lam, params) == pytest.approx(want, rel=1e-12)
+
     def test_passes_on_matching_params(self, zoo):
         for _, model, params in zoo:
             cb.check_support_range(model, params)
@@ -500,19 +593,22 @@ class TestCheckSupportRange:
                             lambda *args: calls.append(args[3]) or real(*args))
         return calls
 
-    def test_each_distinct_table_is_mapped_once(self, monkeypatch):
+    def test_range_check_maps_only_a_failing_factor(self, monkeypatch):
+        # Each variable's least and greatest value decide the check; only the
+        # first factor that leaves the range is mapped, to word the error.
         calls = self._count_maps(monkeypatch)
         assert cb.BooleanIIDModel(1000, 0.5)._check_range(cb.BoundParams.boolean(1000, 0.5, 0.1)) is False
-        assert calls == [[0]]
-        # the planted block and the free coins read the table differently
-        calls.clear()
-        cb.PlantedCliqueModel(6, 0.5, k=3)._check_range(cb.BoundParams.boolean(6, 0.5, 0.1))
-        assert calls == [[0, 1, 2], [3]]
-        # a_i is part of the key: each distinct a_i maps again
-        calls.clear()
+        assert cb.PlantedCliqueModel(6, 0.5, k=3)._check_range(cb.BoundParams.boolean(6, 0.5, 0.1)) is False
         params = cb.BoundParams(n=4, a=(0.0, -1.0, 0.0, -1.0), b=2.0, c=(0.5,) * 4, t=0.1)
-        cb.BooleanIIDModel(4, 0.5)._check_range(params)
-        assert calls == [[0], [1]]
+        assert cb.BooleanIIDModel(4, 0.5)._check_range(params) is False
+        assert calls == []
+        # the planted block (factor 0, read by variables 1 and 4) leaves the
+        # range through variable 4, and so does free variable 5 (factor 4)
+        params = cb.BoundParams(n=6, a=(0.0,) * 4 + (-0.5, -0.5), b=1.0, c=(0.25,) * 6, t=0.1)
+        with pytest.raises(cb.ValidationError, match=re.escape(
+                "variable 4 takes value 1.0 outside [-0.5, 0.5]")):
+            cb.PlantedCliqueModel(6, 0.5, indices=[1, 4])._check_range(params)
+        assert [list(variables) for variables in calls] == [[1, 4]]
 
     def test_shared_table_error_names_the_first_bad_variable(self):
         # variables 0-2 read the coin table inside [0, 1]; variable 3's a_i

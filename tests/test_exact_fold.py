@@ -246,3 +246,67 @@ def test_boolean_20_law_is_binomial():
     assert sums.tolist() == [float(k) for k in range(21)]
     assert probs.tolist() == [math.comb(20, k) / 2**20 for k in range(21)]
     assert cb.exact_tail(model, 14.0) == 60460 / 1048576
+
+
+def _pinned_models(zoo):
+    """The exact path's models: a negative a_i, a mixture under a = -0.25 and
+    b = 1.5 with atoms in the slack band, so that its image clips, and a
+    table whose row of probability 0 lies far outside [a_i, a_i + b]."""
+    yield "independent_mixed", *{name: (m, p) for name, m, p in zoo}["independent_mixed"]
+    yield ("mixture_clipped",
+           cb.ExchangeableMixtureModel(
+               3, 0.3, [(-0.25 - 5e-13, 0.3), (0.5, 0.3), (1.25 + 5e-13, 0.4)]),
+           cb.BoundParams(n=3, a=(-0.25,) * 3, b=1.5, c=(0.5,) * 3, t=0.3))
+    yield ("table_zero_row",
+           cb.ExplicitTableModel([([0.25, 0.75, 0.5], 0.5), ([1.0, 0.0, 0.25], 0.375),
+                                  ([1e200, -1e200, 9.0], 0.0), ([0.5, 0.5, 1.0], 0.125)]),
+           cb.BoundParams.boolean(3, 0.45, 0.05))
+
+
+# float.hex of the sum law, exact_product_expectation and verify_chain's
+# tail probability, expected product and expected product on the tail, at
+# lam = 0.3, as the range check gave them when it mapped every factor row.
+EXACT_PINS = {
+    "independent_mixed": {
+        "sums": ["-0x1.6666666666666p-2", "0x1.3333333333334p-3",
+                 "0x1.999999999999ap-2", "0x1.4cccccccccccdp-1", "0x1.ccccccccccccdp-1",
+                 "0x1.2666666666666p+0", "0x1.6666666666666p+0", "0x1.e666666666666p+0"],
+        "probs": ["0x1.999999999999ap-5", "0x1.999999999999ap-5", "0x1.999999999999ap-5",
+                  "0x1.999999999999ap-3", "0x1.999999999999ap-5", "0x1.999999999999ap-3",
+                  "0x1.999999999999ap-3", "0x1.999999999999ap-3"],
+        "product": "0x1.5ecaff6d33094p-1",
+        "chain": ["0x1.999999999999ap-3", "0x1.5ecaff6d33094p-1", "0x1.6f837b4a2339dp-3"],
+    },
+    "mixture_clipped": {
+        "sums": ["-0x1.80000000034c6p-1", "-0x1.1978000000000p-40",
+                 "0x1.7ffffffffee68p-1", "0x1.7ffffffffee69p-1", "0x1.8000000000000p+0",
+                 "0x1.2000000000466p+1", "0x1.80000000008ccp+1", "0x1.e000000000d32p+1"],
+        "probs": ["0x1.be0ded288ce70p-4", "0x1.d07c84b5dcc64p-5", "0x1.b6ae7d566cf41p-4",
+                  "0x1.9ce075f6fd21fp-6", "0x1.0a57a786c2268p-2", "0x1.694467381d7dap-3",
+                  "0x1.9ce075f6fd220p-4", "0x1.5182a9930be0ep-3"],
+        "product": "0x1.51818bf13a6a6p-1",
+        "chain": ["0x1.0ff972474538fp-2", "0x1.51818bf13a6a6p-1", "0x1.007dd44135547p-2"],
+    },
+    "table_zero_row": {
+        "sums": ["0x1.4000000000000p+0", "0x1.8000000000000p+0", "0x1.0000000000000p+1",
+                 "0x1.2000000000000p+3"],
+        "probs": ["0x1.8000000000000p-2", "0x1.0000000000000p-1", "0x1.0000000000000p-3",
+                  "0x0.0p+0"],
+        "product": "0x1.32645a1cac082p-1",
+        "chain": ["0x1.4000000000000p-1", "0x1.32645a1cac082p-1", "0x1.9476c8b43957fp-2"],
+    },
+}
+
+
+def test_exact_path_keeps_its_pinned_bits(zoo):
+    for name, model, params in _pinned_models(zoo):
+        sums, probs = model.sum_support()
+        report = cb.verify_chain(model, params, 0.3)
+        got = {
+            "sums": [x.hex() for x in sums.tolist()],
+            "probs": [x.hex() for x in probs.tolist()],
+            "product": cb.exact_product_expectation(model, 0.3, params).hex(),
+            "chain": [report.tail_probability.hex(), report.expected_product.hex(),
+                      report.expected_product_on_tail.hex()],
+        }
+        assert got == EXACT_PINS[name], name
