@@ -16,9 +16,10 @@ of walking the support: the law of the coordinate sum folds factor by factor
 into a map from partial sum to mass, merging equal sums, and a product
 moment is the product of per-factor moments.  Only a factor read by several
 variables (an explicit table, the planted block, the shared atoms) is
-walked row by row.  The range check reads only each variable's least and
-greatest value of positive probability, as x -> (x - a_i) / b is monotone;
-rows of probability 0 go unchecked, and the weighted fold clips their image.
+walked row by row.  A factor keeps only the rows it can draw: the
+constructor drops rows of probability 0.  The range check reads only each
+variable's least and greatest value, as x -> (x - a_i) / b (``_unit_image``,
+the one map onto the unit cube) is monotone.
 
 ``atom_cap`` bounds one fold step, states x factor rows, which the fold
 checks before it allocates (``SupportTooLargeError``).  Sums and products
@@ -166,6 +167,15 @@ def _parse_atoms(atoms, name: str) -> tuple[np.ndarray, np.ndarray]:
     return values, probs
 
 
+def _unit_image(x: np.ndarray, a, b: float, clip: bool = False,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """The map onto the unit cube, x -> (x - a_i) / b, clipped to [0, 1] if
+    ``clip``, with ``a`` broadcast against ``x`` (into ``out``, if given)."""
+    xt = np.subtract(x, a, out=out)
+    np.divide(xt, b, out=xt)
+    return np.clip(xt, 0.0, 1.0, out=xt) if clip else xt
+
+
 def _row_weights(xt: np.ndarray, lam: float) -> np.ndarray:
     """E[prod_{i in I} Y_i | x] = prod_i (lam xt_i + 1 - lam) for each row of xt."""
     return np.multiply.reduce(lam * xt + 1.0 - lam, axis=1)
@@ -217,7 +227,8 @@ class JointModel:
     several variables may read one column (the planted block does), and
     every factor is read by some variable (the range check of an unread
     factor would see no columns).  The constructor checks each factor with
-    ``check_table``, the column map, and that every factor is read.
+    ``check_table``, the column map, and that every factor is read, and
+    keeps only a factor's rows of positive probability.
     """
 
     kind = "factor_table"
@@ -245,12 +256,16 @@ class JointModel:
             raise ValidationError("every factor needs at least one value row")
         tables = [v.reshape(len(v), -1) for v in tables]
         probs = [np.asarray(factor_probs[j], dtype=np.float64) for j in pfirst]
-        self._fvals = list(map(tables.__getitem__, vof.tolist()))
-        self._fprobs = list(map(probs.__getitem__, pof.tolist()))
         # per factor, which pair of table and probabilities it was passed
         checked, pair = _distinct(list(zip(vof.tolist(), pof.tolist())))
+        kept = []
         for j in checked:  # each pair once, named by its first factor
-            check_table(self._fvals[j], self._fprobs[j], self._factor_name(j))
+            values, p = tables[vof[j]], probs[pof[j]]
+            check_table(values, p, self._factor_name(j))
+            if not p.all():  # keep only the rows the model can draw
+                values, p = values[p > 0.0], p[p > 0.0]
+            kept.append((values, p))
+        self._fvals, self._fprobs = (list(f) for f in zip(*map(kept.__getitem__, pair.tolist())))
         starts = np.cumsum([0] + np.array([v.shape[1] for v in tables])[vof].tolist())
         self._vmap = np.asarray(vmap)
         if (self._vmap.shape != (n,) or self._vmap.dtype.kind not in "iu"
@@ -268,15 +283,10 @@ class JointModel:
         if not counts.all():
             unread = np.flatnonzero(counts == 0).tolist()
             raise ValidationError(f"factors {unread} are read by no variable")
-        # Per pair, reduced in place (a copy of its rows raised peak RSS): the
-        # least and greatest value of positive probability each variable reads,
-        # for the range check, and whether some row has probability 0 (_fold).
-        live = [self._fprobs[j][:, None] > 0.0 for j in checked]
-        at = np.cumsum([0] + [self._fvals[j].shape[1] for j in checked])[pair[owner]] + cols
-        self._lo, self._hi = (np.concatenate([f.reduce(self._fvals[j], where=w, initial=end)
-                                              for j, w in zip(checked, live)])[at]
-                              for f, end in ((np.minimum, np.inf), (np.maximum, -np.inf)))
-        self._zero_rows = not np.concatenate([self._fprobs[j] for j in checked]).all()
+        # Per pair: the least and greatest value each variable reads, for the range check.
+        at = np.cumsum([0] + [values.shape[1] for values, _ in kept])[pair[owner]] + cols
+        self._lo, self._hi = (np.concatenate([f.reduce(values) for values, _ in kept])[at]
+                              for f in (np.minimum, np.maximum))
         # The variables reading each factor, ascending, side by side in factor
         # order (``_factor_reads``), and the columns they read: a stable sort
         # by factor, through ``sorted`` for the reason ``_distinct`` gives.
@@ -311,8 +321,10 @@ class JointModel:
 
         The model's one sampling primitive.
         """
-        self._gather([rng.choice(len(fv), size=out.shape[1], p=fp)
-                      for fv, fp in zip(self._fvals, self._fprobs)], out)
+        atoms = [rng.choice(len(fv), size=out.shape[1], p=fp)
+                 for fv, fp in zip(self._fvals, self._fprobs)]
+        for row, (j, c) in zip(out, self._reads):  # variable i reads column c of factor j
+            self._fvals[j][:, c].take(atoms[j], out=row)
 
     def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` joint vectors, shape (size, n), C-ordered float64."""
@@ -356,14 +368,6 @@ class JointModel:
         """(weight, factor table) pairs whose weighted sum is the law."""
         return ((1.0, self),)
 
-    def _gather(self, atoms: Sequence[np.ndarray], out: np.ndarray) -> np.ndarray:
-        """Fill the variable-major (n, rows) ``out`` from per-factor atom
-        indices: row i takes the column variable i reads from factor j's rows
-        ``atoms[j]``.  The one variable gather of sampling."""
-        for row, (j, c) in zip(out, self._reads):
-            self._fvals[j][:, c].take(atoms[j], out=row)
-        return out
-
     def _factor_atoms(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         """The variables reading factor j, ascending, and its (m_j, k_j) atom
         rows over them."""
@@ -379,7 +383,6 @@ class JointModel:
         # draw_round and the kernel's tail sums add; masses multiply in.
         law = (np.zeros(1), *np.ones((1 if params is None else 2, 1)))
         a = None if params is None else np.asarray(params.a)
-        affine = a is not None and (params.b != 1.0 or a.any())
         for j, probs in enumerate(self._fprobs):
             if len(law[0]) * len(probs) > self._atom_cap:
                 raise SupportTooLargeError(
@@ -391,9 +394,10 @@ class JointModel:
             for column in atoms.T[1:]:
                 sums += column
             masses = (probs,)
-            if params is not None:  # the image of to_unit_cube
-                xt = (atoms - a[variables]) / params.b if affine else atoms
-                masses += (probs * _row_weights(np.clip(xt, 0.0, 1.0) if clip else xt, lam),)
+            if params is not None:
+                # in place: atoms is this step's own copy, and the sums are formed
+                xt = _unit_image(atoms, a[variables], params.b, clip, out=atoms)
+                masses += (probs * _row_weights(xt, lam),)
             law = _merge(sums.ravel(), *(np.multiply.outer(m, w).ravel()
                                          for m, w in zip(law[1:], masses)))
         return law
@@ -403,8 +407,8 @@ class JointModel:
     ) -> tuple[np.ndarray, ...]:
         """Law of the coordinate sum: (ascending distinct sums, masses) and,
         given ``params``, the masses weighted by prod_i ((lam xtilde_i) + 1) - lam.
-        Range-checks every positive-probability atom against ``params`` first."""
-        clip = params is not None and (self._check_range(params) or self._zero_rows)
+        Range-checks every atom against ``params`` first."""
+        clip = params is not None and self._check_range(params)
         laws = [(w, part._fold_factors(params, lam, clip)) for w, part in self._parts() if w > 0.0]
         if len(laws) == 1:  # its weight is 1
             return laws[0][1]
@@ -412,18 +416,25 @@ class JointModel:
                         for k in range(len(laws[0][1]))))
 
     def _check_range(self, params: BoundParams) -> bool:
-        """Raise unless every positive-probability atom lies in [a_i, a_i + b]
-        up to slack(b); return whether one's image leaves [0, 1] and needs
-        clipping.  Each variable's least and greatest value decide (a mixture's
-        parts read the same); ``to_unit_cube`` words the error."""
+        """Raise unless every atom lies in [a_i, a_i + b] up to slack(b);
+        return whether one's image leaves [0, 1] and needs clipping.  Each
+        variable's least and greatest value decide, as the map is monotone (a
+        mixture's parts read the same); the error names the first bad row of
+        the first bad factor, in the first part of positive weight."""
         a, tol = np.asarray(params.a), slack(params.b) / params.b
-        lo, hi = (self._lo - a) / params.b, (self._hi - a) / params.b  # as to_unit_cube maps
+        lo, hi = _unit_image(self._lo, a, params.b), _unit_image(self._hi, a, params.b)
         bad = (lo < -tol) | (hi > 1.0 + tol)
         if bad.any():
             part = next(part for w, part in self._parts() if w > 0.0)
             j = min(part._reads[i][0] for i in np.flatnonzero(bad).tolist())
             variables, atoms = part._factor_atoms(j)
-            to_unit_cube(atoms, params, part._fprobs[j], variables)  # raises
+            xt = _unit_image(atoms, a[variables], params.b)
+            row, col = np.argwhere((xt < -tol) | (xt > 1.0 + tol))[0]
+            var = variables[col]
+            raise ValidationError(
+                f"values leave [a_i, a_i + b]: variable {var} takes value "
+                f"{atoms[row, col]} outside [{params.a[var]}, {params.a[var] + params.b}]"
+            )
         return bool(lo.min() < 0.0 or hi.max() > 1.0)
 
     def _factor_moments(
@@ -620,9 +631,7 @@ class ExchangeableMixtureModel(JointModel):
         n = check_positive_int("n", n)
         super().__init__(n, [values] * n, [probs] * n, vmap=range(n), atom_cap=atom_cap)
         self.rho = rho
-        self._values = values
-        self._probs = probs
-        self._shared = JointModel(n, [values], [probs], [0] * n, atom_cap)
+        self._shared = JointModel(n, self._fvals[:1], self._fprobs[:1], [0] * n, atom_cap)
 
     def _factor_name(self, j: int) -> str:
         return "atoms"
@@ -637,12 +646,12 @@ class ExchangeableMixtureModel(JointModel):
         return ((self.rho, self._shared), (1.0 - self.rho, self))
 
     def _draw(self, rng: np.random.Generator, out: np.ndarray) -> None:
-        size = out.shape[1]
+        size, values, probs = out.shape[1], self._fvals[0][:, 0], self._fprobs[0]
         mix = rng.random(size) < self.rho
-        shared = rng.choice(len(self._values), size=size, p=self._probs)
-        indep = rng.choice(len(self._values), size=(size, self._n), p=self._probs)
-        self._values.take(indep.T, out=out)
-        np.copyto(out, self._values[shared], where=mix)
+        shared = rng.choice(len(values), size=size, p=probs)
+        indep = rng.choice(len(values), size=(size, self._n), p=probs)
+        values.take(indep.T, out=out)
+        np.copyto(out, values[shared], where=mix)
 
 
 class ExplicitTableModel(JointModel):
@@ -779,42 +788,8 @@ def certify_moments(
     ]
 
 
-def to_unit_cube(
-    values: np.ndarray,
-    params: BoundParams,
-    probs: np.ndarray | None = None,
-    variables: Sequence[int] | None = None,
-) -> tuple[np.ndarray, bool]:
-    """(image, whether clipped) of (m, k) atoms under x -> (x - a_i) / b,
-    clipped to [0, 1]; it checks rows, and words the model check's errors.
-
-    Column c holds variable ``variables[c]`` (default: variable c, k = n).
-    Raises unless every atom (with ``probs``, every atom of positive
-    probability) lies in [a_i, a_i + b] up to ``slack(b)``.  Under the
-    identity map (a = 0, b = 1) with every value in [0, 1], the image is
-    ``values`` itself.
-    """
-    a = np.asarray(params.a if variables is None else [params.a[v] for v in variables])
-    xt = values if params.b == 1.0 and not a.any() else (values - a) / params.b
-    tol = slack(params.b) / params.b
-    lo, hi = xt.min(), xt.max()
-    if lo < -tol or hi > 1.0 + tol:
-        bad = (xt < -tol) | (xt > 1.0 + tol)
-        if probs is not None:
-            bad &= (probs > 0.0)[:, None]
-        if bad.any():
-            row, col = np.argwhere(bad)[0]
-            var = col if variables is None else variables[col]
-            raise ValidationError(
-                f"values leave [a_i, a_i + b]: variable {var} takes value "
-                f"{values[row, col]} outside [{params.a[var]}, {params.a[var] + params.b}]"
-            )
-    clipped = bool(lo < 0.0 or hi > 1.0)
-    return (np.clip(xt, 0.0, 1.0) if clipped else xt), clipped
-
-
 def check_support_range(model: JointModel, params: BoundParams) -> None:
-    """Raise unless every positive-probability atom lies in [a_i, a_i + b]
+    """Raise unless every atom the model can draw lies in [a_i, a_i + b]
     (``JointModel._check_range``)."""
     if params.n != model.n:
         raise ValidationError(f"params.n={params.n} does not match model n={model.n}")

@@ -18,8 +18,9 @@ The round kernel ``_chunks`` works in one variable-major (n, rows) float64
 workspace per call, reused for every chunk of every block: the model's
 ``_draw`` fills it (the 0/1 models from byte-sized coins,
 ``dist_models._coins``), and a second one holds xtilde unless that is x.
-The kernel checks no range: ``estimate_product`` and the witness check the
-model once per call, before any draw, and ``draw_round`` its one row.
+The kernel checks no range: each sampler (``estimate_product``,
+``draw_round`` and the witness) checks the model once per call, before any
+draw.
 ``estimate_product`` forms the weight (lam xtilde + 1) - lam in place, and
 ``np.multiply.reduce`` over axis 0 folds each column.  That fold multiplies
 variables 0..n-1 left to right, as ``np.prod`` along a C-ordered row does,
@@ -55,7 +56,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .dist_models import (
-    JointModel, MomentCertificate, certify_moments, tail_cutoff, to_unit_cube,
+    JointModel, MomentCertificate, _unit_image, certify_moments, tail_cutoff,
 )
 from .entropy_core import (
     DEFAULT_BLOCK_SIZE, DEFAULT_MAX_PROPOSALS, BoundParams, check_positive_int, normalize, slack,
@@ -133,21 +134,20 @@ def _rooms(model: JointModel, params: BoundParams, m: int, clip: bool) -> list[n
 
 def _chunks(
     model: JointModel, params: BoundParams, rng: np.random.Generator, m: int, clip: bool,
-    rooms: list[np.ndarray] | None = None,
+    rooms: list[np.ndarray],
 ) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
     """The round kernel: m rows from one generator, a chunk at a time, as
     (the chunk's slice of the m rows, x, xtilde), both variable-major.
 
     xtilde is (x - a_i) / b, clipped to [0, 1] if ``clip`` (from
     ``JointModel._check_range``).  ``_draw`` fills ``rooms`` (from ``_rooms``,
-    for blocks of at least m rows; by default fresh ones), so each chunk (and
-    xtilde, x itself under the unclipped identity map or given x's room
-    alone) lives only until the next, and the consumer may overwrite it; the
-    consumer's draws in between follow the chunk's.  A chunk holds
-    ``_chunk_rows`` rows, however large the rooms.
+    for blocks of at least m rows), so each chunk (and xtilde, x itself under
+    the unclipped identity map) lives only until the next, and the consumer
+    may overwrite it; the consumer's draws in between follow the chunk's.  A
+    chunk holds ``_chunk_rows`` rows, however large the rooms.
     """
     n = model.n
-    work, *image = rooms or _rooms(model, params, m, clip)
+    work, *image = rooms
     rows = _chunk_rows(n, m)
     a = np.asarray(params.a)[:, None] if image else None
     for start in range(0, m, rows):
@@ -155,10 +155,8 @@ def _chunks(
         x = work[: n * (stop - start)].reshape(n, -1)
         model._draw(rng, x)
         xt = image[0][: x.size].reshape(x.shape) if image else x
-        if image:  # the operations of to_unit_cube
-            np.divide(np.subtract(x, a, out=xt), params.b, out=xt)
-            if clip:
-                np.clip(xt, 0.0, 1.0, out=xt)
+        if image:
+            _unit_image(x, a, params.b, clip, out=xt)
         yield slice(start, stop), x, xt
 
 
@@ -220,8 +218,8 @@ def draw_round(
     (the empty product is 1).
     """
     lam = _check_round_args(model, params, lam)
-    ((_, x, _),) = _chunks(model, params, rng, 1, False, [np.empty(model.n)])  # x alone
-    xt = to_unit_cube(x.T, params)[0].T  # checks the one drawn row, not every factor
+    clip = model._check_range(params)
+    ((_, x, xt),) = _chunks(model, params, rng, 1, clip, _rooms(model, params, 1, clip))
     y = rng.random(xt.shape) < xt
     member = rng.random(xt.shape) < lam
     return SamplingRound(

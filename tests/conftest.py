@@ -132,7 +132,7 @@ def reference_sample_many(model, rng, size):
         coins[:, 1:] = reference_coins(rng, model.p, size * (factors - 1)).reshape(size, -1)
         return coins.take(model._vmap, axis=1).astype(np.float64)
     if model.kind == "exchangeable_mixture":
-        values, probs = model._values, model._probs
+        values, probs = model._fvals[0][:, 0], model._fprobs[0]
         mix = rng.random(size) < model.rho
         shared = rng.choice(len(values), size=size, p=probs)
         indep = rng.choice(len(values), size=(size, model.n), p=probs)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import chbound as cb
 from chbound import mc_engine
 from chbound.cli import main
-from chbound.dist_models import _row_weights, tail_cutoff, to_unit_cube
+from chbound.dist_models import _row_weights, tail_cutoff
 from chbound.entropy_core import TOL, normalize
 from chbound.mc_engine import ChainLink
 from conftest import (
@@ -70,6 +70,21 @@ class TestDrawRound:
         params = cb.BoundParams.boolean(2, 0.5, 0.25)
         with pytest.raises(cb.ValidationError):
             cb.draw_round(model, params, 1.2, np.random.default_rng(0))
+
+
+class TestDrawRoundRangeCheck:
+    def test_checks_the_model_not_its_row(self):
+        # 7.0 is drawn once in 1e9 rounds, but it is an atom of the model, so
+        # the first call raises with estimate_product's message.
+        model = cb.IndependentModel([[(0.5, 1 - 1e-9), (7.0, 1e-9)], [(0.5, 1.0)]])
+        params = cb.BoundParams.boolean(2, 0.5, 0.1)
+        message = re.escape("variable 0 takes value 7.0 outside [0.0, 1.0]")
+        with pytest.raises(cb.ValidationError, match=message):
+            cb.estimate_product(model, params, 0.5, 10, seed=0)
+        rng = np.random.default_rng(0)
+        with pytest.raises(cb.ValidationError, match=message):
+            cb.draw_round(model, params, 0.5, rng)
+        assert rng.random() == np.random.default_rng(0).random()  # before any draw
 
 
 class TestEstimateProduct:
@@ -179,11 +194,16 @@ class TestConditionalEstimate:
             )
 
 
+def _unit(x, params):
+    """x -> (x - a_i) / b, clipped to [0, 1], written out."""
+    return np.clip((x - np.asarray(params.a)) / params.b, 0.0, 1.0)
+
+
 def _exact_conditional_product(model, params, lam):
     """E[prod (lam xtilde + 1 - lam) | sum X >= threshold] by enumeration."""
     values, probs = enumerate_atoms(model)
     tail = values.sum(axis=1) >= tail_cutoff(params.threshold)
-    weights = np.prod(lam * to_unit_cube(values, params, probs)[0] + 1.0 - lam, axis=1)
+    weights = np.prod(lam * _unit(values, params) + 1.0 - lam, axis=1)
     return math.fsum(probs[tail] * weights[tail]) / math.fsum(probs[tail])
 
 
@@ -226,7 +246,7 @@ def _block_weights(model, params, lam, seed, block_size, total):
         m = min(block_size, total - b * block_size)
         chunks = [model.sample_many(rng, min(rows, m - s)) for s in range(0, m, rows)]
         blocks.append(np.concatenate(
-            [np.prod(lam * to_unit_cube(x, params)[0] + 1.0 - lam, axis=1) for x in chunks]
+            [np.prod(lam * _unit(x, params) + 1.0 - lam, axis=1) for x in chunks]
         ))
     return blocks
 
@@ -298,7 +318,7 @@ def _reference_estimate(model, params, lam, n_samples, *, conditional, seed, blo
         kept = []
         for start in range(0, m, rows):
             x = reference_sample_many(model, rng, min(rows, m - start))
-            w = np.prod(lam * to_unit_cube(x, params)[0] + 1.0 - lam, axis=1)
+            w = np.prod(lam * _unit(x, params) + 1.0 - lam, axis=1)
             kept.append(w[np.cumsum(x, axis=1)[:, -1] >= cutoff] if conditional else w)
         return np.concatenate(kept)
 
@@ -437,7 +457,8 @@ def _float_kernel_estimate(model, params, lam, n_samples, *, conditional, seed, 
 
     def block(rng, m):
         kept = []
-        for _, x, xt in mc_engine._chunks(model, params, rng, m, clip=False):
+        rooms = mc_engine._rooms(model, params, m, False)
+        for _, x, xt in mc_engine._chunks(model, params, rng, m, False, rooms):
             w = _row_weights(xt.T, lam)
             kept.append(w[np.cumsum(x.T, axis=1)[:, -1] >= cutoff] if conditional else w)
         return np.concatenate(kept)
