@@ -80,6 +80,7 @@ def _load_model(args) -> JointModel:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"spec {path} is not valid JSON: {exc}") from exc
+    del text  # a large table's text would stay alive beside its decoded doc and its arrays
     model = model_from_spec(doc, atom_cap=getattr(args, "atom_cap", None))
     if getattr(args, "n", None) is not None and args.n != model.n:
         raise ValidationError(f"--n {args.n} does not match spec n={model.n}")

@@ -29,6 +29,7 @@ products, so exact results are bit-reproducible.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -368,12 +369,6 @@ class JointModel:
         """(weight, factor table) pairs whose weighted sum is the law."""
         return ((1.0, self),)
 
-    def _factor_atoms(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """The variables reading factor j, ascending, and its (m_j, k_j) atom
-        rows over them."""
-        variables, cols = self._factor_reads(j)
-        return variables, self._fvals[j].take(cols, axis=1)
-
     def _fold_factors(
         self, params: BoundParams | None, lam: float, clip: bool
     ) -> tuple[np.ndarray, ...]:
@@ -389,7 +384,8 @@ class JointModel:
                     f"the exact fold of this {self.kind} model needs {len(law[0])} sums x "
                     f"{len(probs)} rows of factor {j}, over atom_cap={self._atom_cap}; "
                     f"use sampling instead or raise atom_cap")
-            variables, atoms = self._factor_atoms(j)
+            variables, cols = self._factor_reads(j)
+            atoms = self._fvals[j].take(cols, axis=1)  # this step's (m_j, k_j) copy
             sums = np.add.outer(law[0], atoms[:, 0])
             for column in atoms.T[1:]:
                 sums += column
@@ -397,7 +393,10 @@ class JointModel:
             if params is not None:
                 # in place: atoms is this step's own copy, and the sums are formed
                 xt = _unit_image(atoms, a[variables], params.b, clip, out=atoms)
-                masses += (probs * _row_weights(xt, lam),)
+                np.multiply(xt, lam, out=xt)  # the operations of _row_weights
+                np.add(xt, 1.0, out=xt)
+                np.subtract(xt, lam, out=xt)
+                masses += (probs * np.multiply.reduce(xt, axis=1),)
             law = _merge(sums.ravel(), *(np.multiply.outer(m, w).ravel()
                                          for m, w in zip(law[1:], masses)))
         return law
@@ -427,7 +426,8 @@ class JointModel:
         if bad.any():
             part = next(part for w, part in self._parts() if w > 0.0)
             j = min(part._reads[i][0] for i in np.flatnonzero(bad).tolist())
-            variables, atoms = part._factor_atoms(j)
+            variables, cols = part._factor_reads(j)
+            atoms = part._fvals[j].take(cols, axis=1)
             xt = _unit_image(atoms, a[variables], params.b)
             row, col = np.argwhere((xt < -tol) | (xt > 1.0 + tol))[0]
             var = variables[col]
@@ -444,8 +444,8 @@ class JointModel:
         walk visits (T indexes factor j's variable list).  Each T's row
         products are its prefix's times one column of a variable-major copy
         of the factor, summed per CERTIFY_CHUNK rows and then in row order."""
-        variables, atoms = self._factor_atoms(j)
-        columns = np.ascontiguousarray(atoms.T)
+        variables, cols = self._factor_reads(j)
+        columns = self._fvals[j].T.take(cols, axis=0)  # C-ordered (k_j, m_j)
         probs = self._fprobs[j]
         table: dict[tuple[int, ...], float] = {}
         # Walking DEFAULT_CHUNK rows per step, not CERTIFY_CHUNK, visits each
@@ -630,8 +630,11 @@ class ExchangeableMixtureModel(JointModel):
         values, probs = _parse_atoms(atoms, "atoms")
         n = check_positive_int("n", n)
         super().__init__(n, [values] * n, [probs] * n, vmap=range(n), atom_cap=atom_cap)
+        self._shared = shared = JointModel.__new__(JointModel)  # of the arrays checked above
+        vars(shared).update(vars(self), _fvals=self._fvals[:1], _fprobs=self._fprobs[:1],
+                            _vmap=0 * self._vmap, _reads=[(0, 0)] * n,
+                            _first=self._first[:1], _counts=self._counts[:1] * n)
         self.rho = rho
-        self._shared = JointModel(n, self._fvals[:1], self._fprobs[:1], [0] * n, atom_cap)
 
     def _factor_name(self, j: int) -> str:
         return "atoms"
@@ -655,32 +658,40 @@ class ExchangeableMixtureModel(JointModel):
 
 
 class ExplicitTableModel(JointModel):
-    """Joint law given directly as a table of (vector, probability) atoms:
-    one factor whose rows are the atoms, read column i by variable i."""
+    """Joint law given directly as a table of atoms, (vector, p) pairs or {"x": vector, "p": p}
+    objects: one factor whose rows are the atoms, read column i by variable i."""
 
     kind = "explicit_table"
 
     def __init__(self, atoms: Sequence, atom_cap: int = DEFAULT_ATOM_CAP):
-        atoms = list(atoms)
+        atoms = atoms if isinstance(atoms, Sequence) else list(atoms)
         if not atoms:
             raise ValidationError("explicit_table needs at least one atom")
-        try:
-            vecs, probs = zip(*atoms)
-            table = np.asarray(vecs, dtype=np.float64)
-            probs = np.asarray(probs, dtype=np.float64)
-            clean = (table.ndim == 2 and probs.ndim == 1
-                     and np.isfinite(table).all() and np.isfinite(probs).all())
-        except (TypeError, ValueError):
+        try:  # fill both arrays in one pass, no per-atom copy (width 0 would read no entry)
+            m, n, probs = len(atoms), len(self._pair(atoms[0])[0]), np.empty(len(atoms))
+            def vector(i, entry):  # entry i's vector; stores its probability
+                x, probs[i] = (entry["x"], entry["p"]) if isinstance(entry, dict) else entry
+                if len(x) != n:  # the fill would shift every later row
+                    raise ValueError
+                return x
+            values = itertools.chain.from_iterable(map(vector, range(m), atoms))
+            table = np.fromiter(values, np.float64, count=m * n).reshape(m, n)
+            clean = n > 0 and np.isfinite(table).all() and np.isfinite(probs).all()
+        except (TypeError, ValueError, LookupError):
             clean = False
         if not clean:  # parse atom by atom, to report the first bad one
             table, probs = self._parse(atoms)
         n = table.shape[1]
         super().__init__(n, [table], [probs], vmap=range(n), atom_cap=atom_cap)
 
-    @staticmethod
-    def _parse(atoms: list) -> tuple[np.ndarray, list[float]]:
+    @classmethod
+    def _pair(cls, e):
+        return tuple(_require(e, key, cls.kind) for key in "xp") if isinstance(e, dict) else e
+
+    @classmethod
+    def _parse(cls, atoms: Sequence) -> tuple[np.ndarray, list[float]]:
         rows, probs = [], []
-        for entry in atoms:
+        for entry in list(map(cls._pair, atoms)):  # a missing key is reported first
             try:
                 vec, p = entry
                 rows.append([float(v) for v in vec])
@@ -825,9 +836,7 @@ def model_from_spec(doc: dict, atom_cap: int | None = None) -> JointModel:
         raw = params.get("support", doc.get("support"))
         if raw is None:
             raise ValidationError("explicit_table spec is missing 'support'")
-        atoms = [(_require(e, "x", kind), _require(e, "p", kind)) if isinstance(e, dict) else e
-                 for e in raw]
-        model = ExplicitTableModel(atoms, atom_cap=cap)
+        model = ExplicitTableModel(raw, atom_cap=cap)
     else:
         n = check_positive_int("n", _require(doc, "n", kind))
         if kind == "independent":

@@ -4,6 +4,7 @@ import inspect
 import itertools
 import json
 import math
+import random
 import re
 import tracemalloc
 from fractions import Fraction
@@ -636,20 +637,41 @@ class TestModelFromSpec:
             0.5 * 0.2 + 0.5 * 0.2**3, rel=1e-12
         )
 
-    def test_explicit_table_both_entry_forms(self):
-        as_dicts = {
-            "kind": "explicit_table",
-            "n": 2,
-            "params": {"support": [{"x": [0.0, 1.0], "p": 0.5}, {"x": [1.0, 0.0], "p": 0.5}]},
-        }
-        as_pairs = {
-            "kind": "explicit_table",
-            "n": 2,
-            "params": {"support": [[[0.0, 1.0], 0.5], [[1.0, 0.0], 0.5]]},
-        }
-        m1 = cb.model_from_spec(as_dicts)
-        m2 = cb.model_from_spec(as_pairs)
-        assert cb.exact_moment(m1, (0, 1)) == cb.exact_moment(m2, (0, 1)) == 0.0
+    @pytest.mark.parametrize(
+        "atoms",
+        [
+            [([0.0, 1.0], 0.5), ([1.0, 0.0], 0.5)],
+            [([1, 2], 0.25), ([0.5, 1.0], 0.5), ([1, 2], 0.25)],
+            [([0, 1, 1], 0.0), ([1.5, 2, 0], 0.5), ([2, 2, 2], 0), ([1, 1, 1], 0.5)],
+            [([1, 0, 2, 3], 0.125), ([2, 2, 2, 2], 0.875)],
+            [([3, 4], 1)],
+            [([0.25], 0.5), ([0.25], 0.0), ([-0.75], 0.25), ([0.25], 0.25)],
+        ],
+        ids=["swapped", "duplicates", "zero_rows", "ints", "one_atom", "one_column"],
+    )
+    def test_explicit_table_both_entry_forms(self, atoms):
+        # {"x", "p"} objects and [x, p] pairs from decoded JSON, and the
+        # model's own (vector, p) tuples, fill the same arrays: the rows of
+        # positive probability, as float64, in input order.
+        def decoded(support):
+            return json.loads(json.dumps({"kind": "explicit_table", "params": {"support": support}}))
+
+        models = [
+            cb.model_from_spec(decoded([{"x": x, "p": p} for x, p in atoms])),
+            cb.model_from_spec(decoded([[x, p] for x, p in atoms])),
+            cb.ExplicitTableModel(atoms),
+        ]
+        kept = [(x, p) for x, p in atoms if p > 0]
+        values = np.array([[float(v) for v in x] for x, _ in kept])
+        probs = np.array([float(p) for _, p in kept])
+        # every row product and mass is a dyadic rational, so the sum is exact
+        moment = float(sum(Fraction(p) * math.prod(Fraction(v) for v in x[:2]) for x, p in kept))
+        for model in models:
+            assert len(model._fvals) == len(model._fprobs) == 1
+            assert model._fvals[0].dtype == model._fprobs[0].dtype == np.float64
+            assert np.array_equal(model._fvals[0], values)
+            assert np.array_equal(model._fprobs[0], probs)
+            assert cb.exact_moment(model, range(min(2, model.n))) == moment
 
     @pytest.mark.parametrize(
         "doc,match",
@@ -700,6 +722,46 @@ class TestModelFromSpec:
         assert cb.model_from_spec(doc).enumerable
         assert not cb.model_from_spec(doc, atom_cap=39).enumerable
         assert cb.model_from_spec(doc, atom_cap=40).enumerable
+
+
+@pytest.fixture(scope="module")
+def decoded_table():
+    """A decoded spec of 16384 random 0/1 atoms over 12 variables, the shape
+    of the benchmark's explicit table."""
+    rng = random.Random(16384)
+    weights = [rng.randint(1, 1000) for _ in range(16384)]
+    support = [{"x": [rng.randint(0, 1) for _ in range(12)], "p": w / sum(weights)}
+               for w in weights]
+    return json.loads(json.dumps({"kind": "explicit_table", "params": {"support": support}}))
+
+
+class TestTableMemory:
+    """Peak traced allocations (NumPy reports its buffers to tracemalloc) in
+    units of the table's own bytes, its values and probabilities."""
+
+    @staticmethod
+    def _peak(call):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    def test_building_holds_only_the_table(self, decoded_table):
+        # no per-atom tuples and no second table-sized array (2.0x before)
+        model, peak = self._peak(lambda: cb.model_from_spec(decoded_table))
+        assert peak <= 1.25 * (model._fvals[0].nbytes + model._fprobs[0].nbytes)
+
+    def test_verify_chain_keeps_one_working_copy(self, decoded_table):
+        # one copy of the factor per exact routine (2.9x with two)
+        model = cb.model_from_spec(decoded_table)
+        params = cb.BoundParams(n=12, a=[0.0] * 12, b=1.0, c=[0.5] * 12, t=0.25)
+        lam = cb.optimize_lambda(cb.normalize(params)).lam
+        report, peak = self._peak(lambda: cb.verify_chain(model, params, lam))
+        assert report.explained
+        assert peak <= 2.25 * (model._fvals[0].nbytes + model._fprobs[0].nbytes)
 
 
 class TestValidation:
@@ -778,8 +840,8 @@ class TestJointModelValidation:
             cb.ExchangeableMixtureModel(3, 0.2, [(0.0, 1.1), (1.0, -0.1)])
 
     def test_mixture_atoms_are_checked_as_atoms_first(self, monkeypatch):
-        # The shared-atom table reads the same atoms and checks them again,
-        # after they were checked under their own name, which errors give.
+        # The atoms are checked once, under their own name, which errors
+        # give; the shared-atom table is made from the checked arrays.
         calls = []
         real = dist_models.check_table
 
@@ -788,10 +850,22 @@ class TestJointModelValidation:
             real(values, probs, name)
 
         monkeypatch.setattr(dist_models, "check_table", counting)
-        cb.ExchangeableMixtureModel(5, 0.3, [(0.0, 0.5), (0.5, 0.25), (1.0, 0.25)])
-        assert calls == ["atoms", "factor_table factor 0"]
+        model = cb.ExchangeableMixtureModel(30, 0.3, [(0.0, 0.5), (0.5, 0.25), (1.0, 0.25)])
+        assert calls == ["atoms"]
         cb.ExchangeableMixtureModel.bernoulli(4, 0.2, 0.3)
-        assert calls == ["atoms", "factor_table factor 0"] * 2
+        assert calls == ["atoms"] * 2
+        # the shared table holds what a checked JointModel of the atoms holds
+        built = cb.JointModel(30, model._fvals[:1], model._fprobs[:1], [0] * 30, model.atom_cap)
+        shared = vars(model._shared)
+        assert type(model._shared) is cb.JointModel and shared.keys() >= vars(built).keys()
+        for key, value in vars(built).items():
+            if key in ("_fvals", "_fprobs"):  # lists of arrays
+                assert len(value) == len(shared[key]) == 1, key
+                assert np.array_equal(value[0], shared[key][0]), key
+            elif isinstance(value, np.ndarray):
+                assert value.dtype == shared[key].dtype and np.array_equal(value, shared[key]), key
+            else:
+                assert value == shared[key], key
         with pytest.raises(cb.ValidationError, match=r"^atoms probabilities sum to 1.1"):
             cb.ExchangeableMixtureModel(3, 0.2, [(0.0, 0.5), (1.0, 0.6)])
         with pytest.raises(cb.ValidationError, match="^atoms has non-finite values"):
