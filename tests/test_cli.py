@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: reports, formats, exit codes, reproducibility."""
 
+import gc
 import io
 import json
 import math
@@ -56,6 +57,18 @@ def blas_thread_outputs(*argv):
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     return outputs
+
+
+def cli_process(*argv, code=None):
+    """``python -m chbound.cli *argv`` (or ``python -c code``) in a fresh
+    interpreter with this package's sources on the path and block-buffered
+    standard streams, so a report that is never flushed is lost."""
+    src = str(Path(chbound.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    head = ["-c", code] if code else ["-m", "chbound.cli"]
+    return subprocess.run([sys.executable, *head, *argv], env=env, capture_output=True,
+                          timeout=300, check=False)
 
 
 def run(capsys, *argv):
@@ -638,3 +651,90 @@ class TestOutputFormats:
         _, doc = run_json(capsys, "bound", "--n", "20", "--c", "0.5", "--t", "0.2")
         in_process = chernoff_bound(BoundParams.boolean(20, 0.5, 0.2))
         assert doc["result"]["bound"] == in_process
+
+
+# One job per subcommand; "{name}" stands for the path of specs[name].
+ENTRY_JOBS = {
+    "bound": ["bound", "--n", "20", "--c", "0.5", "--t", "0.2"],
+    "verify": ["verify", "--spec", "{b10}", "--c", "0.4", "--t", "0.3"],
+    "simulate": ["simulate", "--spec", "{shared10}", "--c", "0.4", "--t", "0.3",
+                 "--samples", "20000", "--seed", "3"],
+    "detect": ["detect", "--spec", "{shared10}", "--c", "0.4", "--t", "0.3",
+               "--alpha", "0.16", "--seed", "0"],
+    "sweep": ["sweep", "--n", "10", "--spec", "{b10}", "--c", "0.4", "--points", "5",
+              "--format", "csv"],
+}
+
+
+class TestProcessEntry:
+    """``python -m chbound.cli`` runs ``cli.run``: ``main`` with the cyclic
+    collector off and the heap frozen before exit.  Its reports, streams and
+    exit codes are those of ``main`` in process, which leaves ``gc`` alone."""
+
+    @pytest.mark.parametrize("command", sorted(ENTRY_JOBS))
+    def test_process_writes_the_bytes_of_main(self, specs, tmp_path, capsys, command):
+        argv = [arg.format(**specs) for arg in ENTRY_JOBS[command]]
+        in_file, in_process = tmp_path / "process.out", tmp_path / "main.out"
+        proc = cli_process(*argv, "--out", str(in_file))
+        assert proc.returncode == main([*argv, "--out", str(in_process)]) == 0, proc.stderr
+        assert in_file.read_bytes() == in_process.read_bytes()
+        proc = cli_process(*argv)  # the whole report must reach stdout before exit
+        code, out, err = run(capsys, *argv)
+        assert proc.returncode == code == 0 and proc.stderr == err.encode() == b""
+        assert proc.stdout == out.encode() == in_process.read_bytes()
+
+    @pytest.mark.parametrize("spec,argv,exit_code", [
+        ("{not json", ["verify", "--c", "0.5", "--t", "0.25"], 2),
+        ('{"kind": "boolean_iid", "n": 10, "params": {"p": 0.4}}',
+         ["detect", "--c", "0.4", "--t", "0.3", "--alpha", "0.16", "--seed", "0"], 3),
+        ('{"kind": "boolean_iid", "n": 25, "params": {"p": 0.5}}',
+         ["verify", "--c", "0.5", "--t", "0.2"], 4),
+    ])
+    def test_exit_codes_match_main(self, tmp_path, capsys, spec, argv, exit_code):
+        path = tmp_path / "spec.json"
+        path.write_text(spec)
+        argv = [*argv, "--spec", str(path)]
+        proc = cli_process(*argv)
+        code, out, err = run(capsys, *argv)
+        assert proc.returncode == code == exit_code
+        assert (proc.stdout, proc.stderr) == (out.encode(), err.encode())
+        if exit_code == 3:
+            assert json.loads(out)["result"]["verdict"] == "not_found"
+        else:
+            assert not out and err.startswith("error: ")
+
+    def test_main_and_import_leave_the_collector_alone(self, specs, tmp_path):
+        state = gc.isenabled(), gc.get_freeze_count()
+        for command in ("bound", "simulate"):
+            argv = [arg.format(**specs) for arg in ENTRY_JOBS[command]]
+            assert main([*argv, "--out", str(tmp_path / "report.json")]) == 0
+            assert (gc.isenabled(), gc.get_freeze_count()) == state
+        proc = cli_process(code="import gc; before = gc.isenabled(), gc.get_freeze_count(); "
+                                "import chbound.cli; "
+                                "print(*before, gc.isenabled(), gc.get_freeze_count())")
+        assert proc.stdout.split() == [b"True", b"0", b"True", b"0"], proc.stderr
+
+    @pytest.mark.parametrize("command,sizes", [
+        (["simulate", "--spec", "{shared10}", "--c", "0.4", "--t", "0.3",
+          "--block-size", "1000", "--samples"], ("20000", "200000")),
+        (["detect", "--spec", "{b20}", "--c", "0.5", "--t", "0.25", "--alpha", "0.1",
+          "--block-size", "1000", "--m-search"], ("2000", "20000")),
+    ])
+    def test_cyclic_garbage_does_not_grow_with_the_run(self, specs, tmp_path, command, sizes):
+        # ``run`` leaves the collector off for the whole process: safe only
+        # while a run's cyclic garbage is a fixed amount, whatever its size.
+        argv = [arg.format(**specs) for arg in command]
+        out = str(tmp_path / "report.json")
+
+        def garbage(size):
+            gc.collect()
+            gc.disable()
+            try:
+                assert main([*argv, size, "--out", out]) in (0, 3)
+                return gc.collect()
+            finally:
+                gc.enable()
+
+        garbage(sizes[0])  # the first run imports the layers it calls
+        small, large = (garbage(size) for size in sizes)
+        assert small == large <= 2000

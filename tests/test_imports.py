@@ -15,9 +15,9 @@ import chbound
 from chbound.cli import build_parser
 
 # numpy.ma is about a megabyte of peak RSS: plain ``np.unique(x)`` imports it
-# (NumPy 2.x), the forms that return indices do not.
+# (NumPy 2.x), the forms that return indices do not.  Only a CSV report needs csv.
 HEAVY = ("numpy", "numpy.random", "numpy.ma", "chbound.dist_models", "chbound.mc_engine",
-         "chbound.witness", "concurrent.futures")
+         "chbound.witness", "concurrent.futures", "csv")
 
 # Run ``python -m chbound.cli`` in this process, then list which of HEAVY it loaded.
 CHILD = """
