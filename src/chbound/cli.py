@@ -107,17 +107,6 @@ def _resolve_lambda(args, params: BoundParams) -> float:
     return 0.5
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    np = sys.modules.get("numpy")  # no NumPy scalar exists before NumPy loads
-    if np is not None and isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj
-
-
 def _flatten(obj, prefix: str = ""):
     if isinstance(obj, dict):
         out = []
@@ -136,7 +125,6 @@ def _csv_cell(value) -> str:
 
 
 def _render(report: dict, fmt: str) -> str:
-    report = _jsonify(report)
     if fmt == "json":
         return json.dumps(report, indent=2, sort_keys=True) + "\n"
     import csv  # only a CSV report needs it
@@ -397,12 +385,12 @@ def _add_common(sub, seed: bool = False, exact: bool = False) -> None:
                          default=DEFAULT_BLOCK_SIZE)
 
 
-def _add_bound_flags(sub, need_n: bool) -> None:
+def _add_bound_flags(sub, need_n: bool, need_t: bool = True) -> None:
     sub.add_argument("--n", type=int, default=None, required=need_n)
     sub.add_argument("--a", default="0", help="a_i, single value or comma list")
     sub.add_argument("--b", type=float, default=1.0)
     sub.add_argument("--c", required=True, help="c_i, single value or comma list")
-    sub.add_argument("--t", type=float, required=True)
+    sub.add_argument("--t", type=float, required=need_t)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -455,11 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("sweep", help="tabulate bound quantities over a grid")
     p.add_argument("--over", choices=("t", "lambda"), default="t")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a", default="0")
-    p.add_argument("--b", type=float, default=1.0)
-    p.add_argument("--c", required=True)
-    p.add_argument("--t", type=float, default=None, help="fixed t for --over lambda")
+    _add_bound_flags(p, need_n=True, need_t=False)
     p.add_argument("--t-min", dest="t_min", type=float, default=0.0)
     p.add_argument("--t-max", dest="t_max", type=float, default=None)
     p.add_argument("--lambda-max", dest="lambda_max", type=float,

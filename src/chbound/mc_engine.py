@@ -14,13 +14,13 @@ that row weight, which the exact routines sum over the folded law of the sum.
 The witness integrates out Y alone (E[prod_{i in I} Y_i | X, I] =
 prod_{i in I} Xtilde_i); only ``draw_round``, which returns Y, draws it.
 
-The round kernel ``_chunks`` works in one variable-major (n, rows) float64
-workspace per call, reused for every chunk of every block: the model's
-``_draw`` fills it (the 0/1 models from byte-sized coins,
-``dist_models._coins``), and a second one holds xtilde unless that is x.
-The kernel checks no range: each sampler (``estimate_product``,
-``draw_round`` and the witness) checks the model once per call, before any
-draw.
+Each sampler (``estimate_product``, ``draw_round`` and the witness) sets
+up the round kernel once per call with ``_kernel``, which range-checks the
+model before any draw and decides once whether xtilde is x.  Its chunks
+come from one variable-major (n, rows) float64 workspace per call, reused
+for every chunk of every block: the model's ``_draw`` fills it (the 0/1
+models from byte-sized coins, ``dist_models._coins``), and a second one
+holds xtilde unless that is x.
 ``estimate_product`` forms the weight (lam xtilde + 1) - lam in place, and
 ``np.multiply.reduce`` over axis 0 folds each column.  That fold multiplies
 variables 0..n-1 left to right, as ``np.prod`` along a C-ordered row does,
@@ -36,7 +36,7 @@ row's weight, 1.0 - lam multiplied in once per zero, left to right, is read
 from a table by the count of ones ``_ones`` takes from ``_draw``'s coins.
 
 Reproducibility contract: every sampler draws its rows through the one
-round kernel ``_chunks`` (or its count kernel) and schedules its blocks
+round kernel ``_kernel`` (or its count kernel) and schedules its blocks
 through the one block scheduler ``_run_blocks``; means and standard errors
 merge per-block results in ``_mean_and_se``.  Samplers are seeded by an
 integer, rounds are partitioned into fixed-size blocks, and block b uses the
@@ -125,39 +125,37 @@ def _chunk_rows(n: int, m: int) -> int:
     return min(m, max(1, ESTIMATE_CHUNK // n))
 
 
-def _rooms(model: JointModel, params: BoundParams, m: int, clip: bool) -> list[np.ndarray]:
-    """The workspaces, a chunk each, ``_chunks`` draws blocks of up to m rows
-    into: x's, and xtilde's unless xtilde is x.  One call's blocks share them."""
-    image = clip or params.b != 1.0 or any(params.a)
-    return [np.empty(model.n * _chunk_rows(model.n, m)) for _ in range(1 + image)]
+def _kernel(model: JointModel, params: BoundParams, m: int) -> tuple[bool, Callable[..., Iterator]]:
+    """The round kernel of one call, for blocks of up to m rows: (same, chunks).
 
-
-def _chunks(
-    model: JointModel, params: BoundParams, rng: np.random.Generator, m: int, clip: bool,
-    rooms: list[np.ndarray],
-) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
-    """The round kernel: m rows from one generator, a chunk at a time, as
-    (the chunk's slice of the m rows, x, xtilde), both variable-major.
-
-    xtilde is (x - a_i) / b, clipped to [0, 1] if ``clip`` (from
-    ``JointModel._check_range``).  ``_draw`` fills ``rooms`` (from ``_rooms``,
-    for blocks of at least m rows), so each chunk (and xtilde, x itself under
-    the unclipped identity map) lives only until the next, and the consumer
-    may overwrite it; the consumer's draws in between follow the chunk's.  A
-    chunk holds ``_chunk_rows`` rows, however large the rooms.
+    It range-checks the model once (``JointModel._check_range``), before any
+    draw.  ``same`` says xtilde is x itself: nothing clipped, b = 1 and every
+    a_i = 0.  ``chunks(rng, m)`` yields m rows from one generator, a chunk of
+    ``_chunk_rows`` rows at a time, as (the chunk's slice of the m rows, x,
+    xtilde), both variable-major; xtilde is (x - a_i) / b, clipped to [0, 1]
+    if the check asks.  ``_draw`` fills workspaces that the first ``chunks``
+    allocates and every block of the call reuses: x's, and xtilde's unless
+    ``same``.  So each chunk lives only until the next, and the consumer may
+    overwrite it; the consumer's draws in between follow the chunk's.
     """
-    n = model.n
-    work, *image = rooms
-    rows = _chunk_rows(n, m)
-    a = np.asarray(params.a)[:, None] if image else None
-    for start in range(0, m, rows):
-        stop = min(start + rows, m)
-        x = work[: n * (stop - start)].reshape(n, -1)
-        model._draw(rng, x)
-        xt = image[0][: x.size].reshape(x.shape) if image else x
-        if image:
-            _unit_image(x, a, params.b, clip, out=xt)
-        yield slice(start, stop), x, xt
+    clip = model._check_range(params)
+    same = not clip and params.b == 1.0 and not any(params.a)
+    n, room, rooms = model.n, model.n * _chunk_rows(model.n, m), []
+    a = np.asarray(params.a)[:, None]
+
+    def chunks(rng: np.random.Generator, m: int) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+        if not rooms:
+            rooms.extend(np.empty(room) for _ in range(2 - same))
+        rows = _chunk_rows(n, m)
+        for start in range(0, m, rows):
+            stop = min(start + rows, m)
+            x = rooms[0][: n * (stop - start)].reshape(n, -1)
+            model._draw(rng, x)
+            xt = x if same else _unit_image(x, a, params.b, clip,
+                                            out=rooms[1][: x.size].reshape(x.shape))
+            yield slice(start, stop), x, xt
+
+    return same, chunks
 
 
 def _mean_and_se(blocks: Iterable[np.ndarray], limit: int) -> tuple[int, float, float]:
@@ -218,8 +216,7 @@ def draw_round(
     (the empty product is 1).
     """
     lam = _check_round_args(model, params, lam)
-    clip = model._check_range(params)
-    ((_, x, xt),) = _chunks(model, params, rng, 1, clip, _rooms(model, params, 1, clip))
+    ((_, x, xt),) = _kernel(model, params, 1)[1](rng, 1)
     y = rng.random(xt.shape) < xt
     member = rng.random(xt.shape) < lam
     return SamplingRound(
@@ -265,20 +262,18 @@ def estimate_product(
         check_positive_int("max_proposals", max_proposals)
         total = max(1, math.ceil(max_proposals / block_size)) * block_size
     cutoff = tail_cutoff(params.threshold)
-    clip = model._check_range(params)
-    counted = (hasattr(model, "_ones") and not clip and params.b == 1.0 and not any(params.a)
-               and (lam * 1.0 + 1.0) - lam == 1.0)
+    same, chunks = _kernel(model, params, min(block_size, total))
+    counted = hasattr(model, "_ones") and same and (lam * 1.0 + 1.0) - lam == 1.0
     by_ones = np.multiply.accumulate([1.0] + [(lam * 0.0 + 1.0) - lam] * model.n)[::-1]
-    rooms = None if counted else _rooms(model, params, min(block_size, total), clip)
 
     def block(rng: np.random.Generator, m: int) -> np.ndarray:
-        if counted:  # the count kernel, in the chunk shapes of _chunks
+        if counted:  # the count kernel, in the chunk shapes of _kernel
             step = _chunk_rows(model.n, m)
             ones = np.concatenate([model._ones(rng, min(step, m - s)) for s in range(0, m, step)])
             return by_ones[ones[ones >= cutoff] if conditional else ones]
         weights = np.empty(m)
         kept = 0
-        for _, x, xt in _chunks(model, params, rng, m, clip, rooms):
+        for _, x, xt in chunks(rng, m):
             if conditional:
                 # variables added left to right (NumPy sums a lone column pairwise)
                 sums = np.add.reduce(x, axis=0) if x.shape[1] > 1 else np.cumsum(x)[-1:]

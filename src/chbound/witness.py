@@ -47,9 +47,9 @@ from .mc_engine import (
     DEFAULT_BLOCK_SIZE,
     WITNESS_CONFIRM_TAG,
     WITNESS_SEARCH_TAG,
-    _chunks,
+    _chunk_rows,
+    _kernel,
     _mean_and_se,
-    _rooms,
     _run_blocks,
 )
 
@@ -318,13 +318,10 @@ def find_dependent_set(
                         ("min_rounds_per_subset", min_rounds_per_subset)):
         check_positive_int(name, value)
     n = model.n
-    identity = BoundParams.boolean(n, 1.0, 0.0)
-    clip = model._check_range(identity)
-
     # Buffers for one block, shared by every block of both phases.
     block = min(block_size, max(wp.m_search, wp.m_confirm))
-    rooms = _rooms(model, identity, block, clip)
-    rows = len(rooms[0]) // n  # per chunk
+    _, chunks = _kernel(model, BoundParams.boolean(n, 1.0, 0.0), block)
+    rows = _chunk_rows(n, block)  # per chunk
     uniforms = np.empty((rows, n))
     bits = np.zeros((rows, -(-n // 64) * 64), dtype=bool)  # the padding stays False
     outside = np.empty((n, rows), dtype=bool)
@@ -338,7 +335,7 @@ def find_dependent_set(
         # xtilde (up to the sign of a zero, which sums that start at +0.0
         # never show), and the plain product keeps the bits of the product
         # over the members alone, since 1.0 x = x.
-        for part, _, xt in _chunks(model, identity, rng, m, clip, rooms):
+        for part, _, xt in chunks(rng, m):
             r = xt.shape[1]
             np.less(rng.random(out=uniforms[:r]), wp.lam, out=bits[:r, :n])
             _pack(bits[:r], keys[:, part])
@@ -369,7 +366,7 @@ def find_dependent_set(
     def confirm_weights(rng: np.random.Generator, m: int) -> np.ndarray:
         # The product over the chosen rows alone, left to right, gathered
         # into the search's uniforms buffer.
-        for part, _, xt in _chunks(model, identity, rng, m, clip, rooms):
+        for part, _, xt in chunks(rng, m):
             picked = uniforms.reshape(-1)[: chosen.size * xt.shape[1]].reshape(chosen.size, -1)
             np.multiply.reduce(xt.take(chosen, axis=0, out=picked), axis=0, out=weights[part])
         return weights[:m]

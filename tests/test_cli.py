@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import chbound
-from chbound.cli import main
+from chbound.cli import build_parser, main
 from chbound.entropy_core import BoundParams, chernoff_bound, kl_div
 from conftest import distinct_sums_model
 
@@ -44,31 +44,32 @@ def specs(tmp_path_factory):
     return paths
 
 
-def blas_thread_outputs(*argv):
-    """Standard output of ``python -m chbound.cli *argv`` at
-    OPENBLAS_NUM_THREADS 1 and 2; each run must exit 0."""
-    src = str(Path(chbound.__file__).resolve().parents[1])
-    outputs = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-m", "chbound.cli", *argv],
-                              env=env, capture_output=True, timeout=300, check=False)
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(proc.stdout)
-    return outputs
-
-
-def cli_process(*argv, code=None):
+def cli_process(*argv, code=None, threads=None):
     """``python -m chbound.cli *argv`` (or ``python -c code``) in a fresh
-    interpreter with this package's sources on the path and block-buffered
-    standard streams, so a report that is never flushed is lost."""
+    interpreter with this package's sources on the path, OPENBLAS_NUM_THREADS
+    at ``threads`` if given, and block-buffered standard streams, so a report
+    that is never flushed is lost."""
     src = str(Path(chbound.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
     head = ["-c", code] if code else ["-m", "chbound.cli"]
     return subprocess.run([sys.executable, *head, *argv], env=env, capture_output=True,
                           timeout=300, check=False)
+
+
+def blas_thread_outputs(*argv, workers=(), codes=(0,)):
+    """Standard output of ``python -m chbound.cli *argv`` at
+    OPENBLAS_NUM_THREADS 1 and 2, each also at every ``--workers`` value in
+    ``workers``; each run must exit with one of ``codes`` and print a report."""
+    outputs = []
+    for threads in ("1", "2"):
+        for extra in [["--workers", w] for w in workers] or [[]]:
+            proc = cli_process(*argv, *extra, threads=threads)
+            assert proc.returncode in codes and proc.stdout, proc.stderr
+            outputs.append(proc.stdout)
+    return outputs
 
 
 def run(capsys, *argv):
@@ -131,6 +132,8 @@ class TestBound:
         assert code == 2
         code, _, _ = run(capsys, "bound", "--n", "4", "--c", "0.5", "--t", "-0.1")
         assert code == 2
+        code, out, err = run(capsys, "bound", "--n", "4", "--c", "abc", "--t", "0.1")
+        assert code == 2 and not out and "--c must be a number or comma list" in err
 
     def test_missing_required_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -241,18 +244,7 @@ class TestVerify:
         support = [{"x": x, "p": p} for x, p in zip(values.tolist(), weights / weights.sum())]
         spec = tmp_path / "table.json"
         spec.write_text(json.dumps({"kind": "explicit_table", "params": {"support": support}}))
-        src = str(Path(chbound.__file__).resolve().parents[1])
-        outputs = []
-        for threads in ("1", "2"):
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            proc = subprocess.run(
-                [sys.executable, "-m", "chbound.cli", "verify", "--spec", str(spec),
-                 "--c", "0.3", "--t", "0.2"],
-                env=env, capture_output=True, timeout=300, check=False,
-            )
-            assert proc.returncode == 0, proc.stderr
-            outputs.append(proc.stdout)
+        outputs = blas_thread_outputs("verify", "--spec", str(spec), "--c", "0.3", "--t", "0.2")
         assert json.loads(outputs[0])["result"]["certificates_failing"]
         assert outputs[0] == outputs[1]
 
@@ -351,20 +343,8 @@ class TestSimulate:
         support = [{"x": x, "p": p} for x, p in zip(values.tolist(), weights / weights.sum())]
         spec = tmp_path / "table.json"
         spec.write_text(json.dumps({"kind": "explicit_table", "params": {"support": support}}))
-        src = str(Path(chbound.__file__).resolve().parents[1])
-        outputs = []
-        for threads in ("1", "2"):
-            for workers in ("1", "2"):
-                env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
-                env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-                proc = subprocess.run(
-                    [sys.executable, "-m", "chbound.cli", "simulate", "--spec", str(spec),
-                     "--c", "0.3", "--t", "0.2", "--samples", "100000", "--seed", "5",
-                     "--workers", workers],
-                    env=env, capture_output=True, timeout=300, check=False,
-                )
-                assert proc.returncode == 0, proc.stderr
-                outputs.append(proc.stdout)
+        outputs = blas_thread_outputs("simulate", "--spec", str(spec), "--c", "0.3", "--t", "0.2",
+                                      "--samples", "100000", "--seed", "5", workers=("1", "2"))
         assert json.loads(outputs[0])["result"]["exact"] is not None
         assert outputs.count(outputs[0]) == 4
 
@@ -375,20 +355,9 @@ class TestSimulate:
         spec = tmp_path / "planted50.json"
         spec.write_text(json.dumps({"kind": "planted_clique", "n": 50,
                                     "params": {"p": 0.5, "k": 5}}))
-        src = str(Path(chbound.__file__).resolve().parents[1])
-        outputs = []
-        for threads in ("1", "2"):
-            for workers in ("1", "2"):
-                env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
-                env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-                proc = subprocess.run(
-                    [sys.executable, "-m", "chbound.cli", "simulate", "--spec", str(spec),
-                     "--c", "0.5", "--t", "0.1", "--samples", "30000", "--seed", "5",
-                     "--workers", workers, *mode],
-                    env=env, capture_output=True, timeout=300, check=False,
-                )
-                assert proc.returncode == 0, proc.stderr
-                outputs.append(proc.stdout)
+        outputs = blas_thread_outputs("simulate", "--spec", str(spec), "--c", "0.5", "--t", "0.1",
+                                      "--samples", "30000", "--seed", "5", *mode,
+                                      workers=("1", "2"))
         assert json.loads(outputs[0])["result"]["conditional_on_tail"] == bool(mode)
         assert outputs.count(outputs[0]) == 4
 
@@ -397,20 +366,9 @@ class TestSimulate:
         # ones, in several blocks: neither BLAS threading nor --workers may move it.
         spec = tmp_path / "boolean20.json"
         spec.write_text(json.dumps({"kind": "boolean_iid", "n": 20, "params": {"p": 0.5}}))
-        src = str(Path(chbound.__file__).resolve().parents[1])
-        outputs = []
-        for threads in ("1", "2"):
-            for workers in ("1", "2"):
-                env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
-                env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-                proc = subprocess.run(
-                    [sys.executable, "-m", "chbound.cli", "simulate", "--spec", str(spec),
-                     "--c", "0.5", "--t", "0.15", "--samples", "5000", "--seed", "5",
-                     "--block-size", "4096", "--conditional", "--workers", workers],
-                    env=env, capture_output=True, timeout=300, check=False,
-                )
-                assert proc.returncode == 0, proc.stderr
-                outputs.append(proc.stdout)
+        outputs = blas_thread_outputs("simulate", "--spec", str(spec), "--c", "0.5", "--t", "0.15",
+                                      "--samples", "5000", "--seed", "5", "--block-size", "4096",
+                                      "--conditional", workers=("1", "2"))
         assert json.loads(outputs[0])["result"]["conditional_on_tail"]
         assert outputs.count(outputs[0]) == 4
 
@@ -454,17 +412,13 @@ class TestDetect:
         spec = tmp_path / "planted.json"
         spec.write_text(json.dumps({"kind": "planted_clique", "n": 10,
                                     "params": {"p": 0.5, "indices": [1, 4, 8]}}))
-        src = Path(chbound.__file__).resolve().parents[1]
-        env = {**os.environ}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "chbound.cli", "detect", "--spec", str(spec),
-             "--c", "0.5", "--t", "0.2", "--alpha", "0.01", "--m-search", "20000"],
-            env=env, capture_output=True, text=True, timeout=300, check=False,
-        )
-        assert proc.returncode in (0, 3), proc.stderr
-        lines = [line for line in proc.stderr.splitlines() if "UserWarning" in line]
-        assert len(lines) == 1, proc.stderr
+        proc = cli_process("detect", "--spec", str(spec), "--c", "0.5", "--t", "0.2",
+                           "--alpha", "0.01", "--m-search", "20000")
+        stderr = proc.stderr.decode()
+        assert proc.returncode in (0, 3), stderr
+        assert json.loads(proc.stdout)["command"] == "detect"
+        lines = [line for line in stderr.splitlines() if "UserWarning" in line]
+        assert len(lines) == 1, stderr
         assert "below the certified tail bound" in lines[0]
         location = Path(lines[0].split(":", 1)[0]).resolve()
         assert location.parent == Path(chbound.__file__).resolve().parent, lines[0]
@@ -494,20 +448,9 @@ class TestDetect:
         support = [{"x": x, "p": p} for x, p in zip(values.tolist(), weights / weights.sum())]
         spec = tmp_path / "table.json"
         spec.write_text(json.dumps({"kind": "explicit_table", "params": {"support": support}}))
-        src = str(Path(chbound.__file__).resolve().parents[1])
-        outputs = []
-        for threads in ("1", "2"):
-            for workers in ("1", "2"):
-                env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
-                env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-                proc = subprocess.run(
-                    [sys.executable, "-m", "chbound.cli", "detect", "--spec", str(spec),
-                     "--c", "0.4", "--t", "0.3", "--alpha", "0.16", "--seed", "5",
-                     "--workers", workers],
-                    env=env, capture_output=True, timeout=300, check=False,
-                )
-                assert proc.returncode in (0, 3), proc.stderr
-                outputs.append(proc.stdout)
+        outputs = blas_thread_outputs("detect", "--spec", str(spec), "--c", "0.4", "--t", "0.3",
+                                      "--alpha", "0.16", "--seed", "5", workers=("1", "2"),
+                                      codes=(0, 3))
         assert json.loads(outputs[0])["result"]["candidates"] > 0
         assert outputs.count(outputs[0]) == 4
 
@@ -611,6 +554,12 @@ class TestSweep:
             capsys, "sweep", "--n", "4", "--c", "0.5", "--t-min", "0.4", "--t-max", "0.2"
         )
         assert code == 2
+        code, _, err = run(capsys, "sweep", "--over", "lambda", "--n", "4", "--c", "0.5",
+                           "--t", "0.5")
+        assert code == 2 and "needs interior parameters" in err
+        code, _, err = run(capsys, "sweep", "--over", "lambda", "--n", "4", "--c", "0.5",
+                           "--t", "0.1", "--lambda-max", "1.0")
+        assert code == 2 and "--lambda-max must lie in (0, 1)" in err
 
 
 class TestOutputFormats:
@@ -651,6 +600,34 @@ class TestOutputFormats:
         _, doc = run_json(capsys, "bound", "--n", "20", "--c", "0.5", "--t", "0.2")
         in_process = chernoff_bound(BoundParams.boolean(20, 0.5, 0.2))
         assert doc["result"]["bound"] == in_process
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--n", "20", "--c", "0.5", "--t", "0.2"],
+        ["bound", "--n", "4", "--c", "0.5", "--t", "0.5"],
+        ["verify", "--spec", "{b10}", "--c", "0.4", "--t", "0.3"],
+        ["verify", "--spec", "{shared10}", "--c", "0.4", "--t", "0.3", "--max-subset-size", "2"],
+        ["simulate", "--spec", "{shared10}", "--c", "0.4", "--t", "0.3", "--samples", "2000"],
+        ["simulate", "--spec", "{table}", "--c", "0.4", "--t", "0.1", "--samples", "2000",
+         "--conditional", "--atom-cap", "1"],
+        ["detect", "--spec", "{shared10}", "--c", "0.4", "--t", "0.3", "--alpha", "0.16"],
+        ["detect", "--spec", "{b10}", "--c", "0.4", "--t", "0.3", "--alpha", "0.16"],
+        ["sweep", "--n", "10", "--spec", "{b10}", "--c", "0.4", "--points", "5"],
+        ["sweep", "--over", "lambda", "--n", "10", "--c", "0.4", "--t", "0.3", "--points", "5"],
+    ], ids=["bound", "bound_boundary", "verify", "verify_failing", "simulate",
+            "simulate_conditional_no_exact", "detect_found", "detect_not_found", "sweep_t",
+            "sweep_lambda"])
+    def test_reports_hold_builtin_types_only(self, specs, argv):
+        # The report goes to json.dumps or the CSV flattener as it is built:
+        # every node must be a builtin of exact type, every key a str.
+        args = build_parser().parse_args([arg.format(**specs) for arg in argv])
+        report, _ = args.handler(args)
+        nodes = [report]
+        for node in nodes:
+            assert type(node) in (dict, list, str, int, float, bool, type(None)), (node, argv)
+            if type(node) is dict:
+                assert all(type(key) is str for key in node), (node, argv)
+            nodes.extend(node.values() if type(node) is dict else
+                         node if type(node) is list else ())
 
 
 # One job per subcommand; "{name}" stands for the path of specs[name].

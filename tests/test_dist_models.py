@@ -144,6 +144,8 @@ class TestExactTail:
         assert cb.exact_tail(model, 2.0 * (1 + 1e-13)) == pytest.approx(11 / 16, rel=1e-12)
         assert cb.exact_tail(model, 2.0 + 1e-9) == pytest.approx(5 / 16, rel=1e-12)
         assert cb.exact_tail(model, 2.0 - 1e-9) == pytest.approx(11 / 16, rel=1e-12)
+        with pytest.raises(cb.ValidationError, match="threshold must be finite"):
+            cb.exact_tail(model, math.nan)
 
     def test_extremes(self):
         model = cb.BooleanIIDModel(3, 0.25)
@@ -636,6 +638,11 @@ class TestModelFromSpec:
         assert cb.exact_moment(model, (0, 1, 2)) == pytest.approx(
             0.5 * 0.2 + 0.5 * 0.2**3, rel=1e-12
         )
+        # the same coin given as its atoms
+        doc["params"] = {"rho": 0.5, "atoms": [[0.0, 0.8], [1.0, 0.2]]}
+        shorthand = cb.ExchangeableMixtureModel.bernoulli(3, 0.5, 0.2).sum_support()
+        for got, want in zip(cb.model_from_spec(doc).sum_support(), shorthand):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize(
         "atoms",
@@ -702,6 +709,13 @@ class TestModelFromSpec:
             ),
             ({"kind": "explicit_table", "params": {"support": [5]}}, "pairs"),
             ({"kind": "explicit_table", "params": {"support": [{"x": [None], "p": 1.0}]}}, "pairs"),
+            ([{"kind": "boolean_iid"}], "model spec must be an object, got list"),
+            ({"kind": "boolean_iid", "n": 2, "params": [0.5]}, "'params' must be an object"),
+            ({"kind": "explicit_table", "params": {}}, "missing 'support'"),
+            (
+                json.loads('{"kind": "explicit_table", "params": {"support": [[[Infinity], 1]]}}'),
+                "explicit_table factor 0 has non-finite values",
+            ),
         ],
     )
     def test_rejects_malformed_docs(self, doc, match):

@@ -447,18 +447,18 @@ class TestChunkKernel:
 
 def _float_kernel_estimate(model, params, lam, n_samples, *, conditional, seed, block_size,
                            max_proposals):
-    """estimate_product through the float kernel alone: the rows of _chunks,
+    """estimate_product through the float kernel alone: the rows of _kernel,
     tail sums added left to right, and _row_weights.  None when the proposal
     budget runs out."""
     total = n_samples
     if conditional:
         total = max(1, math.ceil(max_proposals / block_size)) * block_size
     cutoff = tail_cutoff(params.threshold)
+    _, chunks = mc_engine._kernel(model, params, min(block_size, total))
 
     def block(rng, m):
         kept = []
-        rooms = mc_engine._rooms(model, params, m, False)
-        for _, x, xt in mc_engine._chunks(model, params, rng, m, False, rooms):
+        for _, x, xt in chunks(rng, m):
             w = _row_weights(xt.T, lam)
             kept.append(w[np.cumsum(x.T, axis=1)[:, -1] >= cutoff] if conditional else w)
         return np.concatenate(kept)
