@@ -30,10 +30,12 @@ products, so exact results are bit-reproducible.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import numbers
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -46,6 +48,8 @@ DEFAULT_CHUNK = 1 << 16
 # A factor's row products are summed over slices of CERTIFY_CHUNK rows, and
 # the slice sums added in row order; the walk holds DEFAULT_CHUNK rows at a time.
 CERTIFY_CHUNK = 1 << 12
+# Explicit-table entries held in memory are packed this many at a time.
+PACK_BLOCK = 1 << 10
 
 MODEL_KINDS = (
     "independent",
@@ -157,15 +161,79 @@ def check_table(values: np.ndarray, probs: np.ndarray, name: str) -> None:
 
 def _parse_atoms(atoms, name: str) -> tuple[np.ndarray, np.ndarray]:
     """Values and probabilities of one discrete marginal given as (value,
-    probability) pairs; ``JointModel`` checks the table they form."""
+    probability) pairs of numbers (``array('d')`` takes what ``float()``
+    takes, except text); ``JointModel`` checks the table they form."""
+    values, probs = array("d"), array("d")
     try:
-        pairs = [(float(v), float(p)) for v, p in atoms]
-    except (TypeError, ValueError) as exc:
+        for v, p in atoms:
+            values.append(v)
+            probs.append(p)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{name} must be a list of [value, prob] pairs") from exc
-    if not pairs:
+    if not probs:
         raise ValidationError(f"{name} must contain at least one atom")
-    values, probs = np.array(pairs, dtype=np.float64).T.copy()
-    return values, probs
+    return np.frombuffer(values), np.frombuffer(probs)
+
+
+class _Packer:
+    """An explicit table packed as its atoms come: one growing float64
+    buffer of their vectors, row after row, and one of their probabilities,
+    which ``ExplicitTableModel`` takes as its arrays without a second fill.
+
+    It is fed entries in memory (``pack``) or by the JSON decoder (``hook``).
+    An atom fits if its vector holds numbers, as many as the first atom's,
+    and its probability is a number.  ``array('d')`` takes what ``float()``
+    takes, except text, so a JSON string is no number.
+    """
+
+    def __init__(self):
+        self.values, self.probs, self.width = array("d"), array("d"), None
+
+    def add(self, x, p) -> bool:
+        """Append the atom (x, p) if it fits; otherwise append nothing and return False."""
+        values = self.values
+        start = len(values)
+        try:
+            if isinstance(x, list):
+                values.fromlist(x)  # twice as fast as ``extend``, for lists only
+            else:
+                values.extend(x)
+            if len(values) - start == self.width:
+                self.probs.append(p)
+                return True
+            if self.width is None:  # the first atom sets the width
+                self.probs.append(p)
+                self.width = len(values) - start
+                return True
+        except (TypeError, ValueError, OverflowError):
+            pass
+        del values[start:]
+        return False
+
+    def pack(self, entries: Iterable) -> bool:
+        """Append every entry, a {"x", "p"} object or an (x, p) pair; False
+        at the first that does not fit."""
+        add = self.add
+        for e in entries:
+            try:
+                x, p = (e["x"], e["p"]) if isinstance(e, dict) else e
+            except (TypeError, ValueError, KeyError):  # no pair, or a missing key
+                return False
+            if not add(x, p):
+                return False
+        return True
+
+    def hook(self, pairs: list[tuple[str, object]]) -> object:
+        """``json.loads``' object_pairs_hook: an object of the two keys "x" and
+        "p", in either order, whose atom fits is packed and decodes to this
+        packer; any other object decodes to its dict, as without the hook."""
+        if len(pairs) == 2:
+            (k, x), (k2, p) = pairs
+            if k == "p":
+                k, x, k2, p = k2, p, k, x
+            if k == "x" and k2 == "p" and self.add(x, p):
+                return self
+        return dict(pairs)
 
 
 def _unit_image(x: np.ndarray, a, b: float, clip: bool = False,
@@ -437,6 +505,26 @@ class JointModel:
             )
         return bool(lo.min() < 0.0 or hi.max() > 1.0)
 
+    def _max_sum(self) -> tuple[float, float]:
+        """The largest atom sum the model can draw, and a bound on how far
+        rounding may move any atom's sum, in any order of addition.
+
+        The sum is, per part of positive weight, each factor's largest row
+        sum over its readers, added over the factors; the largest over the
+        parts.  The bound is n 2^-50 times the sum of the variables' largest
+        magnitudes, over the rounding of that sum and of any other."""
+        largest = -math.inf
+        for w, part in self._parts():
+            if w > 0.0:
+                total = 0.0
+                for j, values in enumerate(part._fvals):
+                    sums = np.zeros(len(values))
+                    for c in part._factor_reads(j)[1].tolist():
+                        sums += values[:, c]
+                    total += float(sums.max())
+                largest = max(largest, total)
+        return largest, self._n * 2.0**-50 * float(np.maximum(-self._lo, self._hi).sum())
+
     def _factor_moments(
         self, j: int, max_size: int, chain: tuple[int, ...] | None
     ) -> dict[tuple[int, ...], float]:
@@ -667,43 +755,49 @@ class ExplicitTableModel(JointModel):
         atoms = atoms if isinstance(atoms, Sequence) else list(atoms)
         if not atoms:
             raise ValidationError("explicit_table needs at least one atom")
-        try:  # fill both arrays in one pass, no per-atom copy (width 0 would read no entry)
-            m, n, probs = len(atoms), len(self._pair(atoms[0])[0]), np.empty(len(atoms))
-            def vector(i, entry):  # entry i's vector; stores its probability
-                x, probs[i] = (entry["x"], entry["p"]) if isinstance(entry, dict) else entry
-                if len(x) != n:  # the fill would shift every later row
-                    raise ValueError
-                return x
-            values = itertools.chain.from_iterable(map(vector, range(m), atoms))
-            table = np.fromiter(values, np.float64, count=m * n).reshape(m, n)
-            clean = n > 0 and np.isfinite(table).all() and np.isfinite(probs).all()
-        except (TypeError, ValueError, LookupError):
-            clean = False
-        if not clean:  # parse atom by atom, to report the first bad one
-            table, probs = self._parse(atoms)
-        n = table.shape[1]
-        super().__init__(n, [table], [probs], vmap=range(n), atom_cap=atom_cap)
+        table = atoms[0]  # packed by the decoder if every entry is that one packer
+        if isinstance(table, _Packer) and len(table.probs) == len(atoms) == atoms.count(table):
+            n, values, probs = table.width, np.frombuffer(table.values), np.frombuffer(table.probs)
+        else:
+            n, values, probs = self._pack(atoms)
+        super().__init__(n, [values.reshape(len(probs), n)], [probs], vmap=range(n),
+                         atom_cap=atom_cap)
 
     @classmethod
-    def _pair(cls, e):
-        return tuple(_require(e, key, cls.kind) for key in "xp") if isinstance(e, dict) else e
+    def _pack(cls, atoms: Sequence) -> tuple[int, np.ndarray, np.ndarray]:
+        """Width, values and probabilities of entries in memory, packed
+        PACK_BLOCK at a time and each block copied into arrays allocated once.
+        (One buffer grown to the table's size moves inside the heap, leaving
+        a hole at each move: `verify` of 262,144 pairs peaked at 150.9 MB
+        that way, at 143.3 MB in blocks.)"""
+        rows, width = iter(atoms), None
+        values, probs = None, np.empty(len(atoms))
+        for start in range(0, len(atoms), PACK_BLOCK):
+            block = _Packer()
+            block.width = width
+            if not block.pack(itertools.islice(rows, PACK_BLOCK)):
+                cls._reject(atoms)
+            width, stop = block.width, start + len(block.probs)
+            if values is None:
+                values = np.empty(len(atoms) * width)
+            values[start * width:stop * width] = block.values
+            probs[start:stop] = block.probs
+        return width, values, probs
 
     @classmethod
-    def _parse(cls, atoms: Sequence) -> tuple[np.ndarray, list[float]]:
-        rows, probs = [], []
-        for entry in list(map(cls._pair, atoms)):  # a missing key is reported first
-            try:
-                vec, p = entry
-                rows.append([float(v) for v in vec])
-                probs.append(float(p))
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(
-                    "explicit_table atoms must be (vector, probability) pairs"
-                ) from exc
-        widths = {len(r) for r in rows}
-        if len(widths) > 1:
-            raise ValidationError(f"atom vectors have inconsistent lengths {sorted(widths)}")
-        return np.array(rows, dtype=np.float64).reshape(len(rows), -1), probs
+    def _reject(cls, atoms: Sequence) -> NoReturn:
+        """Raise the error of the first fault of entries the packer refused: a
+        missing key in any entry, then an entry that is no atom, then widths."""
+        for e in atoms:
+            if isinstance(e, dict):
+                _require(e, "x", cls.kind), _require(e, "p", cls.kind)
+        widths = set()
+        for e in atoms:
+            atom = _Packer()
+            if not atom.pack([e]):
+                raise ValidationError("explicit_table atoms must be (vector, probability) pairs")
+            widths.add(atom.width)
+        raise ValidationError(f"atom vectors have inconsistent lengths {sorted(widths)}")
 
 
 @dataclass(frozen=True)
@@ -811,6 +905,32 @@ def _require(doc: dict, key: str, kind: str):
     if key not in doc:
         raise ValidationError(f"model spec of kind {kind!r} is missing {key!r}")
     return doc[key]
+
+
+def _model_from_json(text: str | bytes, atom_cap: int | None = None) -> JointModel:
+    """``model_from_spec(json.loads(text), atom_cap)``, with an explicit
+    table's {"x", "p"} objects packed into its arrays as the decoder yields
+    them (``_Packer.hook``): no per-atom dict, list or float outlives its
+    object.  ``[x, p]`` pairs decode to lists first, as without the hook.
+    If building fails with packed objects in the spec (a support that mixes
+    them with other entries, a bad table, an object out of place), the text
+    is decoded again without the hook, so every outcome is the plain one's;
+    if nothing was packed, the text is dropped before the build.  Bytes are
+    read as strict UTF-8, as a spec read as text is, so a byte-order mark or
+    another encoding is refused as before."""
+    def decode(**hook):  # the bytes outlive their text's decode (see cli._read_spec)
+        return json.loads(text.decode() if isinstance(text, bytes) else text, **hook)
+
+    packer = _Packer()
+    doc = decode(object_pairs_hook=packer.hook)
+    if not packer.probs:  # nothing was packed: the doc is the plain decode
+        del text  # the caller may pass the text as its only reference
+        return model_from_spec(doc, atom_cap)
+    try:
+        return model_from_spec(doc, atom_cap)
+    except (ValidationError, TypeError, ValueError):  # what a packer in place of an object raises
+        del doc
+    return model_from_spec(decode(), atom_cap)
 
 
 def model_from_spec(doc: dict, atom_cap: int | None = None) -> JointModel:

@@ -249,9 +249,10 @@ def estimate_product(
     whole blocks of proposals and keeps the vectors whose sum cleared the
     threshold, until ``n_samples`` acceptances exist; if ``max_proposals``
     vectors (rounded up to whole blocks) are exhausted first it raises
-    ``RejectionBudgetError``.  Per-block (count, mean, centred sum of
-    squares) merge in block order, so results depend only on
-    (seed, block_size, n_samples).  ``workers`` is accepted for
+    ``RejectionBudgetError``, as it does before any draw if no atom's sum
+    can reach the threshold (``JointModel._max_sum``).  Per-block (count,
+    mean, centred sum of squares) merge in block order, so results depend
+    only on (seed, block_size, n_samples).  ``workers`` is accepted for
     compatibility and validated; blocks run in order on one thread.
     """
     lam = _check_round_args(model, params, lam)
@@ -263,6 +264,15 @@ def estimate_product(
         total = max(1, math.ceil(max_proposals / block_size)) * block_size
     cutoff = tail_cutoff(params.threshold)
     same, chunks = _kernel(model, params, min(block_size, total))
+    if conditional:
+        largest, rounding = model._max_sum()
+        if largest + rounding < cutoff:
+            raise RejectionBudgetError(
+                f"conditional estimate got 0 acceptances from 0 proposals; needed "
+                f"{n_samples}. No atom the model can draw reaches the threshold "
+                f"{params.threshold}: the largest atom sum is {largest}, so raising "
+                f"max_proposals cannot help."
+            )
     counted = hasattr(model, "_ones") and same and (lam * 1.0 + 1.0) - lam == 1.0
     by_ones = np.multiply.accumulate([1.0] + [(lam * 0.0 + 1.0) - lam] * model.n)[::-1]
 

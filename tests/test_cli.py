@@ -198,6 +198,18 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--spec", str(bad), "--c", "0.5", "--t", "0.25")
         assert code == 2 and "not valid JSON" in err
 
+    @pytest.mark.parametrize("data", [
+        b'\xef\xbb\xbf{"kind": "boolean_iid", "n": 3, "params": {"p": 0.5}}',
+        '{"kind": "boolean_iid", "n": 3, "params": {"p": 0.5}}'.encode("utf-16"),
+    ], ids=["utf8_bom", "utf16"])
+    def test_spec_bytes_are_strict_utf8(self, tmp_path, capsys, data):
+        # the spec is read as bytes and decoded as UTF-8 text, as it was read
+        # before; bytes that are no UTF-8 are refused (they were a traceback)
+        path = tmp_path / "spec.json"
+        path.write_bytes(data)
+        code, out, err = run(capsys, "verify", "--spec", str(path), "--c", "0.5", "--t", "0.25")
+        assert code == 2 and not out and "not valid JSON" in err
+
     def test_large_support_needs_atom_cap(self, tmp_path, capsys):
         # 2^20 distinct atom sums: the fold's last step pairs 2^19 sums with 2 rows
         spec = tmp_path / "distinct20.json"
@@ -264,6 +276,19 @@ class TestVerify:
         code, report = run_json(capsys, "verify", "--spec", "-", "--c", "0.5", "--t", "0.25")
         assert code == 0 and report["result"]["all_passed"]
 
+    def test_table_on_a_real_stdin(self, specs):
+        # a table piped to a real stdin gives the report read from its file
+        argv = ["verify", "--c", "0.5", "--t", "0.25"]
+        src = str(Path(chbound.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        piped = subprocess.run([sys.executable, "-m", "chbound.cli", *argv, "--spec", "-"],
+                               input=Path(specs["table"]).read_bytes(), env=env,
+                               capture_output=True, timeout=300, check=True)
+        from_file = cli_process(*argv, "--spec", specs["table"])
+        assert from_file.returncode == 0
+        assert piped.stdout.replace(b'"-"', json.dumps(specs["table"]).encode()) == from_file.stdout
+
 
 class TestSimulate:
     def test_lambda_zero_product_is_one(self, specs, capsys):
@@ -304,6 +329,27 @@ class TestSimulate:
             "--conditional", "--samples", "100", "--max-proposals", "20000",
         )
         assert code == 4 and not out and "error:" in err
+
+    def test_conditional_impossible_tail_fails_fast(self, specs, capsys):
+        # the largest atom sum is 1, the threshold 1.4; the default budget of
+        # 10^7 proposals is not drawn
+        code, out, err = run(
+            capsys, "simulate", "--spec", specs["table"], "--c", "0.4", "--t", "0.3",
+            "--conditional", "--samples", "100",
+        )
+        assert code == 4 and not out
+        assert "No atom the model can draw reaches the threshold 1.4" in err
+        assert "cannot help" in err
+
+    @pytest.mark.parametrize("support", [
+        [{"x": "01", "p": 1.0}], [{"x": [0, 1], "p": "1"}], [{"x": ["1.5", 2], "p": 1}],
+    ])
+    def test_strings_are_not_numbers(self, tmp_path, capsys, support):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"kind": "explicit_table", "params": {"support": support}}))
+        code, out, err = run(capsys, "verify", "--spec", str(path), "--c", "0.5", "--t", "0.25")
+        assert code == 2 and not out
+        assert "explicit_table atoms must be (vector, probability) pairs" in err
 
     @pytest.mark.parametrize("doc,parts", [
         ({"kind": "planted_clique", "n": 10, "params": {"p": 0.7, "k": 3}}, 1),

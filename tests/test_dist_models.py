@@ -7,6 +7,7 @@ import math
 import random
 import re
 import tracemalloc
+import weakref
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -716,6 +717,26 @@ class TestModelFromSpec:
                 json.loads('{"kind": "explicit_table", "params": {"support": [[[Infinity], 1]]}}'),
                 "explicit_table factor 0 has non-finite values",
             ),
+            # a JSON string is no number, wherever an atom's value or probability goes
+            ({"kind": "explicit_table", "params": {"support": [{"x": "01", "p": 1.0}]}}, "pairs"),
+            ({"kind": "explicit_table", "params": {"support": [{"x": [0, 1], "p": "1"}]}}, "pairs"),
+            ({"kind": "explicit_table", "params": {"support": [{"x": ["1.5", 2], "p": 1}]}},
+             "pairs"),
+            ({"kind": "explicit_table", "params": {"support": [["01", 1.0]]}}, "pairs"),
+            ({"kind": "explicit_table", "params": {"support": ["01"]}}, "pairs"),
+            (
+                {"kind": "independent", "n": 1, "params": {"marginals": [["01"]]}},
+                r"marginals\[0\] must be a list of \[value, prob\] pairs",
+            ),
+            (
+                {"kind": "independent", "n": 1, "params": {"marginals": [[[0.0, "1"]]]}},
+                r"marginals\[0\] must be a list of \[value, prob\] pairs",
+            ),
+            (
+                {"kind": "exchangeable_mixture", "n": 2,
+                 "params": {"rho": 0.5, "atoms": [["1", 1.0]]}},
+                r"atoms must be a list of \[value, prob\] pairs",
+            ),
         ],
     )
     def test_rejects_malformed_docs(self, doc, match):
@@ -768,6 +789,14 @@ class TestTableMemory:
         model, peak = self._peak(lambda: cb.model_from_spec(decoded_table))
         assert peak <= 1.25 * (model._fvals[0].nbytes + model._fprobs[0].nbytes)
 
+    def test_decoding_holds_little_beside_the_table(self, decoded_table):
+        # the spec's {"x", "p"} objects are packed as they are decoded; the
+        # decoded doc and the table beside it took 4.96x
+        text = json.dumps(decoded_table)
+        model, peak = self._peak(lambda: dist_models._model_from_json(text))
+        assert model._fvals[0].shape == (16384, 12)
+        assert peak <= 2.25 * (model._fvals[0].nbytes + model._fprobs[0].nbytes)
+
     def test_verify_chain_keeps_one_working_copy(self, decoded_table):
         # one copy of the factor per exact routine (2.9x with two)
         model = cb.model_from_spec(decoded_table)
@@ -776,6 +805,154 @@ class TestTableMemory:
         report, peak = self._peak(lambda: cb.verify_chain(model, params, lam))
         assert report.explained
         assert peak <= 2.25 * (model._fvals[0].nbytes + model._fprobs[0].nbytes)
+
+
+def _outcome(build):
+    """(table bytes, probability bytes, width) of the model ``build`` returns,
+    or the type and message of what it raises."""
+    try:
+        model = build()
+    except Exception as exc:  # compared, not hidden
+        return type(exc), str(exc)
+    return model._fvals[0].tobytes(), model._fprobs[0].tobytes(), model.n
+
+
+_NUMBER = st.sampled_from([0, 1, 2, 0.5, -0.25, 1.5, True])
+_VALUE = st.one_of(_NUMBER, st.sampled_from([float("nan"), float("inf"), "1", "0.5", "", None,
+                                             [1], [[0.5]], {"x": 1}]))
+_ENTRY = {  # how each entry is written, from its vector and probability texts
+    "xp": '{{"x": {}, "p": {}}}', "px": '{{"p": {1}, "x": {0}}}', "pair": "[{}, {}]",
+    "extra": '{{"x": {}, "p": {}, "w": 0}}', "no_p": '{{"x": {}}}', "no_x": '{{"p": {1}}}',
+    "dup": '{{"x": {}, "p": 7, "p": {}}}',
+}
+
+
+@st.composite
+def _spec_texts(draw):
+    """JSON texts of explicit-table specs (and a few others) whose entries
+    take every form the decoder sees; half the tables are well-formed, and
+    the others have one entry drawn from any form and any values."""
+    width, m = draw(st.sampled_from([0, 1, 2, 2, 3])), draw(st.sampled_from([1, 2, 4]))
+    bad = draw(st.sampled_from([None, *range(m)]) if draw(st.booleans()) else st.none())
+    entries = []
+    for i in range(m):
+        x = draw(st.lists(_NUMBER, min_size=width, max_size=width))
+        p, forms = 1.0 / m, ["xp", "xp", "xp", "px", "pair", "extra"]
+        if i == bad:
+            x = draw(st.one_of(st.lists(st.one_of(_NUMBER, _VALUE), max_size=4), _VALUE))
+            p, forms = draw(st.one_of(st.just(p), _VALUE)), list(_ENTRY)
+        entries.append(_ENTRY[draw(st.sampled_from(forms))].format(json.dumps(x), json.dumps(p)))
+    support = "[%s]" % ", ".join(entries)
+    if not draw(st.integers(0, 9)):  # a packed-looking object in place of the list
+        support = '{"x": [1], "p": 1}'
+    kind = draw(st.sampled_from(["explicit_table"] * 8 + ["independent", "boolean_iid"]))
+    extra = draw(st.sampled_from(["", ', "note": {"x": [1], "p": 1}', ', "n": 2', ', "n": 3']))
+    return ('{"kind": "%s", "params": {"support": %s, "marginals": [%s], "p": 0.5}%s}'
+            % (kind, support, support, extra))
+
+
+class TestSpecDecode:
+    """The CLI decodes a spec with ``_model_from_json``, which packs the
+    {"x", "p"} objects as they are decoded; every outcome must be that of
+    ``model_from_spec`` on the plain decode."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_spec_texts(), st.booleans())
+    def test_packed_decode_matches_the_plain_decode(self, text, as_bytes):
+        packed = _outcome(lambda: dist_models._model_from_json(
+            text.encode() if as_bytes else text))
+        assert packed == _outcome(lambda: cb.model_from_spec(json.loads(text)))
+
+    @pytest.mark.parametrize("text", [
+        '{"kind": "explicit_table", "params": {"support": [{"p": 0.25, "x": [1, 2]}, '
+        '{"x": [3.5, -1], "p": 0.75}]}}',
+        '{"kind": "explicit_table", "params": {"support": [{"x": [1, 2], "p": 0.5}, '
+        '[[3, 4], 0.5]]}}',  # objects and pairs mixed
+        '{"kind": "explicit_table", "params": {"support": [{"x": [1], "p": 0.5, "w": 1}, '
+        '{"x": [2], "p": 0.5}]}}',  # an extra key
+        '{"kind": "explicit_table", "n": 1, "note": {"x": [1, 2, 3], "p": 2}, '
+        '"params": {"support": [{"x": [1], "p": 1}]}}',  # a packed object out of place
+        '{"kind": "explicit_table", "note": {"x": [5], "p": 0.5}, '
+        '"params": {"support": [{"x": [1], "p": 0.5}]}}',  # one of the same width
+        '{"kind": "explicit_table", "params": {"support": [{"x": [1], "p": 0.5}]}, '
+        '"note": {"x": [5], "p": 0.5}}',
+        '{"kind": "explicit_table", "params": {"support": [{"x": [NaN], "p": 1}]}}',
+        '{"kind": "explicit_table", "params": {"support": [{"x": [1], "p": 1}, {"x": [1, 2], '
+        '"p": 0}]}}',
+        '{"kind": "explicit_table", "params": {"support": [{"x": [1], "p": 1}, {"p": 0}]}}',
+        '{"kind": "explicit_table", "params": {"support": [{"x": [1], "p": 1}, '
+        '{"x": "1", "p": 0}]}}',
+        '{"kind": "independent", "n": 1, "params": {"marginals": [{"x": [1], "p": 1}]}}',
+        '{"x": [1], "p": 1}',
+    ])
+    def test_cases(self, text):
+        assert _outcome(lambda: dist_models._model_from_json(text)) == \
+            _outcome(lambda: cb.model_from_spec(json.loads(text)))
+
+    def test_the_text_is_dropped_before_a_build_with_nothing_packed(self, monkeypatch):
+        # nothing to decode again, so a caller that passes the text as its
+        # only reference frees it before the model is built
+        class Text(bytearray):  # unlike bytes and str, weakly referable
+            pass
+
+        refs, build = [], cb.model_from_spec
+
+        def text():
+            spec = Text(b'{"kind": "explicit_table", "params": {"support": [[[1, 2], 1]]}}')
+            refs.append(weakref.ref(spec))
+            return spec
+
+        def checked(doc, atom_cap):
+            assert refs[0]() is None
+            return build(doc, atom_cap)
+
+        monkeypatch.setattr(dist_models, "model_from_spec", checked)
+        model = dist_models._model_from_json(text())  # not in an assert, which keeps operands
+        assert model.n == 2
+
+    def test_objects_fill_the_table_as_decoded(self, monkeypatch):
+        # in either key order, with one decode: no fallback to the plain one
+        decodes, loads = [], json.loads
+        monkeypatch.setattr(json, "loads", lambda *a, **k: decodes.append(k) or loads(*a, **k))
+        model = dist_models._model_from_json(
+            '{"kind": "explicit_table", "params": {"support": [{"p": 0.25, "x": [1, 2]}, '
+            '{"x": [3.5, -1], "p": 0.75}]}}')
+        assert np.array_equal(model._fvals[0], [[1.0, 2.0], [3.5, -1.0]])
+        assert np.array_equal(model._fprobs[0], [0.25, 0.75])
+        assert model._fvals[0].dtype == model._fprobs[0].dtype == np.float64
+        assert len(decodes) == 1
+
+
+class TestPackBlocks:
+    """Entries in memory are packed PACK_BLOCK at a time into arrays
+    allocated once; every block checks and words its faults as one table."""
+
+    M = 2 * dist_models.PACK_BLOCK + 5
+
+    def _entries(self):
+        return [([i % 7, 0.5], 1.0 / self.M) for i in range(self.M)]
+
+    def test_blocks_fill_one_table(self):
+        model = cb.ExplicitTableModel(iter(self._entries()))  # any iterable
+        assert np.array_equal(model._fvals[0], [[i % 7, 0.5] for i in range(self.M)])
+        assert np.array_equal(model._fprobs[0], [1.0 / self.M] * self.M)
+
+    @pytest.mark.parametrize("bad,match", [
+        (([1.0], 0.0), r"inconsistent lengths \[1, 2\]"),
+        ((["1", 0.5], 0.0), "pairs"),
+        ({"x": [1.0, 0.5]}, "missing 'p'"),
+    ])
+    def test_a_fault_in_a_later_block(self, bad, match):
+        entries = self._entries()
+        entries[-2] = bad
+        with pytest.raises(cb.ValidationError, match=match):
+            cb.ExplicitTableModel(entries)
+
+    def test_a_later_block_of_another_width(self):
+        entries = self._entries()
+        entries[2 * dist_models.PACK_BLOCK:] = [([1.0], 0.0)] * 5
+        with pytest.raises(cb.ValidationError, match=r"inconsistent lengths \[1, 2\]"):
+            cb.ExplicitTableModel(entries)
 
 
 class TestValidation:

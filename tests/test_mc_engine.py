@@ -193,6 +193,69 @@ class TestConditionalEstimate:
                 model, params, 0.5, 100, conditional=True, seed=0, max_proposals=20_000
             )
 
+    def test_impossible_tail_fails_before_any_draw(self, monkeypatch):
+        # X1 + X2 = 1 always, threshold 1.4: no budget can help, so none is spent
+        model = cb.ExplicitTableModel([([0.0, 1.0], 0.5), ([1.0, 0.0], 0.5)])
+        params = cb.BoundParams.boolean(2, 0.4, 0.3)
+        monkeypatch.setattr(model, "_draw", lambda rng, out: pytest.fail("drew a row"))
+        with pytest.raises(cb.RejectionBudgetError,
+                           match="No atom the model can draw reaches the threshold 1.4: "
+                                 "the largest atom sum is 1.0"):
+            cb.estimate_product(model, params, 0.5, 100, conditional=True, seed=0)
+
+    @pytest.mark.parametrize("model,params", [
+        (cb.ExplicitTableModel([([0.0, 1.0], 0.5), ([1.0, 0.0], 0.5)]),
+         cb.BoundParams.boolean(2, 0.25, 0.25)),
+        (cb.BooleanIIDModel(3, 0.5), cb.BoundParams.boolean(3, 0.5, 0.5)),  # the count kernel
+    ], ids=["table", "boolean"])
+    def test_largest_sum_at_the_threshold_is_drawn(self, model, params):
+        assert model._max_sum()[0] == params.threshold
+        est = cb.estimate_product(model, params, 0.5, 100, conditional=True, seed=0)
+        assert est.n_samples == 100
+
+    @pytest.mark.parametrize("model", [model for _, model, _ in ZOO] + [
+        cb.PlantedCliqueModel(6, 0.3, indices=[1, 4]),
+        cb.ExchangeableMixtureModel(3, 0.0, [(-0.5, 0.5), (0.75, 0.5)]),
+        cb.ExchangeableMixtureModel(3, 1.0, [(-0.5, 0.5), (0.75, 0.5)]),
+    ], ids=ZOO_IDS + ["planted_scattered", "mixture_rho0", "mixture_rho1"])
+    def test_largest_sum_is_that_of_the_atoms(self, model):
+        values, probs = enumerate_atoms(model)
+        largest, rounding = model._max_sum()
+        assert largest == pytest.approx(values[probs > 0].sum(axis=1).max(), abs=rounding)
+
+    def test_rounding_covers_an_interleaved_order(self):
+        # Factor 0 is read by variables 0 and 2, factor 1 by variable 1: the
+        # kernel adds 0.03 + 0.84 + 0.43 to 1.3, the factor order to 1.2999999999999998.
+        model = cb.JointModel(3, [[[0.03, 0.43]], [[0.84]]], [[1.0], [1.0]], [0, 2, 1])
+        row = model.sample_many(np.random.default_rng(0), 1)[0]
+        largest, rounding = model._max_sum()
+        assert largest < (row[0] + row[1]) + row[2] == 1.3 <= largest + rounding
+
+    def test_a_row_at_the_cutoff_in_the_kernel_order_is_drawn(self):
+        # The kernel adds x0 + x1 + x2 to the cutoff itself; _max_sum adds
+        # factor 0's readers first, to one ulp below it, so only the rounding
+        # allowance keeps the estimate from refusing.
+        params = cb.BoundParams.boolean(3, 0.3, 0.13)
+        x0, x1, x2 = 0.07, 0.71, 0.5099999999987098
+        assert (x0 + x1) + x2 == tail_cutoff(params.threshold) > (x0 + x2) + x1
+        model = cb.JointModel(3, [[[x0, x2]], [[x1]]], [[1.0], [1.0]], [0, 2, 1])
+        est = cb.estimate_product(model, params, 0.5, 10, conditional=True, seed=0)
+        assert est.n_samples == 10
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.floats(-1e6, 1e6), min_size=12, max_size=12),
+                    min_size=1, max_size=4))
+    def test_largest_sum_bounds_every_left_to_right_sum(self, rows):
+        # the kernel adds each row left to right; the bound must cover every
+        # such sum, whatever order _max_sum added in
+        model = cb.ExplicitTableModel([(row, 1.0 / len(rows)) for row in rows])
+        largest, rounding = model._max_sum()
+        for row in model._fvals[0]:
+            total = 0.0
+            for v in row:
+                total += v
+            assert total <= largest + rounding
+
 
 def _unit(x, params):
     """x -> (x - a_i) / b, clipped to [0, 1], written out."""
