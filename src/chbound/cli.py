@@ -9,10 +9,11 @@ grid of t or lambda).
 Reports are JSON (default) or CSV, embed ``schema_version`` plus the fully
 resolved configuration, and are byte-identical for a fixed seed.
 ``--workers`` is accepted for compatibility and validated; blocks run in
-order on one thread.  Exit codes: 0 success, 2 invalid input, 3 detection
-found nothing, 4 budget exceeded; 1 is reserved for a chain inequality
-failing without an explaining certificate violation, which indicates an
-internal inconsistency rather than a property of the inputs.
+order on one thread.  Exit codes: 0 success, 2 invalid input (also a
+problem ``detect`` cannot search yet: a_i != 0, b != 1 or more than one c),
+3 detection found nothing, 4 budget exceeded; 1 is reserved for a chain
+inequality failing without an explaining certificate violation, which
+indicates an internal inconsistency rather than a property of the inputs.
 
 ``run``, the process entry, runs ``main`` with the cyclic collector off (a run
 leaves a fixed few hundred cyclic objects, mostly argparse's, at any sample
@@ -257,10 +258,12 @@ def cmd_simulate(args) -> tuple[dict, int]:
 
 
 def cmd_detect(args) -> tuple[dict, int]:
-    from .witness import default_budgets, find_dependent_set
+    from .witness import _check_detectable, default_budgets, find_dependent_set
 
     model = _load_model(args)
-    wp = default_budgets(model.n, args.c_scalar, args.t, args.alpha)
+    params = _build_params(args, model.n)
+    _check_detectable(params, args.alpha)
+    wp = default_budgets(model.n, params.c[0], params.t, args.alpha)
     overrides = {
         name: value
         for name, value in (("lam", args.lam), ("m_search", args.m_search),
@@ -435,9 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("detect", help="search for a moment-violating subset")
     p.add_argument("--spec", required=True)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--c", dest="c_scalar", type=float, required=True)
-    p.add_argument("--t", type=float, required=True)
+    _add_bound_flags(p, need_n=False)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--m-search", dest="m_search", type=int, default=None)

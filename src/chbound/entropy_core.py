@@ -191,11 +191,12 @@ class BoundParams:
     @classmethod
     def boolean(cls, n: int, p: float, t: float) -> "BoundParams":
         """Convenience constructor for 0/1 variables with mean bound p."""
-        return cls(n=n, a=(0.0,) * n, b=1.0, c=(float(p),) * n, t=t)
+        return cls.uniform(n, 0.0, 1.0, p, t)
 
     @classmethod
     def uniform(cls, n: int, a: float, b: float, c: float, t: float) -> "BoundParams":
         """All variables share the same a_i = a and c_i = c."""
+        check_positive_int("n", n)  # before n sizes the tuples
         return cls(n=n, a=(float(a),) * n, b=b, c=(float(c),) * n, t=t)
 
 

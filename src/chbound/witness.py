@@ -39,9 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist_models import JointModel
-from .entropy_core import (DEFAULT_MIN_ROUNDS, LAMBDA_CAP, BoundParams, NormalizedParams,
-                           check_positive_int, chernoff_bound, optimize_lambda, proof_case,
-                           slack)
+from .entropy_core import (DEFAULT_MIN_ROUNDS, LAMBDA_CAP, TOL, BoundParams, NormalizedParams,
+                           check_positive_int, chernoff_bound, optimize_lambda, proof_case)
 from .errors import BudgetOverflowError, ValidationError
 from .mc_engine import (
     DEFAULT_BLOCK_SIZE,
@@ -73,13 +72,18 @@ __all__ = [
 ]
 
 
-def _check_problem(n, c, t, alpha) -> None:
-    """The (n, c, t, alpha) domain shared by WitnessParams and default_budgets."""
-    check_positive_int("n", n)
-    if not 0.0 < c < 1.0:
-        raise ValidationError(f"c must lie in (0, 1), got {c}")
-    if not 0.0 < t <= 1.0 - c:
-        raise ValidationError(f"t must lie in (0, 1 - c], got {t}")
+def _check_detectable(params: BoundParams, alpha: float) -> None:
+    """What detection adds to the domain of ``BoundParams``: variables in
+    [0, 1], one mean bound c > 0 for all of them, t > 0 and alpha in (0, 1)."""
+    if params.b != 1.0 or any(params.a):
+        raise ValidationError(f"detection needs a_i = 0 and b = 1 (variables in [0, 1]), got "
+                              f"a_i in [{min(params.a)}, {max(params.a)}] and b = {params.b}")
+    if len(set(params.c)) > 1:
+        raise ValidationError(f"detection needs one c for every variable, got c_i in "
+                              f"[{min(params.c)}, {max(params.c)}]")
+    for name, value in (("c", params.c[0]), ("t", params.t)):
+        if not value > 0.0:
+            raise ValidationError(f"detection needs {name} > 0, got {value}")
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
 
@@ -88,24 +92,28 @@ def _check_problem(n, c, t, alpha) -> None:
 class WitnessParams:
     """Fully resolved detection configuration.
 
-    c and t are the scalar mean bound and deviation on the [0, 1] scale,
-    alpha the tail probability the caller claims to observe, lam the index
-    inclusion rate, and the remaining fields the round budgets and the
-    acceptance margin.  ``default_budgets`` fills everything from
-    (n, c, t, alpha); use ``dataclasses.replace`` to override fields.
+    ``params`` is the problem of ``chernoff_bound``, restricted to variables
+    in [0, 1] (a_i = 0, b = 1) with one mean bound c > 0 for all of them and
+    t > 0; ``wp.n``, ``wp.c`` and ``wp.t`` read it.  alpha is the tail
+    probability the caller claims to observe, lam the index inclusion rate,
+    and the remaining fields the round budgets and the acceptance margin.
+    ``default_budgets`` fills everything from (n, c, t, alpha); use
+    ``dataclasses.replace`` to override fields.
     """
 
-    n: int
-    c: float
-    t: float
+    params: BoundParams
     alpha: float
     lam: float
     m_search: int
     m_confirm: int
     margin_threshold: float
 
+    n = property(lambda self: self.params.n)
+    c = property(lambda self: self.params.c[0])
+    t = property(lambda self: self.params.t)
+
     def __post_init__(self) -> None:
-        _check_problem(self.n, self.c, self.t, self.alpha)
+        _check_detectable(self.params, self.alpha)
         if not 0.0 < self.lam < 1.0:
             raise ValidationError(f"lam must lie in (0, 1), got {self.lam}")
         check_positive_int("m_search", self.m_search)
@@ -118,7 +126,7 @@ class WitnessParams:
     @property
     def tail_bound(self) -> float:
         """exp(-n D(c+t || c)), the certified ceiling for the tail, from ``chernoff_bound``."""
-        return chernoff_bound(BoundParams.boolean(self.n, self.c, self.t))
+        return chernoff_bound(self.params)
 
 
 def default_budgets(
@@ -137,11 +145,13 @@ def default_budgets(
     64 alpha^(-4/(c t)) n ln(n+1) and 64 margin^-2 ln(100), each truncated
     at its cap.  Raises ``BudgetOverflowError`` when the margin underflows
     to zero.  Warns, once and naming the caller's line, when alpha is below
-    the certified tail bound: detection is not guaranteed there.  Overriding
-    fields with ``dataclasses.replace`` afterwards does not warn again.
+    the certified tail bound by more than the relative ``TOL``: detection is
+    not guaranteed there.  Overriding fields with ``dataclasses.replace``
+    afterwards does not warn again.
     """
     c, t, alpha = float(c), float(t), float(alpha)
-    _check_problem(n, c, t, alpha)
+    params = BoundParams.boolean(n, c, t)
+    _check_detectable(params, alpha)
     exponent = 4.0 / (c * t)
     margin = alpha**exponent / 8.0
     if margin <= 0.0 or not math.isfinite(margin):
@@ -163,23 +173,11 @@ def default_budgets(
     norm = NormalizedParams.symmetric(c, t)
     interior = proof_case(norm) == "interior"
     lam = min(optimize_lambda(norm).lam, LAMBDA_CAP) if interior else LAMBDA_CAP
-    wp = WitnessParams(
-        n=n,
-        c=c,
-        t=t,
-        alpha=alpha,
-        lam=lam,
-        m_search=max(1, m_search),
-        m_confirm=max(1, m_confirm),
-        margin_threshold=margin,
-    )
+    wp = WitnessParams(params, alpha, lam, max(1, m_search), max(1, m_confirm), margin)
     bound = wp.tail_bound
-    if alpha < bound - slack():
-        warnings.warn(
-            f"alpha={alpha} is below the certified tail bound "
-            f"{bound}; a dependent subset is not guaranteed to exist",
-            stacklevel=2,
-        )
+    if alpha < bound * (1.0 - TOL):
+        warnings.warn(f"alpha={alpha} is below the certified tail bound {bound}; a dependent "
+                      "subset is not guaranteed to exist", stacklevel=2)
     return wp
 
 
@@ -320,7 +318,7 @@ def find_dependent_set(
     n = model.n
     # Buffers for one block, shared by every block of both phases.
     block = min(block_size, max(wp.m_search, wp.m_confirm))
-    _, chunks = _kernel(model, BoundParams.boolean(n, 1.0, 0.0), block)
+    _, chunks = _kernel(model, wp.params, block)
     rows = _chunk_rows(n, block)  # per chunk
     uniforms = np.empty((rows, n))
     bits = np.zeros((rows, -(-n // 64) * 64), dtype=bool)  # the padding stays False

@@ -486,6 +486,18 @@ class TestDetect:
         )
         assert code == 2 and "alpha" in err
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--a", "-1", "--b", "2", "--c", "0.4", "--t", "0.3"], "needs a_i = 0 and b = 1"),
+        (["--c", ",".join(["0.4"] * 9 + ["0.5"]), "--t", "0.3"], "needs one c for every variable"),
+        (["--c", "0", "--t", "0.3"], "needs c > 0"),
+        (["--c", "0.4", "--t", "0"], "needs t > 0"),
+    ])
+    def test_problems_detection_cannot_take_exit_2(self, specs, capsys, flags, message):
+        # detect takes the shared bound flags; what it cannot search yet is refused.
+        code, out, err = run(capsys, "detect", "--spec", specs["b10"], *flags, "--alpha", "0.16")
+        assert code == 2 and out == ""
+        assert message in err
+
     def test_report_independent_of_blas_threads_and_workers(self, tmp_path):
         # The same 16384-atom table as the verify guard: the search and the
         # confirm phase must not depend on BLAS threading or on --workers.
@@ -507,36 +519,43 @@ _NULL_NOTE = "no non-empty subset was drawn at least 5 times in 50000 search rou
 class TestDetectBenchmarkShapes:
     """``detect`` at the job shapes of the benchmark's detect workload, with
     results frozen from the witness kernel before its tally took native
-    64-bit keys: planted n = 10 ends found, Boolean n = 30 draws no set five
+    64-bit keys, and configs frozen before ``detect`` took the shared bound
+    flags: planted n = 10 ends found, Boolean n = 30 draws no set five
     times."""
 
     PLANTED10 = {"kind": "planted_clique", "n": 10, "params": {"p": 0.7, "k": 10}}
     BOOLEAN30 = {"kind": "boolean_iid", "n": 30, "params": {"p": 0.3}}
+    CONFIG = {"alpha": 0.16, "block_size": 8192, "c": 0.4, "lambda": 0.7142857142857143,
+              "m_confirm": 20000, "margin_threshold": 3.6946738055472154e-28,
+              "min_rounds_per_subset": 5, "t": 0.3}
+    PLANTED10_CONFIG = {**CONFIG, "kind": "planted_clique", "n": 10, "m_search": 200000}
+    BOOLEAN30_CONFIG = {**CONFIG, "kind": "boolean_iid", "n": 30, "m_search": 50000}
 
-    @pytest.mark.parametrize("doc,extra,seed,code,result", [
-        (PLANTED10, ["--m-search", "200000"], 3, 0, {
+    @pytest.mark.parametrize("doc,extra,seed,code,config,result", [
+        (PLANTED10, ["--m-search", "200000"], 3, 0, PLANTED10_CONFIG, {
             "verdict": "found", "subset": [2, 3, 5, 8], "empirical_moment": 0.6982,
             "threshold": 0.025600000000000005, "confirm_std_error": 0.0032459767125228903,
             "samples_used": 220000, "candidates": 992, "note": ""}),
-        (PLANTED10, ["--m-search", "200000"], 1234567, 0, {
+        (PLANTED10, ["--m-search", "200000"], 1234567, 0, PLANTED10_CONFIG, {
             "verdict": "found", "subset": [2, 4, 6, 9], "empirical_moment": 0.6978,
             "threshold": 0.025600000000000005, "confirm_std_error": 0.0032471965161136635,
             "samples_used": 220000, "candidates": 996, "note": ""}),
-        (BOOLEAN30, [], 3, 3, {
+        (BOOLEAN30, [], 3, 3, BOOLEAN30_CONFIG, {
             "verdict": "not_found", "subset": [], "empirical_moment": 0.0, "threshold": 0.0,
             "confirm_std_error": 0.0, "samples_used": 50000, "candidates": 0,
             "note": _NULL_NOTE}),
-        (BOOLEAN30, [], 1234567, 3, {
+        (BOOLEAN30, [], 1234567, 3, BOOLEAN30_CONFIG, {
             "verdict": "not_found", "subset": [], "empirical_moment": 0.0, "threshold": 0.0,
             "confirm_std_error": 0.0, "samples_used": 50000, "candidates": 0,
             "note": _NULL_NOTE}),
     ])
-    def test_pinned_results(self, tmp_path, capsys, doc, extra, seed, code, result):
+    def test_pinned_results(self, tmp_path, capsys, doc, extra, seed, code, config, result):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(doc))
         got_code, report = run_json(capsys, "detect", "--spec", str(spec), "--c", "0.4",
                                     "--t", "0.3", "--alpha", "0.16", *extra, "--seed", str(seed))
         assert got_code == code
+        assert report["config"] == {**config, "spec": str(spec), "seed": seed}
         assert report["result"] == result
 
 

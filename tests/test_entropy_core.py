@@ -111,6 +111,16 @@ class TestKlDiv:
 
 
 class TestBoundParams:
+    @pytest.mark.parametrize("build", [
+        lambda n: cb.BoundParams.boolean(n, 0.5, 0.25),
+        lambda n: cb.BoundParams.uniform(n, -1.0, 2.0, 0.5, 0.25),
+        lambda n: cb.default_budgets(n, 0.5, 0.25, 0.5),
+    ])
+    @pytest.mark.parametrize("n", [2.5, "3", 0])
+    def test_shorthands_reject_a_bad_n_before_using_it(self, build, n):
+        with pytest.raises(cb.ValidationError, match="n must be a positive integer"):
+            build(n)
+
     def test_basic_properties(self):
         params = cb.BoundParams(n=3, a=(-1.0, 0.0, -0.5), b=2.0, c=(0.0, 1.0, 0.5), t=0.5)
         assert params.a_mean == pytest.approx(-0.5)
@@ -159,7 +169,8 @@ _BOOL_SITES = {
         cb.BooleanIIDModel(1, 0.5), cb.BoundParams.boolean(1, 0.5, 0.0), subset_budget=v
     ),
     "WitnessParams.m_search": lambda v: cb.WitnessParams(
-        n=1, c=0.5, t=0.25, alpha=0.9, lam=0.5, m_search=v, m_confirm=1, margin_threshold=0.1
+        params=cb.BoundParams.boolean(1, 0.5, 0.25), alpha=0.9, lam=0.5, m_search=v,
+        m_confirm=1, margin_threshold=0.1
     ),
 }
 

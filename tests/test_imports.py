@@ -145,3 +145,13 @@ class TestDefaultParity:
         assert estimate["max_proposals"].default == sim.max_proposals
         assert detect["block_size"].default == det.block_size
         assert detect["min_rounds_per_subset"].default == det.min_rounds
+
+        # detect takes the bound flags of every other subcommand, verify's among them
+        subs = parser._subparsers._group_actions[0].choices
+
+        def bound_flags(command):
+            return {a.dest: (a.option_strings, a.default, a.required)
+                    for a in subs[command]._actions if a.dest in ("n", "a", "b", "c", "t")}
+
+        assert len(bound_flags("detect")) == 5
+        assert bound_flags("detect") == bound_flags("verify")

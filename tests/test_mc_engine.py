@@ -700,8 +700,8 @@ class TestRangeCheckedOncePerCall:
 
     @staticmethod
     def _witness_params(n=3):
-        return cb.WitnessParams(n=n, c=0.4, t=0.3, alpha=0.5, lam=0.7, m_search=2000,
-                                m_confirm=2000, margin_threshold=0.01)
+        return cb.WitnessParams(params=cb.BoundParams.boolean(n, 0.4, 0.3), alpha=0.5, lam=0.7,
+                                m_search=2000, m_confirm=2000, margin_threshold=0.01)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("conditional", [False, True])

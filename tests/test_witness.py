@@ -92,6 +92,9 @@ class TestWitnessParams:
             cb.default_budgets(10, 0.4, 0.3, ALPHA_10 / 2)
         # the warning names the caller's line, not the dataclass-generated __init__
         assert all(w.filename != "<string>" for w in record)
+        # a bound far below the absolute TOL still warns: 0.5^60 = 8.67e-19
+        with pytest.warns(UserWarning, match="below the certified tail bound 8.67"):
+            cb.default_budgets(60, 0.5, 0.5, 1e-20)
 
     def test_no_warning_at_or_above_tail_bound(self):
         with warnings.catch_warnings():
@@ -112,6 +115,20 @@ class TestWitnessParams:
     def test_constructor_validation(self, field, value):
         with pytest.raises(cb.ValidationError):
             dataclasses.replace(WP_10, **{field: value})
+
+    @pytest.mark.parametrize("params,message", [
+        (cb.BoundParams.uniform(10, -1.0, 2.0, 0.4, 0.3), "needs a_i = 0 and b = 1"),
+        (cb.BoundParams(10, (0.0,) * 10, 1.0, (0.4,) * 9 + (0.5,), 0.3), "one c for every"),
+        (cb.BoundParams.boolean(10, 0.0, 0.3), "needs c > 0"),
+        (cb.BoundParams.boolean(10, 0.4, 0.0), "needs t > 0"),
+    ])
+    def test_problems_detection_cannot_take(self, params, message):
+        with pytest.raises(cb.ValidationError, match=message):
+            dataclasses.replace(WP_10, params=params)
+
+    def test_problem_fields_read_params(self):
+        assert WP_10.params == cb.BoundParams.boolean(10, 0.4, 0.3)
+        assert (WP_10.n, WP_10.c, WP_10.t, WP_10.alpha) == (10, 0.4, 0.3, ALPHA_10)
 
 
 class TestWitnessReport:
@@ -384,7 +401,7 @@ class TestVectorisedTally:
         # index sets, so each block pair is drawn about 23 times.
         block = tuple(range(60, 68))
         model = cb.PlantedCliqueModel(70, 0.3, indices=block)
-        wp = cb.WitnessParams(n=70, c=0.3, t=0.3, alpha=0.5, lam=2 / 70,
+        wp = cb.WitnessParams(params=cb.BoundParams.boolean(70, 0.3, 0.3), alpha=0.5, lam=2 / 70,
                               m_search=200_000, m_confirm=5_000, margin_threshold=0.01)
         runs = [cb.find_dependent_set(model, wp, seed=0, workers=w, min_rounds_per_subset=20)
                 for w in (1, 2)]
@@ -490,7 +507,7 @@ class TestRebuiltByHand:
         # Blocks of 17000 rows hold a full chunk (16384 rows at n = 4) and a
         # partial one; the last block of each phase is partial.
         model = _real_valued_table(3, shared)
-        wp = cb.WitnessParams(n=4, c=0.4, t=0.3, alpha=0.5, lam=0.6,
+        wp = cb.WitnessParams(params=cb.BoundParams.boolean(4, 0.4, 0.3), alpha=0.5, lam=0.6,
                               m_search=40_000, m_confirm=20_000, margin_threshold=0.01)
         assert mc_engine.ESTIMATE_CHUNK // model.n == 16384
         got = cb.find_dependent_set(model, wp, seed=7, workers=workers, block_size=17_000)
@@ -504,7 +521,7 @@ class TestRebuiltByHand:
         # times in 30000 rounds.  Blocks of 7000 rows hold seven full chunks
         # (936 rows at n = 70) and a partial one; the last block is partial.
         model = cb.PlantedCliqueModel(70, 0.3, indices=range(60, 68))
-        wp = cb.WitnessParams(n=70, c=0.3, t=0.3, alpha=0.5, lam=2 / 70,
+        wp = cb.WitnessParams(params=cb.BoundParams.boolean(70, 0.3, 0.3), alpha=0.5, lam=2 / 70,
                               m_search=30_000, m_confirm=5_000, margin_threshold=0.01)
         got = cb.find_dependent_set(model, wp, seed=1, block_size=7_000, min_rounds_per_subset=3)
         assert got == _rebuilt_report(model, wp, 1, 7_000, 3)
