@@ -12,8 +12,8 @@ resolved configuration, and are byte-identical for a fixed seed.
 order on one thread.  Exit codes: 0 success, 2 invalid input (also a
 problem ``detect`` cannot search yet: a_i != 0, b != 1 or more than one c),
 3 detection found nothing, 4 budget exceeded; 1 is reserved for a chain
-inequality failing without an explaining certificate violation, which
-indicates an internal inconsistency rather than a property of the inputs.
+failure that ``ChainReport.explained`` does not explain (by a violated
+certificate or a walk short of n), an internal inconsistency.
 
 ``run``, the process entry, runs ``main`` with the cyclic collector off (a run
 leaves a fixed few hundred cyclic objects, mostly argparse's, at any sample

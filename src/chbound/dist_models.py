@@ -45,9 +45,6 @@ from .errors import SubsetBudgetError, SupportTooLargeError, ValidationError
 DEFAULT_ATOM_CAP = 10**6
 DEFAULT_SUBSET_BUDGET = 10**6
 DEFAULT_CHUNK = 1 << 16
-# A factor's row products are summed over slices of CERTIFY_CHUNK rows, and
-# the slice sums added in row order; the walk holds DEFAULT_CHUNK rows at a time.
-CERTIFY_CHUNK = 1 << 12
 # Explicit-table entries held in memory are packed this many at a time.
 PACK_BLOCK = 1 << 10
 
@@ -255,16 +252,6 @@ def _merge(sums: np.ndarray, *masses: np.ndarray) -> tuple[np.ndarray, ...]:
     summed per distinct sum in input order."""
     sums, inverse = np.unique(sums, return_inverse=True)
     return (sums, *(np.bincount(inverse, weights=m, minlength=len(sums)) for m in masses))
-
-
-def _slice_sums(values: np.ndarray) -> list[float]:
-    """Sums of consecutive CERTIFY_CHUNK-element slices of a 1-D array, each
-    reduced as ``np.sum`` reduces the slice alone."""
-    full = len(values) - len(values) % CERTIFY_CHUNK
-    sums = np.add.reduce(values[:full].reshape(-1, CERTIFY_CHUNK), axis=1).tolist() if full else []
-    if full < len(values):
-        sums.append(float(np.add.reduce(values[full:])))
-    return sums
 
 
 def _lex_walk(n: int, max_size: int, root, step, chain: tuple[int, ...] | None = None):
@@ -486,22 +473,17 @@ class JointModel:
         """Raise unless every atom lies in [a_i, a_i + b] up to slack(b);
         return whether one's image leaves [0, 1] and needs clipping.  Each
         variable's least and greatest value decide, as the map is monotone (a
-        mixture's parts read the same); the error names the first bad row of
-        the first bad factor, in the first part of positive weight."""
+        mixture's parts read the same); the error names the lowest variable
+        out of range, with its least value if that leaves, else its greatest."""
         a, tol = np.asarray(params.a), slack(params.b) / params.b
         lo, hi = _unit_image(self._lo, a, params.b), _unit_image(self._hi, a, params.b)
         bad = (lo < -tol) | (hi > 1.0 + tol)
         if bad.any():
-            part = next(part for w, part in self._parts() if w > 0.0)
-            j = min(part._reads[i][0] for i in np.flatnonzero(bad).tolist())
-            variables, cols = part._factor_reads(j)
-            atoms = part._fvals[j].take(cols, axis=1)
-            xt = _unit_image(atoms, a[variables], params.b)
-            row, col = np.argwhere((xt < -tol) | (xt > 1.0 + tol))[0]
-            var = variables[col]
+            var = int(bad.argmax())
+            value = (self._hi if -tol <= lo[var] <= 1.0 + tol else self._lo)[var]
             raise ValidationError(
                 f"values leave [a_i, a_i + b]: variable {var} takes value "
-                f"{atoms[row, col]} outside [{params.a[var]}, {params.a[var] + params.b}]"
+                f"{value} outside [{params.a[var]}, {params.a[var] + params.b}]"
             )
         return bool(lo.min() < 0.0 or hi.max() > 1.0)
 
@@ -531,24 +513,18 @@ class JointModel:
         """E[prod of factor j's variables at positions T] for each T the
         walk visits (T indexes factor j's variable list).  Each T's row
         products are its prefix's times one column of a variable-major copy
-        of the factor, summed per CERTIFY_CHUNK rows and then in row order."""
+        of the factor, added by one ``np.add.reduce`` per DEFAULT_CHUNK rows
+        walked, and those sums in row order."""
         variables, cols = self._factor_reads(j)
         columns = self._fvals[j].T.take(cols, axis=0)  # C-ordered (k_j, m_j)
         probs = self._fprobs[j]
         table: dict[tuple[int, ...], float] = {}
-        # Walking DEFAULT_CHUNK rows per step, not CERTIFY_CHUNK, visits each
-        # subset once instead of four times on a 16384-row table: certify_moments
-        # on a 16384x12 table took 55 ms instead of 79 ms (timeit, 2-core host),
-        # with the same bits.
         for start in range(0, len(probs), DEFAULT_CHUNK):
             chunk = columns[:, start:start + DEFAULT_CHUNK]
             walk = _lex_walk(len(variables), max_size, probs[start:start + DEFAULT_CHUNK],
                              lambda w, p, chunk=chunk: w * chunk[p], chain)
             for key, weights in walk:
-                total = table.get(key, 0.0)
-                for part in _slice_sums(weights):
-                    total += part
-                table[key] = total
+                table[key] = table.get(key, 0.0) + float(np.add.reduce(weights))
         return table
 
     def _part_moments(
@@ -786,13 +762,12 @@ class ExplicitTableModel(JointModel):
 
     @classmethod
     def _reject(cls, atoms: Sequence) -> NoReturn:
-        """Raise the error of the first fault of entries the packer refused: a
-        missing key in any entry, then an entry that is no atom, then widths."""
+        """Raise the error of entries the packer refused: the first entry it
+        refuses on its own (a missing key, or no atom), else the widths."""
+        widths = set()
         for e in atoms:
             if isinstance(e, dict):
                 _require(e, "x", cls.kind), _require(e, "p", cls.kind)
-        widths = set()
-        for e in atoms:
             atom = _Packer()
             if not atom.pack([e]):
                 raise ValidationError("explicit_table atoms must be (vector, probability) pairs")
@@ -961,10 +936,6 @@ def model_from_spec(doc: dict, atom_cap: int | None = None) -> JointModel:
         n = check_positive_int("n", _require(doc, "n", kind))
         if kind == "independent":
             model = IndependentModel(_require(params, "marginals", kind), atom_cap=cap)
-            if model.n != n:
-                raise ValidationError(
-                    f"spec n={n} does not match {model.n} marginals"
-                )
         elif kind == "boolean_iid":
             model = BooleanIIDModel(n, _require(params, "p", kind), atom_cap=cap)
         elif kind == "planted_clique":

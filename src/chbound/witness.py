@@ -39,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist_models import JointModel
-from .entropy_core import (DEFAULT_MIN_ROUNDS, LAMBDA_CAP, TOL, BoundParams, NormalizedParams,
-                           check_positive_int, chernoff_bound, optimize_lambda, proof_case)
+from .entropy_core import (DEFAULT_MIN_ROUNDS, LAMBDA_CAP, TOL, BoundParams, check_positive_int,
+                           chernoff_bound, normalize, optimize_lambda, proof_case)
 from .errors import BudgetOverflowError, ValidationError
 from .mc_engine import (
     DEFAULT_BLOCK_SIZE,
@@ -139,15 +139,16 @@ def default_budgets(
 ) -> WitnessParams:
     """Resolve (n, c, t, alpha) into a full WitnessParams.
 
-    lam is ``optimize_lambda``'s tilt t / ((1-c)(c+t)) capped at LAMBDA_CAP,
-    and LAMBDA_CAP itself unless ``proof_case`` says interior; the
-    margin is alpha^(4/(c t)) / 8; the round budgets follow the closed forms
-    64 alpha^(-4/(c t)) n ln(n+1) and 64 margin^-2 ln(100), each truncated
-    at its cap.  Raises ``BudgetOverflowError`` when the margin underflows
-    to zero.  Warns, once and naming the caller's line, when alpha is below
-    the certified tail bound by more than the relative ``TOL``: detection is
-    not guaranteed there.  Overriding fields with ``dataclasses.replace``
-    afterwards does not warn again.
+    lam is ``optimize_lambda``'s tilt at ``normalize`` of the ``BoundParams``
+    that ``tail_bound`` reads (the lam ``simulate`` and ``verify`` resolve),
+    capped at LAMBDA_CAP, and LAMBDA_CAP itself unless ``proof_case`` says
+    interior; the margin is alpha^(4/(c t)) / 8; the round budgets follow
+    the closed forms 64 alpha^(-4/(c t)) n ln(n+1) and 64 margin^-2 ln(100),
+    each truncated at its cap.  Raises ``BudgetOverflowError`` when the
+    margin underflows to zero.  Warns, once and naming the caller's line,
+    when alpha is below the certified tail bound by more than the relative
+    ``TOL``: detection is not guaranteed there.  Overriding fields with
+    ``dataclasses.replace`` afterwards does not warn again.
     """
     c, t, alpha = float(c), float(t), float(alpha)
     params = BoundParams.boolean(n, c, t)
@@ -170,7 +171,7 @@ def default_budgets(
 
     m_search = capped(lambda: 64.0 * alpha**-exponent * n * math.log(n + 1.0), m_search_cap)
     m_confirm = capped(lambda: 64.0 * margin**-2 * math.log(100.0), m_confirm_cap)
-    norm = NormalizedParams.symmetric(c, t)
+    norm = normalize(params)
     interior = proof_case(norm) == "interior"
     lam = min(optimize_lambda(norm).lam, LAMBDA_CAP) if interior else LAMBDA_CAP
     wp = WitnessParams(params, alpha, lam, max(1, m_search), max(1, m_confirm), margin)

@@ -172,6 +172,26 @@ class TestVerify:
         assert failing["exact_moment"] == pytest.approx(0.5)
         assert failing["bound_product"] == pytest.approx(0.25)
 
+    def test_limited_walk_explains_a_violation_beyond_it(self, tmp_path, capsys):
+        # Sets of three or more block members violate (0.4 > 0.64^3); a walk
+        # up to size 2 passes, and the failed moment link proves the rest.
+        spec = tmp_path / "planted12.json"
+        spec.write_text(json.dumps(
+            {"kind": "planted_clique", "n": 12, "params": {"p": 0.4, "k": 10}}))
+        argv = ("verify", "--spec", str(spec), "--c", "0.64", "--t", "0.2")
+        code, doc = run_json(capsys, *argv, "--max-subset-size", "2")
+        res = doc["result"]
+        assert code == 0 and res["explained"] is True and res["hypothesis_ok"] is True
+        assert res["failed_links"] == ["certified_moments_vs_process"]
+        assert res["certificates_total"] == 79 and res["certificates_failing"] == []
+        code, doc = run_json(capsys, *argv)
+        res = doc["result"]
+        assert code == 0 and res["explained"] is True and res["hypothesis_ok"] is False
+        assert res["failed_links"] == ["certified_moments_vs_process"]
+        assert res["certificates_total"] == 4096
+        assert res["certificates_failing"][0] == {
+            "subset": [0, 1, 2], "exact_moment": 0.4, "bound_product": 0.64 * 0.64 * 0.64}
+
     def test_explicit_lambda_and_subset_cap(self, specs, capsys):
         code, doc = run_json(
             capsys, "verify", "--spec", specs["b4"], "--c", "0.5", "--t", "0.25",

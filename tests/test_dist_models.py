@@ -522,26 +522,27 @@ def range_cases(draw):
 
 def reference_range(model, params):
     """(error message or None, whether clipped), walking every factor row of
-    positive probability and every variable reading it, in Python floats:
-    parts of positive weight in order, factors in order, rows in order and a
-    row's readers ascending.  Clipped: some such row's image leaves [0, 1]."""
+    positive probability in Python floats, variable by variable: the lowest
+    variable with a value outside [a_i, a_i + b] up to the slack is named,
+    with its least value if that leaves the range, else its greatest.
+    Clipped: some value's image leaves [0, 1]."""
     tol = slack(params.b) / params.b
     clipped = False
-    for weight, part in model._parts():
-        if weight == 0.0:
-            continue
-        for j, (table, probs) in enumerate(zip(part._fvals, part._fprobs)):
-            readers = [(i, c) for i, (f, c) in enumerate(part._reads) if f == j]
-            for row, p in zip(table.tolist(), probs.tolist()):
-                if p == 0.0:
-                    continue
-                for i, c in readers:
-                    x, a = row[c], params.a[i]
-                    xt = (x - a) / params.b
-                    if xt < -tol or xt > 1.0 + tol:
-                        return (f"values leave [a_i, a_i + b]: variable {i} takes value {x} "
-                                f"outside [{a}, {a + params.b}]"), None
-                    clipped = clipped or xt < 0.0 or xt > 1.0
+    for i in range(model.n):
+        values = []
+        for weight, part in model._parts():
+            j, c = part._reads[i]
+            if weight > 0.0:
+                values += [row[c] for row, p in zip(part._fvals[j].tolist(),
+                                                    part._fprobs[j].tolist()) if p > 0.0]
+        a = params.a[i]
+        images = [(x - a) / params.b for x in values]
+        if any(xt < -tol or xt > 1.0 + tol for xt in images):
+            least = min(values)
+            x = least if not -tol <= (least - a) / params.b <= 1.0 + tol else max(values)
+            return (f"values leave [a_i, a_i + b]: variable {i} takes value {x} "
+                    f"outside [{a}, {a + params.b}]"), None
+        clipped = clipped or any(xt < 0.0 or xt > 1.0 for xt in images)
     return None, clipped
 
 
@@ -591,22 +592,33 @@ class TestCheckSupportRange:
         assert json.loads(capsys.readouterr().out)["result"]["all_passed"]
 
     def test_range_check_maps_only_a_failing_factor(self):
-        # Each variable's least and greatest value decide the check; only the
-        # first factor that leaves the range is mapped, to word the error.
+        # Each variable's least and greatest value decide the check, and word
+        # the error; no factor is mapped.
         assert cb.BooleanIIDModel(1000, 0.5)._check_range(cb.BoundParams.boolean(1000, 0.5, 0.1)) is False
         assert cb.PlantedCliqueModel(6, 0.5, k=3)._check_range(cb.BoundParams.boolean(6, 0.5, 0.1)) is False
         params = cb.BoundParams(n=4, a=(0.0, -1.0, 0.0, -1.0), b=2.0, c=(0.5,) * 4, t=0.1)
         assert cb.BooleanIIDModel(4, 0.5)._check_range(params) is False
-        # the planted block (factor 0, read by variables 1 and 4) leaves the
-        # range through variable 4, and so does free variable 5 (factor 4)
+        # variable 4 (the planted block's, with variable 1) is the lowest to
+        # leave the range; free variable 5 leaves it too
         params = cb.BoundParams(n=6, a=(0.0,) * 4 + (-0.5, -0.5), b=1.0, c=(0.25,) * 6, t=0.1)
         with pytest.raises(cb.ValidationError, match=re.escape(
                 "variable 4 takes value 1.0 outside [-0.5, 0.5]")):
             cb.PlantedCliqueModel(6, 0.5, indices=[1, 4])._check_range(params)
 
+    def test_error_names_the_lowest_bad_variable(self):
+        # variable 0 leaves through its greatest value, variable 1 through 2.0
+        model = cb.ExplicitTableModel([([0.5, 2.0], 0.5), ([3.0, 0.5], 0.5)])
+        with pytest.raises(cb.ValidationError, match=re.escape(
+                "variable 0 takes value 3.0 outside [0.0, 1.0]")):
+            cb.check_support_range(model, cb.BoundParams.boolean(2, 0.5, 0))
+        # below the range, the least value is named
+        model = cb.ExplicitTableModel([([-2.0], 0.5), ([3.0], 0.5)])
+        with pytest.raises(cb.ValidationError, match=re.escape("takes value -2.0")):
+            cb.check_support_range(model, cb.BoundParams.boolean(1, 0.5, 0))
+
     def test_shared_table_error_names_the_first_bad_variable(self):
-        # variables 0-2 read the coin table inside [0, 1]; variable 3's a_i
-        # puts its 1 above the range, and the error names it
+        # variables 0-2 read the coin table inside [0, 1]; variables 3 and 4's
+        # a_i put their 1 above the range, and the error names the lower, 3
         params = cb.BoundParams(n=5, a=(0.0, 0.0, 0.0, -0.5, -0.5), b=1.0, c=(0.25,) * 5, t=0.1)
         with pytest.raises(cb.ValidationError, match=re.escape(
                 "variable 3 takes value 1.0 outside [-0.5, 0.5]")):
@@ -807,6 +819,22 @@ class TestTableMemory:
         assert peak <= 2.25 * (model._fvals[0].nbytes + model._fprobs[0].nbytes)
 
 
+def test_table_moments_add_all_rows_in_one_reduce(decoded_table):
+    # 16384 rows fit one DEFAULT_CHUNK step: each moment is np.add.reduce of
+    # its row products, formed left to right as probs * x_i1 * x_i2 ...
+    model = cb.model_from_spec(decoded_table)
+    values, probs = model._fvals[0], model._fprobs[0]
+    certs = cb.certify_moments(model, cb.BoundParams.boolean(12, 0.5, 0.0))
+    assert len(certs) == 4096
+    for cert in certs[1:]:
+        weights = probs
+        for i in cert.subset:
+            weights = weights * values[:, i]
+        assert cert.exact_moment == float(np.add.reduce(weights)), cert.subset
+    for cert in certs[1::97]:
+        assert cb.exact_moment(model, cert.subset) == cert.exact_moment, cert.subset
+
+
 def _outcome(build):
     """(table bytes, probability bytes, width) of the model ``build`` returns,
     or the type and message of what it raises."""
@@ -947,6 +975,13 @@ class TestPackBlocks:
         entries[-2] = bad
         with pytest.raises(cb.ValidationError, match=match):
             cb.ExplicitTableModel(entries)
+
+    def test_the_first_refused_entry_names_the_fault(self):
+        # one walk of the entries: no atom at entry 0 comes before entry 1's missing key
+        with pytest.raises(cb.ValidationError, match="pairs"):
+            cb.ExplicitTableModel([5, {"x": [1.0]}])
+        with pytest.raises(cb.ValidationError, match="missing 'p'"):
+            cb.ExplicitTableModel([([1.0], 1.0), {"x": [1.0]}, 5])
 
     def test_a_later_block_of_another_width(self):
         entries = self._entries()

@@ -33,6 +33,22 @@ class TestDefaultBudgets:
         wp = cb.default_budgets(4, 0.5, 0.25, 0.9)
         assert wp.lam == pytest.approx(2 / 3, rel=1e-15)
 
+    def test_lambda_is_that_of_the_bound_params(self):
+        # the tilt at normalize(params), as simulate and verify resolve it;
+        # the mean of 12 copies of 0.4 is not 0.4 in the last bit
+        norm = cb.normalize(cb.BoundParams.boolean(12, 0.4, 0.3))
+        assert cb.default_budgets(12, 0.4, 0.3, 0.5).lam == cb.optimize_lambda(norm).lam
+        assert cb.optimize_lambda(norm).lam == 0.7142857142857144
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 500), st.floats(0.05, 0.95), st.floats(0.05, 0.95))
+    def test_lambda_matches_normalize_on_interior_shapes(self, n, c, share):
+        t = share * (1.0 - c)
+        norm = cb.normalize(cb.BoundParams.boolean(n, c, t))
+        lam = cb.optimize_lambda(norm).lam
+        if cb.proof_case(norm) == "interior" and lam < LAMBDA_CAP:
+            assert _quiet_budgets(n, c, t, 0.999).lam == lam
+
     def test_lambda_capped_below_one(self):
         # t = 1 - c makes the raw tilt exactly 1
         wp = cb.default_budgets(2, 0.5, 0.5, 0.9)
