@@ -39,7 +39,7 @@ from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
 
-from .entropy_core import PROB_SUM_TOL, BoundParams, check_positive_int, slack
+from .entropy_core import PROB_SUM_TOL, BoundParams, at_most, check_positive_int, rounding, slack
 from .errors import SubsetBudgetError, SupportTooLargeError, ValidationError
 
 DEFAULT_ATOM_CAP = 10**6
@@ -493,8 +493,8 @@ class JointModel:
 
         The sum is, per part of positive weight, each factor's largest row
         sum over its readers, added over the factors; the largest over the
-        parts.  The bound is n 2^-50 times the sum of the variables' largest
-        magnitudes, over the rounding of that sum and of any other."""
+        parts.  The bound is ``rounding(n)`` times the sum of the variables'
+        largest magnitudes, over the rounding of that sum and of any other."""
         largest = -math.inf
         for w, part in self._parts():
             if w > 0.0:
@@ -505,7 +505,7 @@ class JointModel:
                         sums += values[:, c]
                     total += float(sums.max())
                 largest = max(largest, total)
-        return largest, self._n * 2.0**-50 * float(np.maximum(-self._lo, self._hi).sum())
+        return largest, rounding(self._n) * float(np.maximum(-self._lo, self._hi).sum())
 
     def _factor_moments(
         self, j: int, max_size: int, chain: tuple[int, ...] | None
@@ -778,7 +778,8 @@ class ExplicitTableModel(JointModel):
 @dataclass(frozen=True)
 class MomentCertificate:
     """Comparison of one subset's exact product moment against prod c_i;
-    ``satisfied`` allows the package tolerance ``slack()`` for rounding."""
+    ``satisfied`` is ``at_most(moment, product, |S|)``, a band relative to
+    the larger side for the rounding of |S|-term products."""
 
     subset: tuple[int, ...]
     exact_moment: float
@@ -786,7 +787,7 @@ class MomentCertificate:
 
     @property
     def satisfied(self) -> bool:
-        return self.exact_moment <= self.bound_product + slack()
+        return at_most(self.exact_moment, self.bound_product, len(self.subset))
 
 
 def sample(model: JointModel, rng: np.random.Generator, size: int | None = None) -> np.ndarray:

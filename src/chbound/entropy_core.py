@@ -17,12 +17,13 @@ from dataclasses import dataclass
 from .errors import ValidationError
 
 # -- tolerance policy ------------------------------------------------------
-# The only numeric tolerances of the package; every comparison of computed
-# quantities allows ``slack(scale)``.  See "Tolerances" in the README.
+# The only numeric tolerances of the package: ``at_most`` compares computed
+# quantities, and inputs and thresholds allow ``slack(scale)``.  See
+# "Tolerances" in the README.
 
 TOL = 1e-12
-"""Slack for comparing computed quantities, which are accurate to a few ulps
-(about 1e-16) of their scale: rounding never flips a comparison."""
+"""Least relative band of ``at_most``, and the slack of inputs and thresholds,
+which are accurate to a few ulps (about 1e-16) of their scale."""
 
 PROB_SUM_TOL = 1e-9
 """Input tolerance for the total of a user-given probability table: tables are
@@ -41,6 +42,18 @@ def slack(scale: float = 1.0) -> float:
     return TOL * max(1.0, abs(scale))
 
 
+def rounding(n: int) -> float:
+    """Relative bound on the rounding of n rounded terms: n 2^-50, 8 n unit roundoffs."""
+    return n * 2.0**-50
+
+
+def at_most(x: float, y: float, n: int = 1) -> bool:
+    """Whether computed x, y of about n rounded terms each have x <= y, up to
+    max(TOL, rounding(n)) max(|x|, |y|, 2^-1022): relative down to the normal
+    range, below which the band is absolute and cannot see a violation."""
+    return x <= y + max(TOL, rounding(n)) * max(abs(x), abs(y), 2.0**-1022)
+
+
 # -- end of tolerance policy -----------------------------------------------
 
 # Sampling defaults shared by the library and the CLI parser, kept here so
@@ -53,6 +66,7 @@ __all__ = [
     "TOL",
     "LAMBDA_CAP",
     "slack",
+    "at_most",
     "BoundParams",
     "NormalizedParams",
     "LambdaChoice",

@@ -59,7 +59,7 @@ from .dist_models import (
     JointModel, MomentCertificate, _unit_image, certify_moments, tail_cutoff,
 )
 from .entropy_core import (
-    DEFAULT_BLOCK_SIZE, DEFAULT_MAX_PROPOSALS, BoundParams, check_positive_int, normalize, slack,
+    DEFAULT_BLOCK_SIZE, DEFAULT_MAX_PROPOSALS, BoundParams, at_most, check_positive_int, normalize,
 )
 from .errors import RejectionBudgetError, ValidationError
 
@@ -329,16 +329,17 @@ def exact_product_expectation(
 
 @dataclass(frozen=True)
 class ChainLink:
-    """One exactly-evaluated inequality lhs >= rhs; ``passed`` allows the
-    package tolerance ``slack()`` (chain quantities lie in [0, 1])."""
+    """One exactly-evaluated inequality lhs >= rhs; ``passed`` is ``at_most(rhs,
+    lhs, n)`` for sides of about n rounded terms (``verify_chain``: params.n)."""
 
     name: str
     lhs: float
     rhs: float
+    n: int = 1
 
     @property
     def passed(self) -> bool:
-        return self.lhs >= self.rhs - slack()
+        return at_most(self.rhs, self.lhs, self.n)
 
 
 @dataclass(frozen=True)
@@ -424,12 +425,12 @@ def verify_chain(
     mean_side = (lam * norm.ctilde + 1.0 - lam) ** params.n
     per_variable = float(np.prod([lam * ci + 1.0 - lam for ci in norm.ctilde_i]))
     envelope = (1.0 - lam) ** (params.n * (1.0 - norm.ctilde - norm.ttilde)) * tail_probability
-    links = (
-        ChainLink("product_mean_vs_per_variable", mean_side, per_variable),
-        ChainLink("certified_moments_vs_process", per_variable, expected_product),
-        ChainLink("restrict_to_tail", expected_product, expected_on_tail),
-        ChainLink("tail_mass_envelope", expected_on_tail, envelope),
-    )
+    links = tuple(ChainLink(name, lhs, rhs, params.n) for name, lhs, rhs in (
+        ("product_mean_vs_per_variable", mean_side, per_variable),
+        ("certified_moments_vs_process", per_variable, expected_product),
+        ("restrict_to_tail", expected_product, expected_on_tail),
+        ("tail_mass_envelope", expected_on_tail, envelope),
+    ))
     return ChainReport(
         lam=lam,
         links=links,

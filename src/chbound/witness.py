@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist_models import JointModel
-from .entropy_core import (DEFAULT_MIN_ROUNDS, LAMBDA_CAP, TOL, BoundParams, check_positive_int,
+from .entropy_core import (DEFAULT_MIN_ROUNDS, LAMBDA_CAP, BoundParams, at_most, check_positive_int,
                            chernoff_bound, normalize, optimize_lambda, proof_case)
 from .errors import BudgetOverflowError, ValidationError
 from .mc_engine import (
@@ -146,8 +146,8 @@ def default_budgets(
     the closed forms 64 alpha^(-4/(c t)) n ln(n+1) and 64 margin^-2 ln(100),
     each truncated at its cap.  Raises ``BudgetOverflowError`` when the
     margin underflows to zero.  Warns, once and naming the caller's line,
-    when alpha is below the certified tail bound by more than the relative
-    ``TOL``: detection is not guaranteed there.  Overriding fields with
+    unless ``at_most(bound, alpha, n)`` holds for the certified tail bound:
+    detection is not guaranteed below it.  Overriding fields with
     ``dataclasses.replace`` afterwards does not warn again.
     """
     c, t, alpha = float(c), float(t), float(alpha)
@@ -176,7 +176,7 @@ def default_budgets(
     lam = min(optimize_lambda(norm).lam, LAMBDA_CAP) if interior else LAMBDA_CAP
     wp = WitnessParams(params, alpha, lam, max(1, m_search), max(1, m_confirm), margin)
     bound = wp.tail_bound
-    if alpha < bound * (1.0 - TOL):
+    if not at_most(bound, alpha, n):
         warnings.warn(f"alpha={alpha} is below the certified tail bound {bound}; a dependent "
                       "subset is not guaranteed to exist", stacklevel=2)
     return wp

@@ -201,6 +201,16 @@ class TestVerify:
         assert doc["result"]["lambda"] == 0.3
         assert doc["result"]["certificates_total"] == 11  # sizes 0..2 of 4
 
+    def test_range_is_checked_once(self, specs, capsys, monkeypatch):
+        from chbound.dist_models import JointModel
+
+        calls = []
+        check = JointModel._check_range
+        monkeypatch.setattr(JointModel, "_check_range",
+                            lambda model, params: calls.append(1) or check(model, params))
+        code, _ = run_json(capsys, "verify", "--spec", specs["b4"], "--c", "0.5", "--t", "0.25")
+        assert code == 0 and len(calls) == 1
+
     def test_n_crosscheck(self, specs, capsys):
         code, _, err = run(
             capsys, "verify", "--spec", specs["b4"], "--n", "3", "--c", "0.5", "--t", "0.25"
