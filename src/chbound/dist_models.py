@@ -35,7 +35,7 @@ import math
 import numbers
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, NoReturn, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -177,10 +177,10 @@ class _Packer:
     buffer of their vectors, row after row, and one of their probabilities,
     which ``ExplicitTableModel`` takes as its arrays without a second fill.
 
-    It is fed entries in memory (``pack``) or by the JSON decoder (``hook``).
-    An atom fits if its vector holds numbers, as many as the first atom's,
-    and its probability is a number.  ``array('d')`` takes what ``float()``
-    takes, except text, so a JSON string is no number.
+    It is fed entries in memory (``pack``, which raises at the first that
+    does not fit) or by the JSON decoder (``hook``).  An atom fits if its
+    vector holds numbers, as many as the first atom's, and its probability
+    is a number; ``array('d')`` takes what ``float()`` takes, except text.
     """
 
     def __init__(self):
@@ -207,18 +207,24 @@ class _Packer:
         del values[start:]
         return False
 
-    def pack(self, entries: Iterable) -> bool:
-        """Append every entry, a {"x", "p"} object or an (x, p) pair; False
-        at the first that does not fit."""
-        add = self.add
+    def pack(self, entries: Iterable) -> None:
+        """Append every entry, a {"x", "p"} object or an (x, p) pair; at the first
+        that does not fit, raise ``_require``'s error for a missing key, "pairs"
+        for no atom, else the widths of the first atom and this one."""
+        add, kind = self.add, ExplicitTableModel.kind
         for e in entries:
             try:
                 x, p = (e["x"], e["p"]) if isinstance(e, dict) else e
-            except (TypeError, ValueError, KeyError):  # no pair, or a missing key
-                return False
+            except KeyError:  # _require raises, naming the missing key
+                x, p = _require(e, "x", kind), _require(e, "p", kind)
+            except (TypeError, ValueError):  # no pair, so no atom
+                x = p = None
             if not add(x, p):
-                return False
-        return True
+                atom = _Packer()
+                if not atom.add(x, p):
+                    raise ValidationError(f"{kind} atoms must be (vector, probability) pairs")
+                raise ValidationError(
+                    f"atom vectors have inconsistent lengths {sorted([self.width, atom.width])}")
 
     def hook(self, pairs: list[tuple[str, object]]) -> object:
         """``json.loads``' object_pairs_hook: an object of the two keys "x" and
@@ -300,29 +306,25 @@ class JointModel:
         self._n = check_positive_int("n", n)
         self._atom_cap = check_positive_int("atom_cap", atom_cap)
         self._sum_cache: tuple[np.ndarray, np.ndarray] | SupportTooLargeError | None = None
-        # Each distinct table and probability vector is converted once, however
-        # many factors it serves; the lists keep them alive, so their ids stay distinct.
+        # Each distinct (table, probabilities) pair is converted and checked once, named by
+        # its first factor; the lists keep the objects alive, so their ids stay distinct.
         factor_values, factor_probs = list(factor_values), list(factor_probs)
         if len(factor_values) != len(factor_probs):
             raise ValidationError("factor_values and factor_probs must list the same factors")
-        (vfirst, vof), (pfirst, pof) = (_distinct(list(map(id, f)))
-                                        for f in (factor_values, factor_probs))
-        tables = [np.asarray(factor_values[j], dtype=np.float64) for j in vfirst]
-        if not all(len(v) for v in tables):
-            raise ValidationError("every factor needs at least one value row")
-        tables = [v.reshape(len(v), -1) for v in tables]
-        probs = [np.asarray(factor_probs[j], dtype=np.float64) for j in pfirst]
-        # per factor, which pair of table and probabilities it was passed
-        checked, pair = _distinct(list(zip(vof.tolist(), pof.tolist())))
+        checked, pair = _distinct(list(zip(map(id, factor_values), map(id, factor_probs))))
         kept = []
-        for j in checked:  # each pair once, named by its first factor
-            values, p = tables[vof[j]], probs[pof[j]]
+        for j in checked:
+            values = np.asarray(factor_values[j], dtype=np.float64)
+            if not len(values):
+                raise ValidationError("every factor needs at least one value row")
+            values, p = values.reshape(len(values), -1), np.asarray(factor_probs[j], np.float64)
             check_table(values, p, self._factor_name(j))
             if not p.all():  # keep only the rows the model can draw
                 values, p = values[p > 0.0], p[p > 0.0]
             kept.append((values, p))
         self._fvals, self._fprobs = (list(f) for f in zip(*map(kept.__getitem__, pair.tolist())))
-        starts = np.cumsum([0] + np.array([v.shape[1] for v in tables])[vof].tolist())
+        widths = np.array([values.shape[1] for values, _ in kept])
+        starts = np.cumsum([0] + widths[pair].tolist())
         self._vmap = np.asarray(vmap)
         if (self._vmap.shape != (n,) or self._vmap.dtype.kind not in "iu"
                 or not np.all((self._vmap >= 0) & (self._vmap < starts[-1]))):
@@ -340,7 +342,7 @@ class JointModel:
             unread = np.flatnonzero(counts == 0).tolist()
             raise ValidationError(f"factors {unread} are read by no variable")
         # Per pair: the least and greatest value each variable reads, for the range check.
-        at = np.cumsum([0] + [values.shape[1] for values, _ in kept])[pair[owner]] + cols
+        at = np.cumsum([0] + widths.tolist())[pair[owner]] + cols
         self._lo, self._hi = (np.concatenate([f.reduce(values) for values, _ in kept])[at]
                               for f in (np.minimum, np.maximum))
         # The variables reading each factor, ascending, side by side in factor
@@ -429,8 +431,8 @@ class JointModel:
     ) -> tuple[np.ndarray, ...]:
         # Factor by factor, each step checked against atom_cap before it is
         # formed: every (state, row) pair adds the row's values to the sum
-        # column by column, so variables in factor order, left to right, as
-        # draw_round and the kernel's tail sums add; masses multiply in.
+        # column by column, so variables left to right in the order of
+        # _readers, as draw_round and the kernel's tail sums add; masses multiply in.
         law = (np.zeros(1), *np.ones((1 if params is None else 2, 1)))
         a = None if params is None else np.asarray(params.a)
         for j, probs in enumerate(self._fprobs):
@@ -742,7 +744,8 @@ class ExplicitTableModel(JointModel):
     @classmethod
     def _pack(cls, atoms: Sequence) -> tuple[int, np.ndarray, np.ndarray]:
         """Width, values and probabilities of entries in memory, packed
-        PACK_BLOCK at a time and each block copied into arrays allocated once.
+        PACK_BLOCK at a time (``_Packer.pack``, which raises at the first entry
+        that does not fit) and each block copied into arrays allocated once.
         (One buffer grown to the table's size moves inside the heap, leaving
         a hole at each move: `verify` of 262,144 pairs peaked at 150.9 MB
         that way, at 143.3 MB in blocks.)"""
@@ -751,28 +754,13 @@ class ExplicitTableModel(JointModel):
         for start in range(0, len(atoms), PACK_BLOCK):
             block = _Packer()
             block.width = width
-            if not block.pack(itertools.islice(rows, PACK_BLOCK)):
-                cls._reject(atoms)
+            block.pack(itertools.islice(rows, PACK_BLOCK))
             width, stop = block.width, start + len(block.probs)
             if values is None:
                 values = np.empty(len(atoms) * width)
             values[start * width:stop * width] = block.values
             probs[start:stop] = block.probs
         return width, values, probs
-
-    @classmethod
-    def _reject(cls, atoms: Sequence) -> NoReturn:
-        """Raise the error of entries the packer refused: the first entry it
-        refuses on its own (a missing key, or no atom), else the widths."""
-        widths = set()
-        for e in atoms:
-            if isinstance(e, dict):
-                _require(e, "x", cls.kind), _require(e, "p", cls.kind)
-            atom = _Packer()
-            if not atom.pack([e]):
-                raise ValidationError("explicit_table atoms must be (vector, probability) pairs")
-            widths.add(atom.width)
-        raise ValidationError(f"atom vectors have inconsistent lengths {sorted(widths)}")
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,9 @@ holds xtilde unless that is x.
 variables 0..n-1 left to right, as ``np.prod`` along a C-ordered row does,
 so the weights keep the bits of the row-major kernel
 (``dist_models._row_weights``) while vectorising across rows.  Conditional
-mode tests the tail on sums in that order too, then weighs only the kept
-rows; ``draw_round`` and the exact fold add in the same order, so an atom
-near ``tail_cutoff`` falls on the same side for all three.
+mode tests the tail on sums added in ``JointModel._readers`` order, then
+weighs only the kept rows; ``draw_round`` and the exact fold add in the same
+order, so an atom near ``tail_cutoff`` falls on the same side for all three.
 
 ``estimate_product`` gives Boolean and planted models under the identity map
 a count kernel where a one's factor (lam 1.0 + 1.0) - lam is exactly 1.0: a
@@ -125,12 +125,15 @@ def _chunk_rows(n: int, m: int) -> int:
     return min(m, max(1, ESTIMATE_CHUNK // n))
 
 
-def _kernel(model: JointModel, params: BoundParams, m: int) -> tuple[bool, Callable[..., Iterator]]:
-    """The round kernel of one call, for blocks of up to m rows: (same, chunks).
+def _kernel(model: JointModel, params: BoundParams,
+            m: int) -> tuple[bool, slice | np.ndarray, Callable[..., Iterator]]:
+    """The round kernel of one call, for blocks of up to m rows: (same, order, chunks).
 
     It range-checks the model once (``JointModel._check_range``), before any
     draw.  ``same`` says xtilde is x itself: nothing clipped, b = 1 and every
-    a_i = 0.  ``chunks(rng, m)`` yields m rows from one generator, a chunk of
+    a_i = 0.  ``order`` indexes x's variables in the order the exact fold
+    adds them, ``JointModel._readers``, or is ``slice(None)`` if that is 0..n-1.
+    ``chunks(rng, m)`` yields m rows from one generator, a chunk of
     ``_chunk_rows`` rows at a time, as (the chunk's slice of the m rows, x,
     xtilde), both variable-major; xtilde is (x - a_i) / b, clipped to [0, 1]
     if the check asks.  ``_draw`` fills workspaces that the first ``chunks``
@@ -140,6 +143,7 @@ def _kernel(model: JointModel, params: BoundParams, m: int) -> tuple[bool, Calla
     """
     clip = model._check_range(params)
     same = not clip and params.b == 1.0 and not any(params.a)
+    order = slice(None) if np.array_equal(model._readers, np.arange(model.n)) else model._readers
     n, room, rooms = model.n, model.n * _chunk_rows(model.n, m), []
     a = np.asarray(params.a)[:, None]
 
@@ -155,7 +159,7 @@ def _kernel(model: JointModel, params: BoundParams, m: int) -> tuple[bool, Calla
                                             out=rooms[1][: x.size].reshape(x.shape))
             yield slice(start, stop), x, xt
 
-    return same, chunks
+    return same, order, chunks
 
 
 def _mean_and_se(blocks: Iterable[np.ndarray], limit: int) -> tuple[int, float, float]:
@@ -216,7 +220,8 @@ def draw_round(
     (the empty product is 1).
     """
     lam = _check_round_args(model, params, lam)
-    ((_, x, xt),) = _kernel(model, params, 1)[1](rng, 1)
+    _, order, chunks = _kernel(model, params, 1)
+    ((_, x, xt),) = chunks(rng, 1)
     y = rng.random(xt.shape) < xt
     member = rng.random(xt.shape) < lam
     return SamplingRound(
@@ -225,7 +230,7 @@ def draw_round(
         y=y[:, 0].astype(np.int8),
         subset=tuple(int(i) for i in np.flatnonzero(member)),
         product=int(np.all(y | ~member)),
-        sum_exceeds=bool(np.cumsum(x)[-1] >= tail_cutoff(params.threshold)),  # left to right
+        sum_exceeds=bool(np.cumsum(x[order])[-1] >= tail_cutoff(params.threshold)),
     )
 
 
@@ -263,7 +268,7 @@ def estimate_product(
         check_positive_int("max_proposals", max_proposals)
         total = max(1, math.ceil(max_proposals / block_size)) * block_size
     cutoff = tail_cutoff(params.threshold)
-    same, chunks = _kernel(model, params, min(block_size, total))
+    same, order, chunks = _kernel(model, params, min(block_size, total))
     if conditional:
         largest, rounding = model._max_sum()
         if largest + rounding < cutoff:
@@ -285,7 +290,8 @@ def estimate_product(
         kept = 0
         for _, x, xt in chunks(rng, m):
             if conditional:
-                # variables added left to right (NumPy sums a lone column pairwise)
+                # variables added left to right in ``order`` (NumPy sums a lone column pairwise)
+                x = x[order]
                 sums = np.add.reduce(x, axis=0) if x.shape[1] > 1 else np.cumsum(x)[-1:]
                 xt = xt[:, sums >= cutoff]
             np.multiply(xt, lam, out=xt)  # the operations of _row_weights

@@ -319,7 +319,7 @@ def find_dependent_set(
     n = model.n
     # Buffers for one block, shared by every block of both phases.
     block = min(block_size, max(wp.m_search, wp.m_confirm))
-    _, chunks = _kernel(model, wp.params, block)
+    *_, chunks = _kernel(model, wp.params, block)
     rows = _chunk_rows(n, block)  # per chunk
     uniforms = np.empty((rows, n))
     bits = np.zeros((rows, -(-n // 64) * 64), dtype=bool)  # the padding stays False

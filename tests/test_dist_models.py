@@ -233,6 +233,13 @@ class TestCertify:
         with pytest.raises(cb.ValidationError, match="max_subset_size must be an integer"):
             cb.verify_chain(model, params, 0.5, max_subset_size=size)
 
+    @pytest.mark.parametrize("size", [-1, 6])
+    def test_max_subset_size_must_lie_in_0_to_n(self, size):
+        model, params = cb.BooleanIIDModel(5, 0.5), cb.BoundParams.boolean(5, 0.5, 0.1)
+        with pytest.raises(cb.ValidationError,
+                           match=rf"max_subset_size must lie in \[0, n\], got {size}"):
+            cb.certify_moments(model, params, max_subset_size=size)
+
     @pytest.mark.parametrize("budget", ["10", None, 0])
     def test_subset_budget_must_be_a_positive_integer(self, budget):
         with pytest.raises(cb.ValidationError, match="subset_budget"):
@@ -577,6 +584,8 @@ class TestCheckSupportRange:
         squeezed = cb.BoundParams(n=2, a=(0.0, 0.0), b=0.5, c=(0.25, 0.25), t=0.0)
         with pytest.raises(cb.ValidationError, match="variable"):
             cb.check_support_range(model, squeezed)
+        with pytest.raises(cb.ValidationError, match="params.n=3 does not match model n=2"):
+            cb.check_support_range(model, cb.BoundParams.boolean(3, 0.5, 0.0))
 
     def test_ignores_zero_probability_atoms(self, tmp_path, capsys):
         atoms = [([0.5, 0.5], 1.0), ([9.0, 9.0], 0.0)]
@@ -700,6 +709,12 @@ class TestModelFromSpec:
             ({"kind": "boolean_iid", "n": 2, "params": {}}, "missing 'p'"),
             ({"kind": "boolean_iid", "params": {"p": 0.5}}, "missing 'n'"),
             ({"kind": "explicit_table", "params": {"support": []}}, "at least one atom"),
+            ({"kind": "independent", "n": 1, "params": {"marginals": []}},
+             "need at least one marginal"),
+            ({"kind": "independent", "n": 1, "params": {"marginals": [[]]}},
+             r"marginals\[0\] must contain at least one atom"),
+            ({"kind": "exchangeable_mixture", "n": 2, "params": {"rho": 0.5, "atoms": []}},
+             "^atoms must contain at least one atom"),
             (
                 {"kind": "boolean_iid", "n": 0, "params": {"p": 0.5}},
                 "positive integer",
@@ -982,6 +997,12 @@ class TestPackBlocks:
             cb.ExplicitTableModel([5, {"x": [1.0]}])
         with pytest.raises(cb.ValidationError, match="missing 'p'"):
             cb.ExplicitTableModel([([1.0], 1.0), {"x": [1.0]}, 5])
+        # a width fault is named before a later entry's own fault, with the
+        # first atom's width and the refused entry's, whatever follows
+        with pytest.raises(cb.ValidationError, match=r"inconsistent lengths \[1, 2\]$"):
+            cb.ExplicitTableModel([([1.0], 0.5), ([1.0, 2.0], 0.5), {"x": [1.0]}])
+        with pytest.raises(cb.ValidationError, match=r"inconsistent lengths \[1, 2\]$"):
+            cb.ExplicitTableModel([([1.0], 0.25), ([1.0, 2.0], 0.25), ([1.0, 2.0, 3.0], 0.5)])
 
     def test_a_later_block_of_another_width(self):
         entries = self._entries()
@@ -1012,6 +1033,9 @@ class TestValidation:
             cb.PlantedCliqueModel(3, 0.5, indices=(5,))
         with pytest.raises(cb.ValidationError):
             cb.PlantedCliqueModel(3, 0.5)  # neither k nor indices
+        for k in (0, 4, 2.0):
+            with pytest.raises(cb.ValidationError, match=r"k must be an integer in \[1, n\]"):
+                cb.PlantedCliqueModel(3, 0.5, k=k)
 
     def test_ragged_table_rejected(self):
         with pytest.raises(cb.ValidationError):
@@ -1045,6 +1069,33 @@ class TestJointModelValidation:
             cb.JointModel(1, [[]], [[]], [0])
         with pytest.raises(cb.ValidationError, match="same factors"):
             cb.JointModel(1, [[0.0, 1.0]], [], [0])
+
+    def test_each_pair_of_table_and_probabilities_is_checked_once(self, monkeypatch):
+        calls = []
+        real = dist_models.check_table
+
+        def counting(values, probs, name):
+            calls.append(name)
+            real(values, probs, name)
+
+        monkeypatch.setattr(dist_models, "check_table", counting)
+        # one array under two probability vectors, and one list table shared by two factors
+        table, shared = np.array([[0.0], [1.0]]), [0.25, 2.0]
+        p1, p2 = np.array([0.5, 0.5]), np.array([0.0, 1.0])
+        model = cb.JointModel(4, [table, table, shared, shared], [p1, p2, p1, p1], [0, 1, 2, 3])
+        assert calls == ["factor_table factor 0", "factor_table factor 1",
+                         "factor_table factor 2"]
+        assert [v.tolist() for v in model._fvals] == [[[0.0], [1.0]], [[1.0]],
+                                                      [[0.25], [2.0]], [[0.25], [2.0]]]
+        assert [p.tolist() for p in model._fprobs] == [[0.5, 0.5], [1.0], [0.5, 0.5], [0.5, 0.5]]
+        assert model._fvals[2] is model._fvals[3] and model._fprobs[2] is model._fprobs[3]
+        assert model._fvals[0] is not model._fvals[1]
+        # a bad pair is named by its first factor, and the first bad pair wins
+        bad = np.array([0.5, 0.6])
+        with pytest.raises(cb.ValidationError, match="^factor_table factor 1 probabilities sum"):
+            cb.JointModel(3, [table, shared, shared], [p1, bad, bad], [0, 1, 2])
+        with pytest.raises(cb.ValidationError, match="^factor_table factor 1 probabilities sum"):
+            cb.JointModel(3, [table, shared, []], [p1, bad, []], [0, 1, 2])
 
     def test_each_marginal_is_checked_once(self, monkeypatch):
         calls = []

@@ -145,6 +145,9 @@ class TestBoundParams:
             dict(n=2, a=(0.0, 0.0), b=1.0, c=(0.5, 0.5), t=0.6),  # t > t_max
             dict(n=2, a=(0.0, 0.0), b=0.0, c=(0.0, 0.0), t=0.0),  # b = 0
             dict(n=2, a=(0.0,), b=1.0, c=(0.5, 0.5), t=0.1),  # wrong length
+            dict(n=2, a=(0.0, 0.0), b=1.0, c=(0.5, "x"), t=0.1),  # c not numbers
+            dict(n=2, a=(0.0, 0.0), b=1.0, c=(0.5, math.inf), t=0.1),  # c not finite
+            dict(n=2, a=(0.0, 0.0), b=1.0, c=(0.5, 0.5), t=math.nan),
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -197,6 +200,12 @@ class TestNormalize:
     def test_rejects_inconsistent_mean(self):
         with pytest.raises(cb.ValidationError):
             cb.NormalizedParams(ctilde_i=(0.2, 0.4), ctilde=0.5, ttilde=0.1)
+        with pytest.raises(cb.ValidationError, match="ctilde_i must be non-empty"):
+            cb.NormalizedParams(ctilde_i=(), ctilde=0.0, ttilde=0.0)
+        with pytest.raises(cb.ValidationError, match=r"ctilde_i\[1\]=1.5 outside \[0, 1\]"):
+            cb.NormalizedParams(ctilde_i=(0.5, 1.5), ctilde=1.0, ttilde=0.0)
+        with pytest.raises(cb.ValidationError, match="ttilde must be >= 0"):
+            cb.NormalizedParams(ctilde_i=(0.5,), ctilde=0.5, ttilde=-0.1)
 
     def test_rejects_excess_ttilde(self):
         with pytest.raises(cb.ValidationError):
@@ -264,6 +273,15 @@ class TestOptimizeLambda:
         grid = cb.grid_search_lambda(norm)
         assert star.g_value <= grid.g_value + 1e-9
         assert grid.lam == pytest.approx(star.lam, abs=2e-4)
+        with pytest.raises(cb.ValidationError, match="points must be >= 2"):
+            cb.grid_search_lambda(norm, points=1)
+        for hi in (0.0, 1.0):
+            with pytest.raises(cb.ValidationError, match=r"hi must lie in \(0, 1\)"):
+                cb.grid_search_lambda(norm, hi=hi)
+        with pytest.raises(cb.ValidationError, match=r"lam must lie in \[0, 1\)"):
+            cb.LambdaChoice(lam=1.0, g_value=0.5)
+        with pytest.raises(cb.ValidationError, match="g_value must be >= 0"):
+            cb.LambdaChoice(lam=0.5, g_value=math.nan)
 
     @given(
         st.floats(min_value=0.05, max_value=0.95),

@@ -70,6 +70,9 @@ class TestDrawRound:
         params = cb.BoundParams.boolean(2, 0.5, 0.25)
         with pytest.raises(cb.ValidationError):
             cb.draw_round(model, params, 1.2, np.random.default_rng(0))
+        with pytest.raises(cb.ValidationError, match="params.n=3 does not match model n=2"):
+            cb.draw_round(model, cb.BoundParams.boolean(3, 0.5, 0.25), 0.5,
+                          np.random.default_rng(0))
 
 
 class TestDrawRoundRangeCheck:
@@ -159,6 +162,8 @@ class TestEstimateProduct:
             cb.estimate_product(model, params, 0.5, 100, workers=0)
         with pytest.raises(cb.ValidationError):
             cb.estimate_product(model, params, 0.5, 100, seed=-1)
+        with pytest.raises(cb.ValidationError, match="params.n=3 does not match model n=2"):
+            cb.estimate_product(model, cb.BoundParams.boolean(3, 0.5, 0.25), 0.5, 100)
 
 
 class TestConditionalEstimate:
@@ -232,15 +237,18 @@ class TestConditionalEstimate:
         assert largest < (row[0] + row[1]) + row[2] == 1.3 <= largest + rounding
 
     def test_a_row_at_the_cutoff_in_the_kernel_order_is_drawn(self):
-        # The kernel adds x0 + x1 + x2 to the cutoff itself; _max_sum adds
-        # factor 0's readers first, to one ulp below it, so only the rounding
-        # allowance keeps the estimate from refusing.
+        # Factor 0 is read by variable 0, factor 1 by variables 1 and 2: the
+        # kernel and the fold add (x0 + x1) + x2 to the cutoff itself, while
+        # _max_sum adds each factor's row first, x0 + (x1 + x2), to one ulp
+        # below it, so only the rounding allowance keeps the estimate from refusing.
         params = cb.BoundParams.boolean(3, 0.3, 0.13)
         x0, x1, x2 = 0.07, 0.71, 0.5099999999987098
-        assert (x0 + x1) + x2 == tail_cutoff(params.threshold) > (x0 + x2) + x1
-        model = cb.JointModel(3, [[[x0, x2]], [[x1]]], [[1.0], [1.0]], [0, 2, 1])
+        assert (x0 + x1) + x2 == tail_cutoff(params.threshold) > x0 + (x1 + x2)
+        model = cb.JointModel(3, [[[x0]], [[x1, x2]]], [[1.0], [1.0]], [0, 1, 2])
+        assert model._max_sum()[0] < tail_cutoff(params.threshold)
         est = cb.estimate_product(model, params, 0.5, 10, conditional=True, seed=0)
         assert est.n_samples == 10
+        assert cb.exact_tail(model, params.threshold) == 1.0
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.lists(st.floats(-1e6, 1e6), min_size=12, max_size=12),
@@ -517,7 +525,7 @@ def _float_kernel_estimate(model, params, lam, n_samples, *, conditional, seed, 
     if conditional:
         total = max(1, math.ceil(max_proposals / block_size)) * block_size
     cutoff = tail_cutoff(params.threshold)
-    _, chunks = mc_engine._kernel(model, params, min(block_size, total))
+    *_, chunks = mc_engine._kernel(model, params, min(block_size, total))
 
     def block(rng, m):
         kept = []
@@ -629,8 +637,9 @@ class TestRangeCheckBelowTheTail:
 
 class TestTailSumOrder:
     """Conditional mode, draw_round and the exact fold all add each row's
-    values left to right, in variable order, before they compare the sum
-    with tail_cutoff."""
+    values left to right, in the order of JointModel._readers (variable
+    order when each factor's readers follow the previous factor's), before
+    they compare the sum with tail_cutoff."""
 
     # Atoms of 12 values whose pairwise sum (NumPy's sum of a contiguous
     # row) and left-to-right sum straddle the cutoff of (c, t) = (C, 0).
@@ -678,6 +687,35 @@ class TestTailSumOrder:
         on_atom = [r.sum_exceeds for r in rounds if r.x.any()]
         assert on_atom and set(on_atom) == {kept}
         assert not any(r.sum_exceeds for r in rounds if not r.x.any())
+
+    # Variable i takes VALUES[i] or 0; factor 0 holds variables 6..11 and
+    # factor 1 variables 0..5, so _readers adds 6..11 first, to
+    # 6.749999999999999, while variable order reaches the cutoff 6.75.
+    VALUES = [0.04, 0.7, 0.98, 0.59, 0.39, 0.17, 0.5, 0.98, 0.77, 0.54, 0.86, 0.23]
+
+    @pytest.mark.parametrize("block_size", [1, 1000])
+    def test_interleaved_readers_agree_on_the_fold_order(self, block_size):
+        vals = self.VALUES
+        tables = [np.array([vals[6:], [0.0] * 6]), np.array([vals[:6], [0.0] * 6])]
+        model = cb.JointModel(12, tables, [np.array([0.5, 0.5])] * 2,
+                              vmap=[*range(6, 12), *range(6)])
+        params = cb.BoundParams.uniform(12, 0.0, 1.0, 0.5625000000005626, 0.0)
+        cutoff, in_order, in_readers = tail_cutoff(params.threshold), 0.0, 0.0
+        for v in vals:
+            in_order += v
+        for v in vals[6:] + vals[:6]:
+            in_readers += v
+        assert in_readers < cutoff == 6.75 <= in_order
+        assert model._readers.tolist() == [*range(6, 12), *range(6)]
+        assert cb.exact_tail(model, params.threshold) == 0.0
+        assert cb.verify_chain(model, params, 0.5).tail_probability == 0.0
+        rng = np.random.default_rng(5)
+        rounds = [cb.draw_round(model, params, 0.5, rng) for _ in range(40)]
+        assert any(np.array_equal(r.x, vals) for r in rounds)
+        assert not any(r.sum_exceeds for r in rounds)
+        with pytest.raises(cb.RejectionBudgetError, match="got 0 acceptances"):
+            cb.estimate_product(model, params, 0.5, 100, conditional=True, seed=0,
+                                block_size=block_size, max_proposals=2000)
 
 
 class TestRangeCheckedOncePerCall:
