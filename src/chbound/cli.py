@@ -438,13 +438,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("detect", help="search for a moment-violating subset")
     p.add_argument("--spec", required=True)
     _add_bound_flags(p, need_n=False)
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=float, required=True,
+                   help="tail probability P(mean >= c + t) claimed for the model, in "
+                   "(0, 1); default_budgets sets every unset budget from it")
     p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--m-search", dest="m_search", type=int, default=None)
-    p.add_argument("--m-confirm", dest="m_confirm", type=int, default=None)
-    p.add_argument("--margin", type=float, default=None)
+    p.add_argument("--m-search", dest="m_search", type=int, default=None,
+                   help="search rounds, one drawn index set each (unset: default_budgets)")
+    p.add_argument("--m-confirm", dest="m_confirm", type=int, default=None,
+                   help="fresh rows that re-estimate the best candidate (unset: "
+                   "default_budgets)")
+    p.add_argument("--margin", type=float, default=None,
+                   help="excess over c^|S| the confirmed mean must clear (unset: "
+                   "default_budgets)")
     p.add_argument("--min-rounds", dest="min_rounds", type=int,
-                   default=DEFAULT_MIN_ROUNDS)
+                   default=DEFAULT_MIN_ROUNDS,
+                   help="search rounds a set needs to become a candidate (default "
+                   "%(default)s)")
     _add_common(p, seed=True)
     p.set_defaults(handler=cmd_detect)
 

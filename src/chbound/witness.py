@@ -13,15 +13,18 @@ A subset is reported only when the confirmation estimate clears the margin
 threshold by at least two standard errors.
 
 The search keys each round's index set by its bits, column 0 the top bit of
-a native uint64 word (one more word per 64 further variables), and merges
-equal keys with one sort of the word per block, then once more across
-blocks, there only for the sets whose hash bucket was drawn often enough to
-hold a candidate; counts and scores add in round order, then in block
-order.  A
-round's score is the plain left-to-right product of its row with the
-variables outside the set replaced by 1.0, which has the bits of the product
-over the members alone.  The confirm phase multiplies the candidate's rows
-only.  Both phases reuse one set of buffers, allocated once per call.
+a native uint64 word (one more word per 64 further variables), packed from a
+row of whole bytes, and merges equal keys with one sort of the word per
+block.  As each block arrives, its counts add into hash-bucket totals whose
+width is fixed before the search from the most sets a call can draw; at the
+end only the entries of buckets drawn often enough to hold a candidate are
+merged across blocks, so no array spans every block.  Counts and scores add
+in round order, then in block order.  A round's score is the plain
+left-to-right product of its row with the variables outside the set replaced
+by 1.0, which has the bits of the product over the members alone.  The
+confirm phase multiplies the candidate's rows only, left to right, in place.
+Both phases reuse one set of buffers, allocated once per call; the inclusion
+uniforms are drawn in slices of ``UNIFORM_SLICE`` doubles.
 
 Why this works when the variables are dependent enough: if the tail
 P(mean >= c + t) carries probability alpha while the certified bound says it
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +63,8 @@ from .mc_engine import (
 DEFAULT_SEARCH_CAP = 50_000
 DEFAULT_CONFIRM_CAP = 20_000
 CONFIRM_Z = 2.0
+# Doubles of inclusion uniforms the search draws per slice (128 KB).
+UNIFORM_SLICE = 2**14
 
 __all__ = [
     "DEFAULT_SEARCH_CAP",
@@ -217,11 +223,15 @@ class WitnessReport:
             raise ValidationError("a not_found verdict must not name a subset")
 
 
-def _pack(bits: np.ndarray, out: np.ndarray) -> None:
-    """Write the index-set keys of the rows of ``bits``, a C-ordered (m, 64 w)
+def _pack(bits: np.ndarray, pad: np.ndarray, out: np.ndarray) -> None:
+    """Write the index-set keys of the rows of ``bits``, a C-ordered (m, 8 k)
     bool array, into the word-major (w, m) uint64 ``out``: column 0 is the
-    top bit of word 0, so numeric order, word 0 first, is row order."""
-    np.copyto(out.T, np.packbits(bits.reshape(-1)).view(">u8").reshape(len(bits), -1))
+    top bit of word 0, so numeric order, word 0 first, is row order.  One
+    flat ``np.packbits`` fills the first k byte columns of ``pad``, a (>= m,
+    8 w) uint8 buffer zero in its other columns, read as big-endian words."""
+    m, k = bits.shape[0], bits.shape[1] // 8
+    pad[:m, :k] = np.packbits(bits.reshape(-1)).reshape(m, k)
+    np.copyto(out.T, pad[:m].view(">u8"))
 
 
 def _bits(keys: np.ndarray) -> np.ndarray:
@@ -251,27 +261,46 @@ def _tally(keys: np.ndarray, counts: np.ndarray, hits: np.ndarray) -> tuple:
             np.bincount(inverse, weights=hits))
 
 
-def _best_candidate(
-    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]], c: float, min_rounds: int
-) -> tuple[int, float, tuple[int, ...]]:
-    """Tally per-block (index-set keys, counts, hits); pick the search winner.
+def _bucket_width(m: int, n: int) -> int:
+    """Bits of the cross-block hash for m rounds over n variables: about one
+    bucket per set that can be drawn, of which there are at most min(m, 2^n)."""
+    return max(1, min(m, 2**n).bit_length() - 1)
 
-    Candidates are the non-empty sets drawn at least ``min_rounds`` times.
-    Returns (candidate count, winner's excess hit/count - c^|S|, winner), or
-    (0, 0.0, ()).  Ties break toward smaller, lexicographically earlier sets.
-    """
-    keys, counts, hits = (np.concatenate(part, axis=-1) for part in zip(*blocks))
-    # All entries of a set share a hash bucket (Fibonacci hashing of its words,
-    # about one entry per bucket), so a set drawn min_rounds times lies in a
-    # bucket drawn at least that often: only those buckets are tallied.
-    bucket = np.zeros(len(counts), dtype=np.uint64)
+
+def _buckets(keys: np.ndarray, width: int) -> np.ndarray:
+    """The hash bucket in [0, 2^width) of each word-major key: Fibonacci
+    hashing of its words."""
+    bucket = np.zeros(keys.shape[1], dtype=np.uint64)
     for word in keys:
         bucket ^= word
         bucket *= np.uint64(0x9E3779B97F4A7C15)
-    bucket >>= np.uint64(64 - max(1, len(counts).bit_length() - 1))
-    bucket = bucket.view(np.int64)
-    heavy = (np.bincount(bucket, weights=counts) >= min_rounds)[bucket]
-    keys, counts, hits = _tally(keys[:, heavy], counts[heavy], hits[heavy])
+    bucket >>= np.uint64(64 - width)
+    return bucket.view(np.int64)
+
+
+def _best_candidate(
+    blocks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]], c: float, min_rounds: int,
+    width: int,
+) -> tuple[int, float, tuple[int, ...]]:
+    """Tally per-block (index-set keys, counts, hits); pick the search winner.
+
+    Each block's counts add into 2^width bucket totals as it arrives.  All
+    entries of a set share a bucket, so a set drawn min_rounds times lies in
+    a bucket drawn at least that often, and only those buckets' entries are
+    merged, in block order.  Candidates are the non-empty sets drawn at least
+    ``min_rounds`` times.  Returns (candidate count, winner's excess
+    hit/count - c^|S|, winner), or (0, 0.0, ()).  Ties break toward smaller,
+    lexicographically earlier sets.
+    """
+    totals, kept = np.zeros(2**width), []
+    for keys, counts, hits in blocks:
+        np.add.at(totals, _buckets(keys, width), counts)
+        kept.append((keys, counts, hits))
+    heavy = []
+    for keys, counts, hits in kept:
+        h = totals[_buckets(keys, width)] >= min_rounds
+        heavy.append((keys[:, h], counts[h], hits[h]))
+    keys, counts, hits = _tally(*(np.concatenate(part, axis=-1) for part in zip(*heavy)))
     eligible = np.flatnonzero((counts >= min_rounds) & keys.any(axis=0))
     if not len(eligible):
         return 0, 0.0, ()
@@ -321,30 +350,36 @@ def find_dependent_set(
     block = min(block_size, max(wp.m_search, wp.m_confirm))
     *_, chunks = _kernel(model, wp.params, block)
     rows = _chunk_rows(n, block)  # per chunk
-    uniforms = np.empty((rows, n))
-    bits = np.zeros((rows, -(-n // 64) * 64), dtype=bool)  # the padding stays False
+    step = max(1, UNIFORM_SLICE // n)  # rows of uniforms per slice
+    uniforms = np.empty(min(rows, step) * n)
+    words = -(-n // 64)  # per key
+    bits = np.zeros((rows, -(-n // 8) * 8), dtype=bool)  # the padding stays False
+    pad = np.zeros((rows, 8 * words), dtype=np.uint8)  # bytes past bits' stay 0
     outside = np.empty((n, rows), dtype=bool)
-    keys = np.empty((bits.shape[1] // 64, block), dtype=np.uint64)
+    keys = np.empty((words, block), dtype=np.uint64)
     ones, weights = np.ones(block), np.empty(block)
 
     def search_tally(rng: np.random.Generator, m: int) -> tuple:
-        # After each chunk's rows, a uniform per row and variable draws their
-        # index sets.  A variable outside the set scores 1.0: every xtilde
-        # lies in [0, 1], so max(xtilde, 1.0) is 1.0, max(xtilde, 0.0) is
-        # xtilde (up to the sign of a zero, which sums that start at +0.0
-        # never show), and the plain product keeps the bits of the product
-        # over the members alone, since 1.0 x = x.
+        # After each chunk's rows, a uniform per row and variable, drawn in
+        # slices, draws their index sets.  A variable outside the set scores
+        # 1.0: every xtilde lies in [0, 1], so max(xtilde, 1.0) is 1.0,
+        # max(xtilde, 0.0) is xtilde (up to the sign of a zero, which sums
+        # that start at +0.0 never show), and the plain product keeps the
+        # bits of the product over the members alone, since 1.0 x = x.
         for part, _, xt in chunks(rng, m):
             r = xt.shape[1]
-            np.less(rng.random(out=uniforms[:r]), wp.lam, out=bits[:r, :n])
-            _pack(bits[:r], keys[:, part])
+            for s in range(0, r, step):
+                u = uniforms[: n * min(step, r - s)].reshape(-1, n)
+                np.less(rng.random(out=u), wp.lam, out=bits[s:s + len(u), :n])
+            _pack(bits[:r], pad, keys[:, part])
             np.logical_not(bits[:r, :n].T, out=outside[:, :r])
             np.maximum(xt, outside[:, :r], out=xt)
             np.multiply.reduce(xt, axis=0, out=weights[part])
         return _tally(keys[:, :m], ones[:m], weights[:m])
 
-    blocks = list(_run_blocks(seed, WITNESS_SEARCH_TAG, wp.m_search, block_size, search_tally))
-    candidates, score, best = _best_candidate(blocks, wp.c, min_rounds_per_subset)
+    blocks = _run_blocks(seed, WITNESS_SEARCH_TAG, wp.m_search, block_size, search_tally)
+    candidates, score, best = _best_candidate(
+        blocks, wp.c, min_rounds_per_subset, _bucket_width(wp.m_search, n))
     if not candidates:
         return WitnessReport(
             verdict="not_found",
@@ -360,14 +395,15 @@ def find_dependent_set(
             ),
         )
 
-    chosen = np.array(best)
+    first, *rest = best
 
     def confirm_weights(rng: np.random.Generator, m: int) -> np.ndarray:
-        # The product over the chosen rows alone, left to right, gathered
-        # into the search's uniforms buffer.
+        # The product over the chosen rows alone, left to right, in place.
         for part, _, xt in chunks(rng, m):
-            picked = uniforms.reshape(-1)[: chosen.size * xt.shape[1]].reshape(chosen.size, -1)
-            np.multiply.reduce(xt.take(chosen, axis=0, out=picked), axis=0, out=weights[part])
+            product = weights[part]
+            np.copyto(product, xt[first])
+            for i in rest:
+                np.multiply(product, xt[i], out=product)
         return weights[:m]
 
     blocks = _run_blocks(seed, WITNESS_CONFIRM_TAG, wp.m_confirm, block_size, confirm_weights)

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -541,6 +542,18 @@ class TestDetect:
                                       codes=(0, 3))
         assert json.loads(outputs[0])["result"]["candidates"] > 0
         assert outputs.count(outputs[0]) == 4
+
+
+    def test_help_explains_the_budget_flags(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["detect", "--help"])
+        assert stop.value.code == 0
+        options = capsys.readouterr().out.split("options:")[1]
+        for flag in ("--alpha", "--m-search", "--m-confirm", "--margin", "--min-rounds"):
+            # the text between the flag's entry and the next option is its help
+            entry = re.search(rf"^  {flag} [A-Z_]+(.*?)^  -", options, re.M | re.S)
+            assert entry and entry.group(1).split(), flag
+        assert " ".join(options.split()).count("(unset: default_budgets)") == 3
 
 
 _NULL_NOTE = "no non-empty subset was drawn at least 5 times in 50000 search rounds"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,7 +14,8 @@ import chbound as cb
 from chbound import mc_engine
 from chbound.entropy_core import DEFAULT_MIN_ROUNDS, kl_div
 from chbound.mc_engine import WITNESS_CONFIRM_TAG, WITNESS_SEARCH_TAG
-from chbound.witness import CONFIRM_Z, LAMBDA_CAP, _best_candidate, _bits, _pack, _tally
+from chbound.witness import (CONFIRM_Z, LAMBDA_CAP, _best_candidate, _bits, _bucket_width,
+                             _pack, _tally)
 
 
 def _quiet_budgets(*args, **kwargs):
@@ -273,7 +275,7 @@ class TestDetectionMechanics:
 
 
 def _dict_tally_reference(blocks, c, min_rounds):
-    """The per-row dict tally that ``_best_candidate`` vectorises."""
+    """The per-row dict tally that ``_best_candidate`` streams."""
     tally: dict[bytes, list[int]] = {}
     for subsets, counts, hits in blocks:
         for row, cnt, hit in zip(subsets, counts, hits):
@@ -304,18 +306,26 @@ def _unique_tally_reference(rows, counts, hits):
 
 def _keys(rows):
     """The word-major index-set keys of boolean rows, packed by ``_pack``
-    from a copy zero-padded to whole 64-bit words."""
+    from a copy zero-padded to whole bytes."""
     m, n = rows.shape
-    bits = np.zeros((m, -(-n // 64) * 64), dtype=bool)
+    bits = np.zeros((m, -(-n // 8) * 8), dtype=bool)
     bits[:, :n] = rows
-    keys = np.empty((bits.shape[1] // 64, m), dtype=np.uint64)
-    _pack(bits, keys)
+    pad = np.zeros((m, -(-n // 64) * 8), dtype=np.uint8)
+    keys = np.empty((pad.shape[1] // 8, m), dtype=np.uint64)
+    _pack(bits, pad, keys)
     return keys
 
 
 def _key_blocks(blocks):
-    """Per-block (rows, counts, hits) with the rows replaced by their keys."""
-    return [(_keys(rows), counts, hits) for rows, counts, hits in blocks]
+    """Per-block (rows, counts, hits) with the rows replaced by their keys,
+    one block at a time."""
+    return ((_keys(rows), counts, hits) for rows, counts, hits in blocks)
+
+
+def _search_width(blocks):
+    """``find_dependent_set``'s bucket width for the blocks' total rounds
+    over their n columns."""
+    return _bucket_width(int(sum(counts.sum() for _, counts, _ in blocks)), blocks[0][0].shape[1])
 
 
 @st.composite
@@ -385,6 +395,9 @@ class TestVectorisedTally:
                 assert int(key) == sum(1 << (63 - j % 64) for j in columns if rows[i, j])
         assert np.array_equal(_bits(keys)[:, :n], rows) and not _bits(keys)[:, n:].any()
 
+    # width None is the search's own; at 1 or 2 bits most sets share a bucket
+    # with others, so heavy buckets hold light sets that the merge must drop.
+    @pytest.mark.parametrize("width", [None, 1, 2])
     @settings(max_examples=300, deadline=None)
     @_with_boundary_examples(c=0.4, min_rounds=2)
     @given(
@@ -392,8 +405,8 @@ class TestVectorisedTally:
         st.sampled_from([0.25, 0.4, 0.5, 0.7]),
         st.integers(min_value=1, max_value=8),
     )
-    def test_matches_dict_tally(self, blocks, c, min_rounds):
-        got = _best_candidate(_key_blocks(blocks), c, min_rounds)
+    def test_matches_dict_tally(self, width, blocks, c, min_rounds):
+        got = _best_candidate(_key_blocks(blocks), c, min_rounds, width or _search_width(blocks))
         assert got == _dict_tally_reference(blocks, c, min_rounds)
         assert all(type(i) is int for i in got[2])
 
@@ -512,6 +525,16 @@ def _real_valued_table(seed, shared):
     return cb.ExplicitTableModel(list(zip(rows, (weights / weights.sum()).tolist())))
 
 
+def _near_one_table(seed):
+    """An 8-variable explicit table of 24 random rows on [0.97, 1]: every
+    product mean is close to 1 while c^|S| halves per member at c = 0.5, so
+    the search's best sets have five or more members."""
+    rng = np.random.default_rng(seed)
+    rows = 0.97 + 0.03 * rng.random((24, 8))
+    weights = rng.random(len(rows))
+    return cb.ExplicitTableModel(list(zip(rows.tolist(), (weights / weights.sum()).tolist())))
+
+
 class TestRebuiltByHand:
     """The witness on a real-valued table is its block streams, integrated
     over the Bernoulli layer: the chunk kernel's rows, one uniform per row
@@ -530,6 +553,18 @@ class TestRebuiltByHand:
         assert got == _rebuilt_report(model, wp, 7, 17_000, DEFAULT_MIN_ROUNDS)
         assert got.candidates == 15
         assert got.verdict == ("found" if shared else "not_found")
+
+    def test_long_real_valued_products_rebuilt_from_block_streams(self):
+        # Products of five or more values that are not 0/1 depend on the
+        # order of their factors, so the confirm phase must multiply the
+        # chosen rows left to right, as np.prod does.  Blocks of 17000 rows
+        # hold two full chunks (8192 rows at n = 8) and a partial one.
+        model = _near_one_table(0)
+        wp = cb.WitnessParams(params=cb.BoundParams.boolean(8, 0.5, 0.3), alpha=0.5, lam=0.75,
+                              m_search=40_000, m_confirm=20_000, margin_threshold=0.01)
+        got = cb.find_dependent_set(model, wp, seed=7, block_size=17_000)
+        assert got == _rebuilt_report(model, wp, 7, 17_000, DEFAULT_MIN_ROUNDS)
+        assert got.verdict == "found" and len(got.subset) >= 5
 
     def test_two_word_keys_rebuilt_from_block_streams(self):
         # n = 70 keys each index set by two 64-bit words.  The planted block
@@ -590,3 +625,35 @@ class TestRealValuedDetection:
         flagged = [seed for seed in range(100)
                    if cb.find_dependent_set(model, WP_10, seed=seed).verdict == "found"]
         assert len(flagged) <= 5, flagged
+
+
+def _traced_peak_mib(model, wp):
+    """The traced heap peak of one ``find_dependent_set`` call, in MiB, after
+    a small warm-up call has loaded everything the call uses."""
+    cb.find_dependent_set(model, dataclasses.replace(wp, m_search=100, m_confirm=100))
+    tracemalloc.start()
+    try:
+        report = cb.find_dependent_set(model, wp)
+        return tracemalloc.get_traced_memory()[1] / 2**20, report
+    finally:
+        tracemalloc.stop()
+
+
+class TestSearchMemory:
+    """The search holds each drawn index set once: per-block tallies, bucket
+    totals of fixed width, and buffers of whole-byte rows and 128 KB of
+    uniforms.  Concatenating every block's tally for the cross-block merge
+    peaked at 4.4 MiB and 32.0 MiB on these shapes."""
+
+    def test_benchmark_null_shape(self):
+        wp = cb.default_budgets(30, 0.4, 0.3, 0.16)
+        peak, report = _traced_peak_mib(cb.BooleanIIDModel(30, 0.3), wp)
+        assert report.candidates == 0
+        assert peak <= 3.0
+
+    def test_every_drawn_set_distinct(self):
+        # 400,000 sets of about 57 of 80 variables: two-word keys, none repeated.
+        wp = dataclasses.replace(cb.default_budgets(80, 0.4, 0.3, 0.16), m_search=400_000)
+        peak, report = _traced_peak_mib(cb.BooleanIIDModel(80, 0.3), wp)
+        assert report.candidates == 0
+        assert peak <= 22.0
