@@ -184,7 +184,6 @@ def cmd_verify(args) -> tuple[dict, int]:
     report = verify_chain(model, params, lam, max_subset_size=args.max_subset_size)
     tail = report.tail_probability
     bound = chernoff_bound(params)
-    failing = [c for c in report.certificates if not c.satisfied]
     result = {
         "lambda": report.lam,
         "links": [
@@ -199,7 +198,7 @@ def cmd_verify(args) -> tuple[dict, int]:
         "certificates_failing": [
             {"subset": list(c.subset), "exact_moment": c.exact_moment,
              "bound_product": c.bound_product}
-            for c in failing[:32]
+            for c in report.failing[:32]
         ],
         "tail_probability": tail,
         "expected_product": report.expected_product,

@@ -260,24 +260,25 @@ def _merge(sums: np.ndarray, *masses: np.ndarray) -> tuple[np.ndarray, ...]:
     return (sums, *(np.bincount(inverse, weights=m, minlength=len(sums)) for m in masses))
 
 
-def _lex_walk(n: int, max_size: int, root, step, chain: tuple[int, ...] | None = None):
-    """Yield (subset, state) for the non-empty subsets of range(n) with at
-    most ``max_size`` elements, in lexicographic order, where a subset's state
-    is step(its prefix's state, its last element) and the empty prefix's is
-    ``root``.  Given ``chain``, only the non-empty prefixes of that tuple."""
-    stack = [((), root)]
-    while stack:
-        prefix, state = stack.pop()
-        if prefix:
-            state = step(state, prefix[-1])
-            yield prefix, state
-        size = len(prefix)
-        if size < max_size:
-            if chain is None:
-                following = range(n - 1, prefix[-1] if prefix else -1, -1)
-            else:
-                following = chain[size:size + 1]
-            stack.extend((prefix + (i,), state) for i in following)
+def _lattice(n: int, max_size: int, chain: tuple[int, ...] | None = None) -> tuple:
+    """The subsets of range(n) with at most ``max_size`` elements (given
+    ``chain``, the prefixes of that tuple), the empty set first, then by
+    size, lexicographically within a size: index arrays (parent, last), where
+    subset k is subset parent[k] plus last[k], its largest element (both -1
+    for the empty set), and the slice of each size from 1 up."""
+    if chain is not None:
+        chain = chain[:max_size]
+        return (np.arange(-1, len(chain)), np.array([-1, *chain]),
+                [slice(s, s + 1) for s in range(1, len(chain) + 1)])
+    parents, tops, start = [np.full(1, -1)], [np.full(1, -1)], 0
+    for _ in range(max_size):
+        top = tops[-1]
+        more = n - 1 - top  # the children of a subset add each larger element
+        parents.append(np.repeat(np.arange(start, start + len(top)), more))
+        tops.append(np.arange(more.sum()) - np.repeat(np.cumsum(more) - more - top - 1, more))
+        start += len(top)
+    ends = np.cumsum([len(top) for top in tops]).tolist()
+    return np.concatenate(parents), np.concatenate(tops), list(map(slice, ends, ends[1:]))
 
 
 class JointModel:
@@ -509,78 +510,76 @@ class JointModel:
                 largest = max(largest, total)
         return largest, rounding(self._n) * float(np.maximum(-self._lo, self._hi).sum())
 
-    def _factor_moments(
-        self, j: int, max_size: int, chain: tuple[int, ...] | None
-    ) -> dict[tuple[int, ...], float]:
-        """E[prod of factor j's variables at positions T] for each T the
-        walk visits (T indexes factor j's variable list).  Each T's row
-        products are its prefix's times one column of a variable-major copy
-        of the factor, added by one ``np.add.reduce`` per DEFAULT_CHUNK rows
-        walked, and those sums in row order."""
-        variables, cols = self._factor_reads(j)
-        columns = self._fvals[j].T.take(cols, axis=0)  # C-ordered (k_j, m_j)
-        probs = self._fprobs[j]
-        table: dict[tuple[int, ...], float] = {}
+    def _factor_moments(self, j: int, first: list[int], last: list[int]) -> list[float]:
+        """E[prod of factor j's variables at positions T] for each T of a
+        ``_lattice`` over factor j's variables, given by each T's largest
+        element and T's children first[T]:first[T + 1].  A depth-first walk
+        holds one weight vector per open level: each T's row products are its
+        parent's times one column of a variable-major copy of the factor, added
+        by one ``np.add.reduce`` per DEFAULT_CHUNK rows, and those sums in row order."""
+        columns = self._fvals[j].T.take(self._factor_reads(j)[1], axis=0)  # C-ordered (k_j, m_j)
+        probs, moments = self._fprobs[j], [1.0] + [0.0] * (len(last) - 1)
         for start in range(0, len(probs), DEFAULT_CHUNK):
             chunk = columns[:, start:start + DEFAULT_CHUNK]
-            walk = _lex_walk(len(variables), max_size, probs[start:start + DEFAULT_CHUNK],
-                             lambda w, p, chunk=chunk: w * chunk[p], chain)
-            for key, weights in walk:
-                table[key] = table.get(key, 0.0) + float(np.add.reduce(weights))
-        return table
+            # (subset, end of its run of siblings, their parent's row products)
+            stack = [(first[0], first[1], probs[start:start + DEFAULT_CHUNK])]
+            while stack:
+                q, end, prefix = stack.pop()
+                if q < end:
+                    stack.append((q + 1, end, prefix))
+                    weights = prefix * chunk[last[q]]
+                    moments[q] += float(np.add.reduce(weights))
+                    stack.append((first[q], first[q + 1], weights))
+        return moments
 
-    def _part_moments(
-        self, max_size: int, chain: tuple[int, ...] | None
-    ) -> tuple[list[tuple[int, ...]], list[float]]:
-        # E prod_S X = prod_j E[prod of S's variables in factor j].  A factor
-        # read by one variable contributes its mean, multiplied in along the
-        # subset's prefix; the moments of the joint factors (read by several
-        # variables) are multiplied in after the means, in factor order.
-        owner = [j for j, _ in self._reads]
+    def _part_moments(self, lattice: tuple, max_size: int, chain: tuple | None) -> np.ndarray:
+        # E prod_S X = prod_j E[prod of S's variables in factor j].  A factor read
+        # by one variable contributes its mean, multiplied in along the subset's
+        # parent (a joint factor's readers multiply by 1.0, exactly).  The joint
+        # factors' moments multiply in factor order, then into the means, each found by
+        # its restriction's index in the factor's lattice: keys (parent + 1) k + last ascend.
+        parent, last, levels = lattice
+        owner = np.array([j for j, _ in self._reads])
         pos = np.empty(self._n, dtype=np.intp)  # each variable's place among its factor's readers
         pos[self._readers] = np.arange(self._n) - np.repeat(self._first, self._counts)
-        pos, counts = pos.tolist(), self._counts.tolist()
-        joint = [j for j, k in enumerate(counts) if k > 1]
-        rank = {j: r for r, j in enumerate(joint)}
-        tables = []
-        for j, k in enumerate(counts):
-            sub = None if chain is None else tuple(pos[i] for i in chain if owner[i] == j)
-            tables.append(self._factor_moments(j, min(max_size, k), sub)
-                          if sub is None or sub else {})
-        means = [None if j in rank else tables[j].get((0,)) for j in owner]
+        means, joint, lattices, subs = np.ones(len(self._counts)), [], {}, {}
+        for i in chain or ():  # each factor's positions on the chain
+            subs[owner[i]] = subs.get(owner[i], ()) + (int(pos[i]),)
+        for j, k in enumerate(self._counts.tolist()):
+            sub = None if chain is None else subs.get(j, ())
+            if (k, sub) not in lattices:
+                up, top, _ = _lattice(k, min(max_size, k), sub)
+                first = np.searchsorted(up, np.arange(len(up) + 1)).tolist()
+                lattices[k, sub] = (up + 1) * k + top, first, top.tolist()
+            keys, first, top = lattices[k, sub]
+            moments = self._factor_moments(j, first, top) if sub != () else [1.0]
+            if k == 1:
+                means[j] = moments[-1]  # 1.0 if no subset is walked
+            else:
+                joint.append((owner == j, k, keys, np.array(moments), np.zeros_like(parent)))
+        product = np.ones(len(parent))
+        for level in levels:
+            up, i = parent[level], last[level]
+            product[level] = product[up] * means[owner[i]]
+            for reads, k, keys, _, restriction in joint:
+                index, rows = restriction[up], reads[i]
+                index[rows] = np.searchsorted(keys, (index[rows] + 1) * k + pos[i[rows]])
+                restriction[level] = index
+        joint_product = np.ones(len(parent))
+        for *_, moments, restriction in joint:
+            joint_product *= moments[restriction]
+        return product * joint_product
 
-        def step(state, i):
-            # state: (product of means, per joint factor the positions of the
-            # prefix's variables in it, product of the joint factor moments)
-            product, keys, joint_product = state
-            if means[i] is not None:
-                return product * means[i], keys, joint_product
-            r = rank[owner[i]]
-            keys = keys[:r] + (keys[r] + (pos[i],),) + keys[r + 1:]
-            joint_product = 1.0
-            for j, key in zip(joint, keys):
-                if key:
-                    joint_product *= tables[j][key]
-            return product, keys, joint_product
-
-        subsets, moments = [], []
-        root = (1.0, ((),) * len(joint), 1.0)
-        for subset, (product, _, joint_product) in _lex_walk(self._n, max_size, root, step, chain):
-            subsets.append(subset)
-            moments.append(product * joint_product)
-        return subsets, moments
-
-    def _moments(
-        self, max_size: int, chain: tuple[int, ...] | None = None
-    ) -> tuple[list[tuple[int, ...]], list[float]]:
-        """E[prod_{i in S} X_i] for every non-empty S with at most ``max_size``
-        variables (given ``chain``, its non-empty prefixes only), in
-        lexicographic order: (subsets, moments)."""
-        parts = [(w, part._part_moments(max_size, chain)) for w, part in self._parts() if w > 0.0]
+    def _moments(self, max_size: int, chain: tuple | None = None) -> tuple[tuple, np.ndarray]:
+        """E[prod_{i in S} X_i] for every S with at most ``max_size`` variables
+        (given ``chain``, its prefixes only): their ``_lattice`` and their
+        moments in its order (the empty set's is unused)."""
+        lattice = _lattice(self._n, max_size, chain)
+        parts = [(w, part._part_moments(lattice, max_size, chain))
+                 for w, part in self._parts() if w > 0.0]
         if len(parts) == 1:  # its weight is 1
-            return parts[0][1]
-        total = sum(w * np.asarray(moments) for w, (_, moments) in parts)
-        return parts[0][1][0], total.tolist()
+            return lattice, parts[0][1]
+        return lattice, sum(w * moments for w, moments in parts)
 
 
 class IndependentModel(JointModel):
@@ -792,7 +791,7 @@ def exact_moment(model: JointModel, subset: Iterable[int]) -> float:
     cols = tuple(sorted(model._check_columns(subset)))
     if not cols:
         return 1.0
-    return model._moments(len(cols), chain=cols)[1][-1]
+    return float(model._moments(len(cols), chain=cols)[1][-1])
 
 
 def tail_cutoff(threshold: float) -> float:
@@ -826,10 +825,11 @@ def certify_moments(
     Covers every subset of size up to ``max_subset_size`` (all n when
     omitted) in deterministic order: by size, lexicographic within a size.
     Raises ``SubsetBudgetError`` before doing any work if that would exceed
-    ``subset_budget`` subsets.  Moments are closed-form products of
-    per-factor moments (see ``JointModel._part_moments``), and each
-    bound product is its prefix's times one c_i, bit for bit ``np.prod`` of
-    the subset's c_i.  Only factors read by several variables cost
+    ``subset_budget`` subsets.  Both sides are formed size by size over the
+    subset lattice (``_lattice``): moments are closed-form products of
+    per-factor moments (see ``JointModel._part_moments``), and each bound
+    product is its parent's times one c_i, bit for bit ``np.prod`` of the
+    subset's c_i.  Only factors read by several variables cost
     O(#subsets x rows); the others cost O(1) per subset.
     """
     if params.n != model.n:
@@ -847,14 +847,14 @@ def certify_moments(
             f"certifying subsets up to size {max_size} of n={model.n} needs {count} "
             f"subsets, exceeding subset_budget={subset_budget}"
         )
-    subsets, moments = model._moments(max_size)
-    c = params.c
-    bounds = [b for _, b in _lex_walk(model.n, max_size, 1.0, lambda b, i: b * c[i])]
-    # lexicographic order -> by size, lexicographic within a size
-    order = sorted(range(len(subsets)), key=lambda k: len(subsets[k]))
-    return [MomentCertificate((), 1.0, 1.0)] + [
-        MomentCertificate(subsets[k], moments[k], bounds[k]) for k in order
-    ]
+    (parent, last, levels), moments = model._moments(max_size)
+    c, bounds, subsets = np.array(params.c), np.ones(len(parent)), [()]
+    for level in levels:
+        bounds[level] = bounds[parent[level]] * c[last[level]]
+        pairs = zip(parent[level].tolist(), last[level].tolist())
+        subsets += [subsets[p] + (i,) for p, i in pairs]
+    return [MomentCertificate((), 1.0, 1.0),
+            *map(MomentCertificate, subsets[1:], moments[1:].tolist(), bounds[1:].tolist())]
 
 
 def check_support_range(model: JointModel, params: BoundParams) -> None:

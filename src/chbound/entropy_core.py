@@ -54,6 +54,17 @@ def at_most(x: float, y: float, n: int = 1) -> bool:
     return x <= y + max(TOL, rounding(n)) * max(abs(x), abs(y), 2.0**-1022)
 
 
+def at_most_each(x, y, n):
+    """``at_most`` elementwise over float arrays x and y, with n an integer
+    array or an int: the same operations, ``np.maximum`` in place of ``max``.
+    Like float arithmetic, it warns of no overflow."""
+    import numpy as np  # here, not at import: the policy loads no NumPy
+
+    with np.errstate(all="ignore"):
+        band = np.maximum(TOL, rounding(n))
+        return x <= y + band * np.maximum(np.maximum(np.abs(x), np.abs(y)), 2.0**-1022)
+
+
 # -- end of tolerance policy -----------------------------------------------
 
 # Sampling defaults shared by the library and the CLI parser, kept here so

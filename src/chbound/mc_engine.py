@@ -59,7 +59,8 @@ from .dist_models import (
     JointModel, MomentCertificate, _unit_image, certify_moments, tail_cutoff,
 )
 from .entropy_core import (
-    DEFAULT_BLOCK_SIZE, DEFAULT_MAX_PROPOSALS, BoundParams, at_most, check_positive_int, normalize,
+    DEFAULT_BLOCK_SIZE, DEFAULT_MAX_PROPOSALS, BoundParams, at_most, at_most_each,
+    check_positive_int, normalize,
 )
 from .errors import RejectionBudgetError, ValidationError
 
@@ -371,6 +372,7 @@ class ChainReport:
     expected_product: float
     expected_product_on_tail: float
     full_walk: bool = True  # whether the certificates cover every subset
+    failing: tuple[MomentCertificate, ...] = ()  # the certificates not satisfied, in order
 
     @property
     def all_passed(self) -> bool:
@@ -421,7 +423,10 @@ def verify_chain(
     sums, mass, weighted = model._fold(params, lam)
     kwargs = {} if subset_budget is None else {"subset_budget": subset_budget}
     certificates = tuple(certify_moments(model, params, max_subset_size, **kwargs))
-    hypothesis_ok = all(cert.satisfied for cert in certificates)
+    satisfied = at_most_each(np.array([cert.exact_moment for cert in certificates]),
+                             np.array([cert.bound_product for cert in certificates]),
+                             np.array([len(cert.subset) for cert in certificates]))
+    failing = tuple(map(certificates.__getitem__, np.flatnonzero(~satisfied).tolist()))
 
     tails = sums >= tail_cutoff(params.threshold)
     expected_product = float(weighted.sum())
@@ -441,9 +446,10 @@ def verify_chain(
         lam=lam,
         links=links,
         certificates=certificates,
-        hypothesis_ok=hypothesis_ok,
+        hypothesis_ok=not failing,
         tail_probability=tail_probability,
         expected_product=expected_product,
         expected_product_on_tail=expected_on_tail,
         full_walk=len(certificates[-1].subset) == model.n,
+        failing=failing,
     )

@@ -263,8 +263,10 @@ def _tally(keys: np.ndarray, counts: np.ndarray, hits: np.ndarray) -> tuple:
 
 def _bucket_width(m: int, n: int) -> int:
     """Bits of the cross-block hash for m rounds over n variables: about one
-    bucket per set that can be drawn, of which there are at most min(m, 2^n)."""
-    return max(1, min(m, 2**n).bit_length() - 1)
+    bucket per set that can be drawn, of which there are at most min(m, 2^n),
+    and at most 20 bits, 8 MiB of float64 totals.  The width only sets how
+    many entries the final merge reads, never what it finds."""
+    return max(1, min(m, 2**n, 1 << 20).bit_length() - 1)
 
 
 def _buckets(keys: np.ndarray, width: int) -> np.ndarray:

@@ -10,8 +10,11 @@ quantity the program computes is exactly representable: the folded law,
 the three chain sums and every moment must equal the reference exactly.
 """
 
+import hashlib
 import itertools
+import json
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -21,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chbound as cb
-from chbound.dist_models import tail_cutoff
+from chbound.dist_models import _model_from_json, tail_cutoff
 
 QUARTERS = st.integers(min_value=-4, max_value=4).map(lambda k: k / 4)
 # values in [-1, 1] whose products of four stay clear of underflow
@@ -327,3 +330,80 @@ def test_exact_path_keeps_its_pinned_bits(zoo):
                       report.expected_product_on_tail.hex()],
         }
         assert got == EXACT_PINS[name], name
+
+
+def _decoded_table():
+    """A 16,384 x 12 table of 0/1 rows decoded from its JSON spec, as `verify --spec` reads it."""
+    rng = random.Random(20191)
+    weights = [rng.randint(1, 1000) for _ in range(16384)]
+    total = sum(weights)
+    support = [{"x": [rng.randint(0, 1) for _ in range(12)], "p": w / total} for w in weights]
+    return _model_from_json(json.dumps({"kind": "explicit_table", "params": {"support": support}}))
+
+
+def _certified_models(zoo):
+    """(name, model, params, max_subset_size) of the pinned certificates: the
+    exact path's models, a planted block scattered through the variables, a
+    three-atom mixture with per-variable c_i in full and up to size 3, and
+    the decoded table up to size 3."""
+    for name, model, params in _pinned_models(zoo):
+        yield name, model, params, None
+    yield ("planted_scattered", cb.PlantedCliqueModel(9, 0.5, indices=(1, 4, 6, 8)),
+           cb.BoundParams.boolean(9, math.sqrt(0.5), 0.1), None)
+    mixture = cb.ExchangeableMixtureModel(5, 0.25, [(-0.5, 0.25), (0.25, 0.35), (1.0, 0.4)])
+    params = cb.BoundParams(n=5, a=(-0.5,) * 5, b=1.5, c=(0.3, 0.45, 0.6, 0.75, 0.9), t=0.0)
+    yield "mixture_three_atoms", mixture, params, None
+    yield "mixture_three_atoms_3", mixture, params, 3
+    yield "table_decoded_3", _decoded_table(), cb.BoundParams.boolean(12, 0.5, 0.25), 3
+
+
+# (certificate count, sha256 of one line per certificate: its subset, the
+# float.hex of its moment and bound product, and whether it is satisfied;
+# the failing subsets, where they are few enough to read)
+CERTIFICATE_PINS = {
+    "independent_mixed": (
+        8, "25cffd7f6f7fd1a3973b2ac1f71c28af7024c20d0ee8c202c924303fb622cdc9", []),
+    "mixture_clipped": (
+        8, "1f8da5f3eb9b13251804b72a5942fe2c514ded75133d5918b387c0507507d103",
+        [[0], [1], [2], [0, 1], [0, 2], [1, 2], [0, 1, 2]]),
+    "table_zero_row": (
+        8, "8bef45055e98a80fd226610d79b1e8557c7d131c861067c91a840940cdd872b4",
+        [[0], [2], [0, 2], [1, 2]]),
+    "planted_scattered": (
+        512, "935607a8138168b7f2c9d77fb8a2d0fa5b8c7020c564a6fa934bcc52cfcfbc98",
+        [[1, 4, 6], [1, 4, 8], [1, 6, 8], [4, 6, 8], [1, 4, 6, 8], [0, 1, 4, 6, 8],
+         [1, 2, 4, 6, 8], [1, 3, 4, 6, 8], [1, 4, 5, 6, 8], [1, 4, 6, 7, 8]]),
+    "mixture_three_atoms": (
+        32, "9d2078031201e4653314add8f2647862f17cedcbf2f4bc4cbae00deae706634e",
+        [[0], [0, 1], [0, 2], [0, 1, 2], [0, 1, 3], [0, 1, 4], [0, 1, 2, 3], [0, 1, 2, 4],
+         [0, 1, 3, 4], [0, 1, 2, 3, 4]]),
+    "mixture_three_atoms_3": (
+        26, "50e25e74a9913bc248259100f57650f93a59001092dd2f877836cbdf74fa74f2",
+        [[0], [0, 1], [0, 2], [0, 1, 2], [0, 1, 3], [0, 1, 4]]),
+    "table_decoded_3": (
+        299, "07014823d94ef92c9ce5b591b5ec0b099d8f5891156755e83fb3a8abef6e4bd7", None),
+}
+
+
+def test_certificates_keep_their_pinned_bits(zoo):
+    for name, model, params, size in _certified_models(zoo):
+        certs = cb.certify_moments(model, params, size)
+        lines = "\n".join(f"{list(c.subset)} {c.exact_moment.hex()} {c.bound_product.hex()} "
+                          f"{c.satisfied}" for c in certs)
+        count, digest, failing = CERTIFICATE_PINS[name]
+        assert len(certs) == count, name
+        if failing is not None:
+            assert [list(c.subset) for c in certs if not c.satisfied] == failing, name
+        assert hashlib.sha256(lines.encode()).hexdigest() == digest, name
+
+
+def test_exact_moment_walks_a_deep_chain():
+    # one factor read by 1500 variables: a walk as deep as the chain
+    assert cb.exact_moment(cb.PlantedCliqueModel(1500, 0.5, k=1500), range(1500)) == 0.5
+
+
+def test_chain_report_lists_the_failing_certificates(zoo):
+    for name, model, params, size in _certified_models(zoo):
+        report = cb.verify_chain(model, params, 0.3, max_subset_size=size)
+        want = tuple(c for c in report.certificates if not c.satisfied)
+        assert report.failing == want and report.hypothesis_ok == (not want), name

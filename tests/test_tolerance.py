@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 import chbound as cb
 from chbound import cli
 from chbound.dist_models import tail_cutoff
-from chbound.entropy_core import TOL, at_most, proof_case, rounding
+from chbound.entropy_core import TOL, at_most, at_most_each, proof_case, rounding
 from chbound.mc_engine import ChainLink
 
 SRC = Path(cb.__file__).parent
@@ -172,6 +172,27 @@ class TestAtMost:
         assert at_most(tiny, 0.0) and at_most(0.0, tiny)
         assert at_most(0.0, 0.0) and at_most(-tiny, 0.0)
         assert not at_most(2.0**-1000, 0.0)
+
+
+# zeros of both signs, subnormals, the normal floor, any float, and the same three negated
+SIDES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 2.0**-1030, 2.0**-1022, 1.0]),
+                  st.floats(allow_nan=False)).flatmap(lambda v: st.sampled_from([v, -v]))
+# pairs that are equal, negated, within a few TOL of each other, or unrelated
+PAIRS = st.one_of(SIDES.map(lambda v: (v, v)), SIDES.map(lambda v: (v, -v)),
+                  st.tuples(SIDES, st.floats(-1e-11, 1e-11)).map(
+                      lambda t: (t[0], t[0] * (1 + t[1]))),
+                  st.tuples(SIDES, SIDES))
+
+
+@given(st.lists(st.tuples(PAIRS, st.integers(1, 2000)), min_size=1, max_size=30),
+       st.integers(1, 2000))
+@settings(max_examples=300, deadline=None)
+def test_array_form_is_the_scalar_rule_elementwise(cases, n):
+    xs, ys = zip(*(pair for pair, _ in cases))
+    x, y, sizes = np.array(xs), np.array(ys), [k for _, k in cases]
+    assert at_most_each(x, y, n).tolist() == [at_most(a, b, n) for a, b in zip(xs, ys)]
+    assert at_most_each(x, y, np.array(sizes)).tolist() == [
+        at_most(a, b, k) for a, b, k in zip(xs, ys, sizes)]
 
 
 @pytest.fixture

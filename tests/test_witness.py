@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chbound as cb
-from chbound import mc_engine
+from chbound import mc_engine, witness
 from chbound.entropy_core import DEFAULT_MIN_ROUNDS, kl_div
 from chbound.mc_engine import WITNESS_CONFIRM_TAG, WITNESS_SEARCH_TAG
 from chbound.witness import (CONFIRM_Z, LAMBDA_CAP, _best_candidate, _bits, _bucket_width,
@@ -657,3 +657,16 @@ class TestSearchMemory:
         peak, report = _traced_peak_mib(cb.BooleanIIDModel(80, 0.3), wp)
         assert report.candidates == 0
         assert peak <= 22.0
+
+    def test_bucket_width_is_capped(self):
+        assert _bucket_width(10**8, 70) == 20
+        assert _bucket_width(200_000, 10) == 10 and _bucket_width(2000, 30) == 10
+
+    def test_bucket_width_sets_no_outcome(self, monkeypatch):
+        # The final merge sorts by key and adds in block order, so one bucket
+        # for every set gives the default width's report.
+        model = cb.PlantedCliqueModel(10, 0.7, k=4)
+        wp = dataclasses.replace(WP_10, m_search=20_000, m_confirm=5_000)
+        want = cb.find_dependent_set(model, wp, seed=3)
+        monkeypatch.setattr(witness, "_bucket_width", lambda m, n: 1)
+        assert cb.find_dependent_set(model, wp, seed=3) == want
