@@ -442,7 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
                    "(0, 1); default_budgets sets every unset budget from it")
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--m-search", dest="m_search", type=int, default=None,
-                   help="search rounds, one drawn index set each (unset: default_budgets)")
+                   help="search rounds, each scoring one set of the candidate pool "
+                   "(unset: default_budgets)")
     p.add_argument("--m-confirm", dest="m_confirm", type=int, default=None,
                    help="fresh rows that re-estimate the best candidate (unset: "
                    "default_budgets)")
@@ -451,8 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
                    "default_budgets)")
     p.add_argument("--min-rounds", dest="min_rounds", type=int,
                    default=DEFAULT_MIN_ROUNDS,
-                   help="search rounds a set needs to become a candidate (default "
-                   "%(default)s)")
+                   help="search rounds each candidate gets at least; the pool holds at "
+                   "most m-search / min-rounds sets (default %(default)s)")
     _add_common(p, seed=True)
     p.set_defaults(handler=cmd_detect)
 

@@ -73,6 +73,7 @@ ESTIMATE_CHUNK = 2**16
 PRODUCT_STREAM_TAG = 11
 WITNESS_SEARCH_TAG = 21
 WITNESS_CONFIRM_TAG = 22
+WITNESS_POOL_TAG = 23
 
 __all__ = [
     "DEFAULT_BLOCK_SIZE",

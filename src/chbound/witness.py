@@ -1,59 +1,58 @@
 """Randomized detection of a subset that violates the product-moment bound.
 
 Given only sample access to [0, 1]-valued variables that are supposed to
-satisfy E[prod_{i in S} X_i] <= c^|S| for every subset S, the detector runs
-the coupled process of ``mc_engine`` many times, groups rounds by the index
-set that was drawn, and looks for a set whose empirical product mean sits
-above c^|S| by a margin.  A round scores prod_{i in I} x_i, its Bernoulli
-layer integrated out (the same 0/1 value on 0/1 variables).  A fresh batch
-of rows then re-estimates that one candidate directly as the mean of
-prod_{i in S} x_i: the second phase never reuses search rounds, so the
-selection bias of picking the best-looking set cannot manufacture a finding.
-A subset is reported only when the confirmation estimate clears the margin
-threshold by at least two standard errors.
+satisfy E[prod_{i in S} X_i] <= c^|S| for every subset S, the detector
+follows Impagliazzo and Kabanets: it draws a fixed pool of candidate index
+sets from the lam-law of the coupled process of ``mc_engine``, estimates
+each candidate's product mean on rows of its own, and looks for a set whose
+empirical product mean sits above c^|S| by a margin.  A search round scores
+prod_{i in S} x_i for one candidate S, its Bernoulli layer integrated out
+(the same 0/1 value on 0/1 variables).  A fresh batch of rows then
+re-estimates the best candidate directly as the mean of prod_{i in S} x_i:
+the second phase never reuses search rounds, so the selection bias of
+picking the best-looking set cannot manufacture a finding.  A subset is
+reported only when the confirmation estimate clears the margin threshold by
+at least two standard errors.
 
-The search keys each round's index set by its bits, column 0 the top bit of
-a native uint64 word (one more word per 64 further variables), packed from a
-row of whole bytes, and merges equal keys with one sort of the word per
-block.  As each block arrives, its counts add into hash-bucket totals whose
-width is fixed before the search from the most sets a call can draw; at the
-end only the entries of buckets drawn often enough to hold a candidate are
-merged across blocks, so no array spans every block.  Counts and scores add
-in round order, then in block order.  A round's score is the plain
-left-to-right product of its row with the variables outside the set replaced
-by 1.0, which has the bits of the product over the members alone.  The
-confirm phase multiplies the candidate's rows only, left to right, in place.
-Both phases reuse one set of buffers, allocated once per call; the inclusion
-uniforms are drawn in slices of ``UNIFORM_SLICE`` doubles.
+The pool holds at most ``CANDIDATES`` sets, drawn from their own stream
+(``WITNESS_POOL_TAG``); search round r, counted across blocks, scores pool
+set r mod K, so each set's round count follows from K and the budget.
+Scores add per set in round order within a block, then in block order.  A
+round's score is the plain left-to-right product of its row with the
+variables outside the set replaced by 1.0, which has the bits of the
+product over the members alone.  The confirm phase multiplies the
+candidate's rows only, left to right, in place.  Both phases reuse one set
+of buffers, allocated once per call.
 
 Why this works when the variables are dependent enough: if the tail
 P(mean >= c + t) carries probability alpha while the certified bound says it
-should be below exp(-n D(c+t || c)), some drawn subset must have an inflated
-product mean, and the search phase visits subsets with exactly the weights
-under which that excess is guaranteed on average.
+should be below exp(-n D(c+t || c)), a lam-random subset must have an
+inflated product mean on average, and the pool draws subsets with exactly
+the weights under which that excess is guaranteed.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dist_models import JointModel
+from .dist_models import JointModel, _distinct
 from .entropy_core import (DEFAULT_MIN_ROUNDS, LAMBDA_CAP, BoundParams, at_most, check_positive_int,
                            chernoff_bound, normalize, optimize_lambda, proof_case)
 from .errors import BudgetOverflowError, ValidationError
 from .mc_engine import (
     DEFAULT_BLOCK_SIZE,
     WITNESS_CONFIRM_TAG,
+    WITNESS_POOL_TAG,
     WITNESS_SEARCH_TAG,
     _chunk_rows,
     _kernel,
     _mean_and_se,
     _run_blocks,
+    block_rng,
 )
 
 # Hard ceilings for the closed-form budgets.  The formulas grow like
@@ -63,8 +62,8 @@ from .mc_engine import (
 DEFAULT_SEARCH_CAP = 50_000
 DEFAULT_CONFIRM_CAP = 20_000
 CONFIRM_Z = 2.0
-# Doubles of inclusion uniforms the search draws per slice (128 KB).
-UNIFORM_SLICE = 2**14
+# Most index sets the search draws for its candidate pool.
+CANDIDATES = 512
 
 __all__ = [
     "DEFAULT_SEARCH_CAP",
@@ -223,99 +222,14 @@ class WitnessReport:
             raise ValidationError("a not_found verdict must not name a subset")
 
 
-def _pack(bits: np.ndarray, pad: np.ndarray, out: np.ndarray) -> None:
-    """Write the index-set keys of the rows of ``bits``, a C-ordered (m, 8 k)
-    bool array, into the word-major (w, m) uint64 ``out``: column 0 is the
-    top bit of word 0, so numeric order, word 0 first, is row order.  One
-    flat ``np.packbits`` fills the first k byte columns of ``pad``, a (>= m,
-    8 w) uint8 buffer zero in its other columns, read as big-endian words."""
-    m, k = bits.shape[0], bits.shape[1] // 8
-    pad[:m, :k] = np.packbits(bits.reshape(-1)).reshape(m, k)
-    np.copyto(out.T, pad[:m].view(">u8"))
-
-
-def _bits(keys: np.ndarray) -> np.ndarray:
-    """The (m, 64 w) bool rows of word-major (w, m) keys; inverts ``_pack``."""
-    return np.unpackbits(keys.T.astype(">u8", order="C").view(np.uint8), axis=1).view(bool)
-
-
-def _tally(keys: np.ndarray, counts: np.ndarray, hits: np.ndarray) -> tuple:
-    """Merge equal index-set keys (word-major (w, m) uint64, from ``_pack``),
-    summing their counts and hits.
-
-    Returns the distinct keys in ascending order, which is the lexicographic
-    order of their rows, with their summed counts and hits; each sum adds its
-    rows in input order.  One native-word sort orders single-word keys; wider
-    ones (n > 64) go through ``np.lexsort``, word 0 as the primary key.
-    """
-    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
-    ordered = keys[:, order]
-    start = np.empty(len(order), dtype=bool)
-    start[:1] = True
-    np.any(ordered[:, 1:] != ordered[:, :-1], axis=0, out=start[1:])
-    group = np.cumsum(start)
-    group -= 1
-    inverse = np.empty_like(order)
-    inverse[order] = group
-    return (ordered[:, start], np.bincount(inverse, weights=counts),
-            np.bincount(inverse, weights=hits))
-
-
-def _bucket_width(m: int, n: int) -> int:
-    """Bits of the cross-block hash for m rounds over n variables: about one
-    bucket per set that can be drawn, of which there are at most min(m, 2^n),
-    and at most 20 bits, 8 MiB of float64 totals.  The width only sets how
-    many entries the final merge reads, never what it finds."""
-    return max(1, min(m, 2**n, 1 << 20).bit_length() - 1)
-
-
-def _buckets(keys: np.ndarray, width: int) -> np.ndarray:
-    """The hash bucket in [0, 2^width) of each word-major key: Fibonacci
-    hashing of its words."""
-    bucket = np.zeros(keys.shape[1], dtype=np.uint64)
-    for word in keys:
-        bucket ^= word
-        bucket *= np.uint64(0x9E3779B97F4A7C15)
-    bucket >>= np.uint64(64 - width)
-    return bucket.view(np.int64)
-
-
-def _best_candidate(
-    blocks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]], c: float, min_rounds: int,
-    width: int,
-) -> tuple[int, float, tuple[int, ...]]:
-    """Tally per-block (index-set keys, counts, hits); pick the search winner.
-
-    Each block's counts add into 2^width bucket totals as it arrives.  All
-    entries of a set share a bucket, so a set drawn min_rounds times lies in
-    a bucket drawn at least that often, and only those buckets' entries are
-    merged, in block order.  Candidates are the non-empty sets drawn at least
-    ``min_rounds`` times.  Returns (candidate count, winner's excess
-    hit/count - c^|S|, winner), or (0, 0.0, ()).  Ties break toward smaller,
-    lexicographically earlier sets.
-    """
-    totals, kept = np.zeros(2**width), []
-    for keys, counts, hits in blocks:
-        np.add.at(totals, _buckets(keys, width), counts)
-        kept.append((keys, counts, hits))
-    heavy = []
-    for keys, counts, hits in kept:
-        h = totals[_buckets(keys, width)] >= min_rounds
-        heavy.append((keys[:, h], counts[h], hits[h]))
-    keys, counts, hits = _tally(*(np.concatenate(part, axis=-1) for part in zip(*heavy)))
-    eligible = np.flatnonzero((counts >= min_rounds) & keys.any(axis=0))
-    if not len(eligible):
-        return 0, 0.0, ()
-    keys, rows = keys[:, eligible], _bits(keys[:, eligible])
-    sizes = rows.sum(axis=1)
-    powers = np.array([c**k for k in range(rows.shape[1] + 1)])
-    scores = hits[eligible] / counts[eligible] - powers[sizes]
-    top = scores.max()
-    tied = np.flatnonzero(scores == top)
-    tied = tied[sizes[tied] == sizes[tied].min()]
-    # Among equal sizes, the earliest index tuple has the largest key.
-    best = tied[np.lexsort(keys[::-1, tied])[-1]]
-    return len(eligible), float(top), tuple(int(i) for i in np.flatnonzero(rows[best]))
+def _pool(seed: int, n: int, lam: float, k: int) -> np.ndarray:
+    """The search's candidates: k index sets drawn from the lam-law (each
+    variable in with probability lam) by ``block_rng(seed, WITNESS_POOL_TAG,
+    0)``, less the empty sets and the repeats of a set drawn before.
+    Returns their (K, n) bool member rows in draw order."""
+    drawn = block_rng(seed, WITNESS_POOL_TAG, 0).random((k, n)) < lam
+    drawn = drawn[drawn.any(axis=1)]
+    return drawn[_distinct([row.tobytes() for row in np.packbits(drawn, axis=1)])[0]]
 
 
 def find_dependent_set(
@@ -328,15 +242,16 @@ def find_dependent_set(
 ) -> WitnessReport:
     """Two-phase search for a subset with E[prod_{i in S} X_i] > c^|S|.
 
-    Search phase: ``wp.m_search`` rounds of the coupled process, each
-    scoring prod_{i in I} X_i for its drawn index set I, grouped by I;
-    non-empty sets seen at least
-    ``min_rounds_per_subset`` times become candidates, ranked by empirical
-    excess over c^|S| (ties break toward smaller, lexicographically earlier
-    sets).  Confirm phase: ``wp.m_confirm`` fresh rows estimate the mean of
-    prod_{i in S} X_i for the single best candidate only; the verdict is
-    "found" iff that estimate exceeds c^|S| + margin_threshold by at least
-    ``CONFIRM_Z`` standard errors.
+    Search phase: min(``CANDIDATES``, m_search // min_rounds_per_subset)
+    index sets drawn from the lam-law, less empty sets and repeats, form the
+    candidate pool; search round r scores prod_{i in S} X_i for pool set
+    r mod K on its own row, so each candidate gets at least
+    ``min_rounds_per_subset`` of the ``wp.m_search`` rounds.  Candidates are
+    ranked by empirical excess over c^|S| (ties break toward smaller, then
+    lexicographically earlier sets).  Confirm phase: ``wp.m_confirm`` fresh
+    rows estimate the mean of prod_{i in S} X_i for the single best
+    candidate only; the verdict is "found" iff that estimate exceeds
+    c^|S| + margin_threshold by at least ``CONFIRM_Z`` standard errors.
 
     Like ``estimate_product``, the result depends on (seed, block_size);
     ``workers`` is accepted for compatibility and validated, and blocks run
@@ -351,38 +266,9 @@ def find_dependent_set(
     # Buffers for one block, shared by every block of both phases.
     block = min(block_size, max(wp.m_search, wp.m_confirm))
     *_, chunks = _kernel(model, wp.params, block)
-    rows = _chunk_rows(n, block)  # per chunk
-    step = max(1, UNIFORM_SLICE // n)  # rows of uniforms per slice
-    uniforms = np.empty(min(rows, step) * n)
-    words = -(-n // 64)  # per key
-    bits = np.zeros((rows, -(-n // 8) * 8), dtype=bool)  # the padding stays False
-    pad = np.zeros((rows, 8 * words), dtype=np.uint8)  # bytes past bits' stay 0
-    outside = np.empty((n, rows), dtype=bool)
-    keys = np.empty((words, block), dtype=np.uint64)
-    ones, weights = np.ones(block), np.empty(block)
-
-    def search_tally(rng: np.random.Generator, m: int) -> tuple:
-        # After each chunk's rows, a uniform per row and variable, drawn in
-        # slices, draws their index sets.  A variable outside the set scores
-        # 1.0: every xtilde lies in [0, 1], so max(xtilde, 1.0) is 1.0,
-        # max(xtilde, 0.0) is xtilde (up to the sign of a zero, which sums
-        # that start at +0.0 never show), and the plain product keeps the
-        # bits of the product over the members alone, since 1.0 x = x.
-        for part, _, xt in chunks(rng, m):
-            r = xt.shape[1]
-            for s in range(0, r, step):
-                u = uniforms[: n * min(step, r - s)].reshape(-1, n)
-                np.less(rng.random(out=u), wp.lam, out=bits[s:s + len(u), :n])
-            _pack(bits[:r], pad, keys[:, part])
-            np.logical_not(bits[:r, :n].T, out=outside[:, :r])
-            np.maximum(xt, outside[:, :r], out=xt)
-            np.multiply.reduce(xt, axis=0, out=weights[part])
-        return _tally(keys[:, :m], ones[:m], weights[:m])
-
-    blocks = _run_blocks(seed, WITNESS_SEARCH_TAG, wp.m_search, block_size, search_tally)
-    candidates, score, best = _best_candidate(
-        blocks, wp.c, min_rounds_per_subset, _bucket_width(wp.m_search, n))
-    if not candidates:
+    members = _pool(seed, n, wp.lam, min(CANDIDATES, wp.m_search // min_rounds_per_subset))
+    k = len(members)
+    if not k:
         return WitnessReport(
             verdict="not_found",
             subset=(),
@@ -392,11 +278,42 @@ def find_dependent_set(
             samples_used=wp.m_search,
             candidates=0,
             note=(
-                f"no non-empty subset was drawn at least {min_rounds_per_subset} "
-                f"times in {wp.m_search} search rounds"
+                f"no non-empty subset was drawn into a pool of at most "
+                f"{wp.m_search // min_rounds_per_subset} sets ({wp.m_search} search rounds, "
+                f"{min_rounds_per_subset} or more each)"
             ),
         )
 
+    outside_pool = np.ascontiguousarray(~members.T)  # (n, k): True off the set
+    outside = np.empty(n * _chunk_rows(n, block), dtype=bool)
+    weights = np.empty(block)
+    done = 0  # search rounds of the blocks before this one
+
+    def search_sums(rng: np.random.Generator, m: int) -> np.ndarray:
+        # A variable outside the set scores 1.0: every xtilde lies in [0, 1],
+        # so max(xtilde, 1.0) is 1.0, max(xtilde, 0.0) is xtilde (up to the
+        # sign of a zero, which sums that start at +0.0 never show), and the
+        # plain product keeps the bits of the product over the members alone,
+        # since 1.0 x = x.
+        nonlocal done
+        which = np.arange(done, done + m) % k
+        done += m
+        for part, _, xt in chunks(rng, m):
+            off = outside[: xt.size].reshape(xt.shape)
+            np.take(outside_pool, which[part], axis=1, out=off)
+            np.maximum(xt, off, out=xt)
+            np.multiply.reduce(xt, axis=0, out=weights[part])
+        return np.bincount(which, weights=weights[:m], minlength=k)
+
+    hits = sum(_run_blocks(seed, WITNESS_SEARCH_TAG, wp.m_search, block_size, search_sums),
+               np.zeros(k))
+    counts = wp.m_search // k + (np.arange(k) < wp.m_search % k)
+    sizes = members.sum(axis=1)
+    scores = hits / counts - np.array([wp.c**j for j in range(n + 1)])[sizes]
+    score = scores.max()
+    tied = np.flatnonzero(scores == score)
+    tied = tied[sizes[tied] == sizes[tied].min()]
+    best = min(tuple(np.flatnonzero(members[i]).tolist()) for i in tied)
     first, *rest = best
 
     def confirm_weights(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -412,7 +329,7 @@ def find_dependent_set(
     _, estimate, std_error = _mean_and_se(blocks, wp.m_confirm)
     threshold = wp.c ** len(best) + wp.margin_threshold
     outcome = dict(empirical_moment=estimate, threshold=threshold, confirm_std_error=std_error,
-                   samples_used=wp.m_search + wp.m_confirm, candidates=candidates)
+                   samples_used=wp.m_search + wp.m_confirm, candidates=k)
     if estimate > threshold and estimate - threshold >= CONFIRM_Z * std_error:
         return WitnessReport(verdict="found", subset=best, **outcome)
     return WitnessReport(

@@ -556,15 +556,17 @@ class TestDetect:
         assert " ".join(options.split()).count("(unset: default_budgets)") == 3
 
 
-_NULL_NOTE = "no non-empty subset was drawn at least 5 times in 50000 search rounds"
+def _null_note(best, excess, threshold):
+    return (f"best candidate {best} (search excess {excess}) did not clear c^|S| + margin = "
+            f"{threshold} on fresh samples")
 
 
 class TestDetectBenchmarkShapes:
     """``detect`` at the job shapes of the benchmark's detect workload, with
-    results frozen from the witness kernel before its tally took native
-    64-bit keys, and configs frozen before ``detect`` took the shared bound
-    flags: planted n = 10 ends found, Boolean n = 30 draws no set five
-    times."""
+    results frozen from the search over a pool of 512 lam-law index sets,
+    and configs frozen before ``detect`` took the shared bound flags:
+    planted n = 10 ends found, and Boolean n = 30, whose every product mean
+    lies at or below c^|S|, confirms its best candidate and ends not_found."""
 
     PLANTED10 = {"kind": "planted_clique", "n": 10, "params": {"p": 0.7, "k": 10}}
     BOOLEAN30 = {"kind": "boolean_iid", "n": 30, "params": {"p": 0.3}}
@@ -576,21 +578,24 @@ class TestDetectBenchmarkShapes:
 
     @pytest.mark.parametrize("doc,extra,seed,code,config,result", [
         (PLANTED10, ["--m-search", "200000"], 3, 0, PLANTED10_CONFIG, {
-            "verdict": "found", "subset": [2, 3, 5, 8], "empirical_moment": 0.6982,
-            "threshold": 0.025600000000000005, "confirm_std_error": 0.0032459767125228903,
-            "samples_used": 220000, "candidates": 992, "note": ""}),
+            "verdict": "found", "subset": [0, 1, 2, 4, 6, 7, 9], "empirical_moment": 0.6982,
+            "threshold": 0.0016384000000000006, "confirm_std_error": 0.0032459767125228903,
+            "samples_used": 220000, "candidates": 273, "note": ""}),
         (PLANTED10, ["--m-search", "200000"], 1234567, 0, PLANTED10_CONFIG, {
-            "verdict": "found", "subset": [2, 4, 6, 9], "empirical_moment": 0.6978,
-            "threshold": 0.025600000000000005, "confirm_std_error": 0.0032471965161136635,
-            "samples_used": 220000, "candidates": 996, "note": ""}),
+            "verdict": "found", "subset": [2, 4, 6, 7, 8, 9], "empirical_moment": 0.6978,
+            "threshold": 0.0040960000000000015, "confirm_std_error": 0.0032471965161136635,
+            "samples_used": 220000, "candidates": 270, "note": ""}),
         (BOOLEAN30, [], 3, 3, BOOLEAN30_CONFIG, {
-            "verdict": "not_found", "subset": [], "empirical_moment": 0.0, "threshold": 0.0,
-            "confirm_std_error": 0.0, "samples_used": 50000, "candidates": 0,
-            "note": _NULL_NOTE}),
+            "verdict": "not_found", "subset": [], "empirical_moment": 0.0,
+            "threshold": 7.205759403792805e-12, "confirm_std_error": 0.0,
+            "samples_used": 70000, "candidates": 512,
+            "note": _null_note([0, 1, 2, 3, *range(5, 8), *range(9, 30)], "-7.20576e-12",
+                               "7.20576e-12")}),
         (BOOLEAN30, [], 1234567, 3, BOOLEAN30_CONFIG, {
-            "verdict": "not_found", "subset": [], "empirical_moment": 0.0, "threshold": 0.0,
-            "confirm_std_error": 0.0, "samples_used": 50000, "candidates": 0,
-            "note": _NULL_NOTE}),
+            "verdict": "not_found", "subset": [], "empirical_moment": 0.0,
+            "threshold": 2.8823037615171225e-12, "confirm_std_error": 0.0,
+            "samples_used": 70000, "candidates": 512,
+            "note": _null_note([0, *range(2, 30)], "-2.8823e-12", "2.8823e-12")}),
     ])
     def test_pinned_results(self, tmp_path, capsys, doc, extra, seed, code, config, result):
         spec = tmp_path / "spec.json"

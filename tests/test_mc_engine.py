@@ -759,6 +759,9 @@ class TestRangeCheckedOncePerCall:
                 "variable 1 takes value 1.5 outside [0.0, 1.0]")):
             cb.find_dependent_set(model, self._witness_params(), seed=0, workers=workers,
                                   block_size=100)
+        with pytest.raises(cb.ValidationError, match="outside"):  # with an empty pool too
+            cb.find_dependent_set(model, self._witness_params(), seed=0, workers=workers,
+                                  min_rounds_per_subset=2001)
         assert draws == []
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -801,10 +804,13 @@ class TestRangeCheckedOncePerCall:
         assert (est.mean.hex(), est.std_error.hex()) == (mean, std_error)
 
     def test_detect_clips_values_inside_the_tolerance(self):
-        model = cb.IndependentModel([[(0.0, 0.3), (0.5, 0.2), (1 + 1e-13, 0.5)]] * 4)
-        report = cb.find_dependent_set(model, self._witness_params(4), seed=3)
-        assert (report.empirical_moment.hex(), report.confirm_std_error.hex()) == (
-            "0x1.38f5c28f5c28fp-1", "0x1.3b0456f5563f6p-7")
+        # The kernel clips 1 + 1e-13 to 1.0, so both phases see the model
+        # whose top value is exactly 1.0.
+        in_band, exact = (cb.IndependentModel([[(0.0, 0.3), (0.5, 0.2), (top, 0.5)]] * 4)
+                          for top in (1 + 1e-13, 1.0))
+        report = cb.find_dependent_set(in_band, self._witness_params(4), seed=3)
+        assert report == cb.find_dependent_set(exact, self._witness_params(4), seed=3)
+        assert report.candidates > 0 and report.empirical_moment > 0.0
 
 
 class TestExactProductExpectation:
